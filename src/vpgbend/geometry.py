@@ -30,7 +30,10 @@ def rational(value: Coord) -> Fraction:
     if isinstance(value, bool):
         raise GeometryError(f"not an exact coordinate: {value!r}")
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise GeometryError(f"not an exact coordinate: {value!r}") from None
     raise GeometryError(f"not an exact coordinate: {value!r} (floats are not allowed)")
 
 
@@ -236,7 +239,8 @@ class PathIntersections:
         return bool(self.points or self.overlaps)
 
 
-def _merge_overlaps(overlaps) -> Tuple[Segment, ...]:
+def merge_overlaps(overlaps) -> Tuple[Segment, ...]:
+    """Maximal segments covered by `overlaps`; collinear pieces that touch merge."""
     groups = {}
     for ov in overlaps:
         if ov.orientation == HORIZONTAL:
@@ -277,7 +281,7 @@ def path_intersections(p: RectPath, q: RectPath) -> PathIntersections:
                 pts.add(pt)
             elif ov is not None:
                 raw_overlaps.append(ov)
-    overlaps = _merge_overlaps(raw_overlaps)
+    overlaps = merge_overlaps(raw_overlaps)
     isolated = tuple(
         sorted(pt for pt in pts if not any(ov.contains(pt) for ov in overlaps))
     )

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import DegenerateTrimError, DomainError, ValidationError
 from .geometry import (
     Point,
     RectPath,
+    Segment,
     bend_count,
+    merge_overlaps,
     path_intersections,
     rational,
-    transversal_at,
 )
 from .graphs import Graph, Label, label_str
 
@@ -48,34 +51,102 @@ class VpgRepresentation:
         )
 
 
-def _bbox(path: RectPath):
-    xs = [c.x for c in path.corners]
-    ys = [c.y for c in path.corners]
-    return min(xs), min(ys), max(xs), max(ys)
+def _segment_tables(rep: VpgRepresentation):
+    """Rank-compressed segments of `rep`: (xs, ys, horizontals, verticals).
+
+    `xs` and `ys` are the sorted distinct corner coordinates.  Every predicate
+    the checkers need depends only on the order of coordinates, so a segment
+    is the int tuple (fixed, lo, hi, label index) over ranks into `xs`/`ys`.
+    """
+    paths = rep.assignment.values()
+    xs = sorted({c.x for p in paths for c in p.corners})
+    ys = sorted({c.y for p in paths for c in p.corners})
+    x_rank = {x: r for r, x in enumerate(xs)}
+    y_rank = {y: r for r, y in enumerate(ys)}
+    hs, vs = [], []
+    for li, path in enumerate(paths):
+        ranked = [(x_rank[c.x], y_rank[c.y]) for c in path.corners]
+        for (ax, ay), (bx, by) in zip(ranked, ranked[1:]):
+            if ay == by:
+                hs.append((ay, min(ax, bx), max(ax, bx), li))
+            else:
+                vs.append((ax, min(ay, by), max(ay, by), li))
+    return xs, ys, hs, vs
 
 
-def _bbox_disjoint(b1, b2) -> bool:
-    return b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1]
+def _collinear_contacts(table):
+    """Meetings of segments of different paths on one shared line.
+
+    Yields (i, j, fixed, lo, hi) with label indices i < j; lo == hi is a touch
+    of two segment ends.  Written once over (fixed, lo, hi, label) tuples, so
+    it serves the horizontal and the vertical table alike.
+    """
+    line, active = None, []
+    for fixed, lo, hi, li in sorted(table):
+        if fixed != line:
+            line, active = fixed, []
+        else:
+            active = [seg for seg in active if seg[0] >= lo]
+        for other_hi, other in active:
+            if other != li:
+                yield min(li, other), max(li, other), fixed, lo, min(hi, other_hi)
+        active.append((hi, li))
 
 
-def _pairwise_intersections(rep: VpgRepresentation):
-    """Yield (u, v, PathIntersections) for label pairs with nonempty bbox overlap."""
-    labels = rep.labels()
-    boxes = {l: _bbox(rep.path(l)) for l in labels}
-    for i, u in enumerate(labels):
-        for v in labels[i + 1 :]:
-            if _bbox_disjoint(boxes[u], boxes[v]):
-                continue
-            inter = path_intersections(rep.path(u), rep.path(v))
-            if inter:
-                yield u, v, inter
+def _crossing_contacts(hs, vs):
+    """Meetings of a horizontal and a vertical segment of different paths.
+
+    Sweeps x over the verticals, keeping the horizontals that span the
+    current x sorted by y.  Yields (h, v, crossing): the two segments and
+    whether the meeting point is interior to both, a transversal crossing.
+    """
+    # at equal x a horizontal opens (0) before and closes (2) after the
+    # verticals there (1) are queried: segments are closed
+    events = [(h[1], 0, k) for k, h in enumerate(hs)]
+    events += [(h[2], 2, k) for k, h in enumerate(hs)]
+    events += [(v[0], 1, k) for k, v in enumerate(vs)]
+    events.sort()
+    active: List[Tuple[int, int]] = []  # (y, horizontal index)
+    for x, kind, k in events:
+        if kind == 0:
+            insort(active, (hs[k][0], k))
+        elif kind == 2:
+            del active[bisect_left(active, (hs[k][0], k))]
+        else:
+            v = vs[k]
+            _, y_lo, y_hi, lv = v
+            at = bisect_left(active, (y_lo,))
+            while at < len(active) and active[at][0] <= y_hi:
+                y, hk = active[at]
+                at += 1
+                h = hs[hk]
+                if h[3] != lv:
+                    yield h, v, h[1] < x < h[2] and y_lo < y < y_hi
+
+
+def _contacts(hs, vs):
+    """Every meeting of two segments of different paths, streamed.
+
+    Yields (i, j, x0, y0, x1, y1, crossing) in ranks with label indices
+    i < j.  The meeting is the segment (x0,y0)-(x1,y1), a single point when
+    the ends coincide; `crossing` is true only for a transversal crossing.
+    """
+    for i, j, y, lo, hi in _collinear_contacts(hs):
+        yield i, j, lo, y, hi, y, False
+    for i, j, x, lo, hi in _collinear_contacts(vs):
+        yield i, j, x, lo, x, hi, False
+    for h, v, crossing in _crossing_contacts(hs, vs):
+        i, j = sorted((h[3], v[3]))
+        yield i, j, v[0], h[0], v[0], h[0], crossing
 
 
 def intersection_graph(rep: VpgRepresentation) -> Graph:
     """Graph on the representation's labels; edge iff the paths intersect."""
-    g = Graph(rep.labels())
-    for u, v, _ in _pairwise_intersections(rep):
-        g.add_edge(u, v)
+    labels = rep.labels()
+    g = Graph(labels)
+    _, _, hs, vs = _segment_tables(rep)
+    for i, j, *_ in _contacts(hs, vs):
+        g.add_edge(labels[i], labels[j])
     return g
 
 
@@ -136,20 +207,44 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
     transversal crossing (interior of a horizontal segment of one path and of
     a vertical segment of the other).
     """
+    labels = rep.labels()
+    names = [label_str(l) for l in labels]
+    xs, ys, hs, vs = _segment_tables(rep)
+    n_pairs, n_ys = len(labels) ** 2, len(ys)
+    # (point rank * n_pairs + pair) -> whether the pair crosses transversally
+    # there, which holds iff one of its contacts there is interior to both
+    # segments; keys sort by point, so the pairs at a point come together
+    crossed: Dict[int, bool] = {}
+    raw_overlaps: Dict[int, List[Segment]] = {}
+    for i, j, x0, y0, x1, y1, crossing in _contacts(hs, vs):
+        pair = i * len(labels) + j
+        if x0 == x1 and y0 == y1:
+            key = (x0 * n_ys + y0) * n_pairs + pair
+            crossed[key] = crossing or crossed.get(key, False)
+        else:
+            ov = Segment(Point(xs[x0], ys[y0]), Point(xs[x1], ys[y1]))
+            raw_overlaps.setdefault(pair, []).append(ov)
+    overlaps = {pair: merge_overlaps(ovs) for pair, ovs in raw_overlaps.items()}
     violations: List[str] = []
-    point_owners: Dict[Point, set] = {}
-    for u, v, inter in _pairwise_intersections(rep):
-        su, sv = label_str(u), label_str(v)
-        for ov in inter.overlaps:
-            violations.append(f"overlap between {su} and {sv} along {ov}")
-        for pt in inter.points:
-            point_owners.setdefault(pt, set()).update((u, v))
-            if not transversal_at(rep.path(u), rep.path(v), pt):
-                violations.append(f"non-crossing touch of {su} and {sv} at {pt}")
-    for pt, owners in sorted(point_owners.items(), key=lambda kv: kv[0]):
+    for pair, ovs in overlaps.items():
+        i, j = divmod(pair, len(labels))
+        for ov in ovs:
+            violations.append(f"overlap between {names[i]} and {names[j]} along {ov}")
+    for point, keys in groupby(sorted(crossed), key=lambda key: key // n_pairs):
+        x, y = divmod(point, n_ys)
+        pt = Point(xs[x], ys[y])
+        owners = set()
+        for key in keys:
+            pair = key % n_pairs
+            if any(ov.contains(pt) for ov in overlaps.get(pair, ())):
+                continue
+            i, j = divmod(pair, len(labels))
+            owners.update((i, j))
+            if not crossed[key]:
+                violations.append(f"non-crossing touch of {names[i]} and {names[j]} at {pt}")
         if len(owners) > 2:
-            names = ",".join(sorted(label_str(o) for o in owners))
-            violations.append(f"point {pt} lies on {len(owners)} paths ({names})")
+            on = ",".join(sorted(names[o] for o in owners))
+            violations.append(f"point {pt} lies on {len(owners)} paths ({on})")
     return PropernessReport(ok=not violations, violations=tuple(sorted(violations)))
 
 
@@ -270,8 +365,10 @@ def read_representation_text(text: str) -> VpgRepresentation:
         for tok in rest.split():
             if not (tok.startswith("(") and tok.endswith(")")):
                 raise ValidationError(f"bad corner token {tok!r}")
-            xs, ys = tok[1:-1].split(",")
-            corners.append(Point(rational(xs), rational(ys)))
+            xy = tok[1:-1].split(",")
+            if len(xy) != 2:
+                raise ValidationError(f"bad corner token {tok!r}")
+            corners.append(Point(rational(xy[0]), rational(xy[1])))
         label = label.strip()
         if label in assignment:
             raise ValidationError(f"duplicate label {label!r}")

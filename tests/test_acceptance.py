@@ -12,7 +12,9 @@ import pytest
 
 from conftest import subset_split_graph
 from vpgbend.constructors import (
+    construct_gtm_stairs,
     construct_k2n_proper,
+    construct_k3n_proper,
     construct_split_upper,
     hamiltonian_decomposition,
     sequences_from_cycles,
@@ -123,6 +125,22 @@ def test_criterion_3_staircases(gtm_reps):
             assert bend_count(rep.path(subset)) == 2 * k - 3
         ok = ok and (time.monotonic() - start) < 10.0
     _report("criterion 3 (staircase construction)", ok)
+
+
+# scale: criteria 2 and 3 beyond the fixture sizes ------------------------------
+
+
+def test_scale_k3n_and_staircase():
+    start = time.monotonic()
+    for n in (16, 20, 30):
+        rep = construct_k3n_proper(n)
+        assert verify_realizes(rep, subset_split_graph(n, 3)).ok
+        assert is_proper(rep).ok
+        assert max_bends(rep) <= 2 * n + 4
+    rep = construct_gtm_stairs(9, 4)
+    assert verify_realizes(rep, build_hnk_member(9, 4, all_qedges(9, 4))).ok
+    assert is_proper(rep).ok
+    _report("scale (k3n n = 16, 20, 30; staircase (9,4))", time.monotonic() - start < 20.0)
 
 
 # criterion 4 -----------------------------------------------------------------

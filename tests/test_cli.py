@@ -76,6 +76,18 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("token", ["(1,2,3)", "(x,1)", "(1/0,0)"])
+def test_malformed_corner_token_is_usage_error(tmp_path, capsys, token):
+    gfile = tmp_path / "g.txt"
+    rfile = tmp_path / "r.txt"
+    gfile.write_text("2 1\na\nb\na b\n")
+    rfile.write_text(f"a : {token} (5,0)\nb : (0,0) (0,1)\n")
+    rc, out, err = run(capsys, "verify", str(gfile), str(rfile))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
