@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import GeometryError
 
@@ -222,6 +222,31 @@ def direction_vector(p: RectPath) -> Tuple[str, ...]:
         else:
             out.append(UP if b.y > a.y else DOWN)
     return tuple(out)
+
+
+def segment_tables(paths: Sequence[RectPath]):
+    """Rank-compressed segments of `paths`: (xs, ys, horizontals, verticals).
+
+    `xs` and `ys` are the sorted distinct corner coordinates.  Every predicate
+    of the checkers and the probe analyses depends only on the order of
+    coordinates, so a segment is the int tuple (fixed, lo, hi, path index)
+    over ranks into `xs`/`ys`.  Swapping x and y swaps the two tables, so an
+    algorithm over them is written once and run on (xs, ys, hs, vs) and on
+    the transpose (ys, xs, vs, hs).
+    """
+    xs = sorted({c.x for p in paths for c in p.corners})
+    ys = sorted({c.y for p in paths for c in p.corners})
+    x_rank = {x: r for r, x in enumerate(xs)}
+    y_rank = {y: r for r, y in enumerate(ys)}
+    hs, vs = [], []
+    for li, path in enumerate(paths):
+        ranked = [(x_rank[c.x], y_rank[c.y]) for c in path.corners]
+        for (ax, ay), (bx, by) in zip(ranked, ranked[1:]):
+            if ay == by:
+                hs.append((ay, min(ax, bx), max(ax, bx), li))
+            else:
+                vs.append((ax, min(ay, by), max(ay, by), li))
+    return xs, ys, hs, vs
 
 
 @dataclass(frozen=True)

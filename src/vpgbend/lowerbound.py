@@ -11,6 +11,7 @@ exhaustive, and every realizable hit-set gets a positive-length witness.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -27,6 +28,7 @@ from .geometry import (
     bend_count,
     path_intersections,
     segment_intersection,
+    segment_tables,
 )
 from .graphs import Graph, Label
 from .representation import VpgRepresentation, arc_position, is_proper, leaf_trim_window
@@ -34,7 +36,9 @@ from .representation import VpgRepresentation, arc_position, is_proper, leaf_tri
 
 @dataclass(frozen=True)
 class InducedGrid:
-    """Lines extending every segment of the clique paths plus the endpoint lines."""
+    """Lines extending every segment of the clique paths plus the endpoint
+    lines: each corner is a path end or joins a horizontal and a vertical
+    segment, so these are exactly the distinct corner coordinates."""
 
     x_lines: Tuple[Fraction, ...]
     y_lines: Tuple[Fraction, ...]
@@ -43,17 +47,8 @@ class InducedGrid:
 def induced_grid(ra: VpgRepresentation) -> InducedGrid:
     if not ra.assignment:
         raise DomainError("empty representation has no grid")
-    xs, ys = set(), set()
-    for path in ra.assignment.values():
-        for seg in path.segments():
-            if seg.orientation == VERTICAL:
-                xs.add(seg.a.x)
-            else:
-                ys.add(seg.a.y)
-        for endpoint in (path.corners[0], path.corners[-1]):
-            xs.add(endpoint.x)
-            ys.add(endpoint.y)
-    return InducedGrid(x_lines=tuple(sorted(xs)), y_lines=tuple(sorted(ys)))
+    xs, ys, _, _ = segment_tables(ra.assignment.values())
+    return InducedGrid(x_lines=tuple(xs), y_lines=tuple(ys))
 
 
 @dataclass(frozen=True)
@@ -63,82 +58,82 @@ class GoodKSet:
     witness: Segment
 
 
-def _positions(events: Sequence[Fraction]) -> List[Fraction]:
-    if not events:
-        return []
+def _positions(events: Sequence[int]) -> List[int]:
+    """Probe positions around sorted event codes 3 * rank, as codes that order
+    like the coordinates: one below the first event, each event e with the
+    1/3 and 2/3 points e + 1 and e + 2 of the gap above it, one above the last."""
     out = [events[0] - 1]
-    for a, b in zip(events, events[1:]):
-        gap = b - a
-        out.extend((a, a + gap / 3, a + 2 * gap / 3))
-    out.append(events[-1])
-    out.append(events[-1] + 1)
+    for e in events[:-1]:
+        out.extend((e, e + 1, e + 2))
+    out.extend((events[-1], events[-1] + 1))
     return out
 
 
-def _probe_sets_one_axis(ra: VpgRepresentation, k: int, vertical: bool):
-    """All exactly-k hit-sets of one probe orientation, with witnesses."""
-    labels = list(ra.assignment)
+def _coordinate(values: Sequence[Fraction], events: Sequence[int], code: int) -> Fraction:
+    """The coordinate of position `code` of `_positions(events)`, where event
+    3 * r lies at values[r]: a - 1 below the first event a, a + 1 above the
+    last, else a + (code - event) * gap / 3 from the event a at or below."""
+    at = bisect_right(events, code) - 1
+    if at < 0:
+        return values[events[0] // 3] - 1
+    a = values[events[at] // 3]
+    if at + 1 == len(events):
+        return a + (code - events[at])
+    return a + (code - events[at]) * (values[events[at + 1] // 3] - a) / 3
 
-    def lo_coord(pt: Point) -> Fraction:
-        return pt.y if vertical else pt.x
 
-    def fix_coord(pt: Point) -> Fraction:
-        return pt.x if vertical else pt.y
+def _probe_sets_one_axis(xs, ys, hs, vs, k: int, point) -> Dict[frozenset, Segment]:
+    """All exactly-k hit-sets of probes along the y axis, with witnesses.
 
-    events = set()
-    for label in labels:
-        for seg in ra.path(label).segments():
-            along = seg.orientation == (HORIZONTAL if vertical else VERTICAL)
-            if along:
-                events.add(fix_coord(seg.a))
-                events.add(fix_coord(seg.b))
-            else:
-                events.add(fix_coord(seg.a))
-    found: Dict[frozenset, GoodKSet] = {}
-    for x in _positions(sorted(events)):
-        atoms = []  # (lo, hi, label)
-        for label in labels:
-            for seg in ra.path(label).segments():
-                along = seg.orientation == (HORIZONTAL if vertical else VERTICAL)
-                if along:
-                    if fix_coord(seg.a) <= x <= fix_coord(seg.b):
-                        y = lo_coord(seg.a)
-                        atoms.append((y, y, label))
-                else:
-                    if fix_coord(seg.a) == x:
-                        atoms.append((lo_coord(seg.a), lo_coord(seg.b), label))
-        if not atoms:
-            continue
-        ys = set()
-        for lo, hi, _ in atoms:
-            ys.add(lo)
-            ys.add(hi)
-        pos = _positions(sorted(ys))
-        atoms.sort(key=lambda a: (a[0], a[1]))
-        for ai in range(len(pos)):
-            ya = pos[ai]
-            active = [a for a in atoms if a[1] >= ya]
-            hit: set = set()
-            ptr = 0
-            for bi in range(ai + 1, len(pos)):
-                yb = pos[bi]
-                while ptr < len(active) and active[ptr][0] <= yb:
-                    hit.add(active[ptr][2])
-                    ptr += 1
-                if len(hit) > k:
-                    break
-                if len(hit) == k:
-                    key = frozenset(hit)
-                    if key not in found:
-                        if vertical:
-                            witness = Segment(Point(x, ya), Point(x, yb))
-                        else:
-                            witness = Segment(Point(ya, x), Point(yb, x))
-                        found[key] = GoodKSet(
-                            members=tuple(sorted(hit, key=str)),
-                            orientation=VERTICAL if vertical else HORIZONTAL,
-                            witness=witness,
-                        )
+    Over the tables of `segment_tables`, a probe at x meets the horizontals
+    spanning x in points and the verticals on x in intervals (the atoms).
+    Called on the transposed tables (ys, xs, vs, hs) it gives the probes
+    along the x axis, with `point` swapping the witness corners back.  Keys
+    are frozensets of path indices.  The x positions are those of
+    `_positions` except the two beyond the ends, which meet nothing, and the
+    2/3 point of each cell, which meets what its 1/3 point meets.
+    """
+    opening: Dict[int, list] = {}
+    for y, lo, hi, li in hs:
+        opening.setdefault(lo, []).append((hi, 3 * y, li))
+    on_line: Dict[int, list] = {}
+    for x, lo, hi, li in vs:
+        on_line.setdefault(x, []).append((3 * lo, 3 * hi, li))
+    found: Dict[frozenset, Segment] = {}
+    spanning: list = []  # (hi, 3 * y, path) of the horizontals at the current x
+    for r in range(len(xs)):
+        spanning += opening.get(r, ())
+        intervals = on_line.get(r, [])
+        columns = [(3 * r, intervals, intervals + [(y, y, li) for _, y, li in spanning])]
+        spanning = [h for h in spanning if h[0] > r]
+        if spanning:
+            columns.append((3 * r + 1, [], [(y, y, li) for _, y, li in spanning]))
+        for x, intervals, atoms in columns:
+            atoms.sort()
+            events = sorted({e for lo, hi, _ in atoms for e in (lo, hi)})
+            pos = _positions(events)
+            for ya, yb in zip(pos, pos[1:]):
+                # [ya, yb] meets the intervals across ya and the atoms from ya
+                # to yb; growing yb changes that only where it reaches an atom
+                hit = {li for lo, hi, li in intervals if lo < ya <= hi}
+                at = bisect_left(atoms, (ya,))
+                while True:
+                    while at < len(atoms) and atoms[at][0] <= yb:
+                        hit.add(atoms[at][2])
+                        at += 1
+                    if len(hit) > k:
+                        break
+                    if len(hit) == k:
+                        key = frozenset(hit)
+                        if key not in found:
+                            u = _coordinate(xs, range(0, 3 * len(xs), 3), x)
+                            found[key] = Segment(
+                                point(u, _coordinate(ys, events, ya)),
+                                point(u, _coordinate(ys, events, yb)),
+                            )
+                    if at == len(atoms):
+                        break
+                    yb = atoms[at][0]
     return found
 
 
@@ -150,10 +145,17 @@ def enumerate_good_sets(ra: VpgRepresentation, k: int) -> List[GoodKSet]:
     """
     if k < 1:
         raise ParameterError("need k >= 1")
-    found = _probe_sets_one_axis(ra, k, vertical=True)
-    for key, gs in _probe_sets_one_axis(ra, k, vertical=False).items():
-        found.setdefault(key, gs)
-    return [found[key] for key in sorted(found, key=lambda s: tuple(sorted(s, key=str)))]
+    labels = ra.labels()
+    xs, ys, hs, vs = segment_tables(ra.assignment.values())
+    vertical = _probe_sets_one_axis(xs, ys, hs, vs, k, Point)
+    horizontal = _probe_sets_one_axis(ys, xs, vs, hs, k, lambda y, x: Point(x, y))
+    sets = [
+        GoodKSet(tuple(sorted((labels[i] for i in key), key=str)), orientation, witness)
+        for orientation, found in ((VERTICAL, vertical), (HORIZONTAL, horizontal))
+        for key, witness in found.items()
+        if found is vertical or key not in vertical
+    ]
+    return sorted(sets, key=lambda gs: gs.members)
 
 
 def probe_hit_set(ra: VpgRepresentation, probe: Segment) -> frozenset:
@@ -182,24 +184,19 @@ def strip_small_sets(ra: VpgRepresentation, k: int) -> List[frozenset]:
     A vertical strip is crossed only by horizontal segments (vertical segments
     lie on grid lines), so its unique maximal probe hit-set is exactly the set
     of paths with a horizontal segment spanning the strip interior; similarly
-    for horizontal strips.
+    for horizontal strips.  Vertical strips come first, each axis in order.
     """
-    grid = induced_grid(ra)
+    if not ra.assignment:
+        raise DomainError("empty representation has no grid")
+    labels = ra.labels()
+    xs, ys, hs, vs = segment_tables(ra.assignment.values())
     out: List[frozenset] = []
-    for lines, orient in ((grid.x_lines, HORIZONTAL), (grid.y_lines, VERTICAL)):
-        for g1, g2 in zip(lines, lines[1:]):
-            members = set()
-            for label, path in ra.assignment.items():
-                for seg in path.segments():
-                    if seg.orientation != orient:
-                        continue
-                    lo = seg.a.x if orient == HORIZONTAL else seg.a.y
-                    hi = seg.b.x if orient == HORIZONTAL else seg.b.y
-                    if lo < g2 and hi > g1:
-                        members.add(label)
-                        break
-            if 0 < len(members) < k:
-                out.append(frozenset(members))
+    for lines, across in ((xs, hs), (ys, vs)):
+        strips = [set() for _ in lines[1:]]
+        for _, lo, hi, li in across:
+            for r in range(lo, hi):
+                strips[r].add(labels[li])
+        out.extend(frozenset(members) for members in strips if 0 < len(members) < k)
     return out
 
 

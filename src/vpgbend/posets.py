@@ -287,8 +287,10 @@ def read_poset_text(text: str) -> Poset:
         if not ln:
             continue
         if " < " in ln:
-            x, y = ln.split(" < ")
-            relations.append((x.strip(), y.strip()))
+            parts = [part.strip() for part in ln.split(" < ")]
+            if len(parts) != 2:
+                raise ValidationError(f"bad relation line {ln!r}: expected 'a < b'")
+            relations.append(tuple(parts))
         else:
             ground.append(ln)
     return make_poset(ground, relations)

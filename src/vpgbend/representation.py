@@ -17,6 +17,7 @@ from .geometry import (
     merge_overlaps,
     path_intersections,
     rational,
+    segment_tables,
 )
 from .graphs import Graph, Label, label_str
 
@@ -49,29 +50,6 @@ class VpgRepresentation:
         return (
             isinstance(other, VpgRepresentation) and self.assignment == other.assignment
         )
-
-
-def _segment_tables(rep: VpgRepresentation):
-    """Rank-compressed segments of `rep`: (xs, ys, horizontals, verticals).
-
-    `xs` and `ys` are the sorted distinct corner coordinates.  Every predicate
-    the checkers need depends only on the order of coordinates, so a segment
-    is the int tuple (fixed, lo, hi, label index) over ranks into `xs`/`ys`.
-    """
-    paths = rep.assignment.values()
-    xs = sorted({c.x for p in paths for c in p.corners})
-    ys = sorted({c.y for p in paths for c in p.corners})
-    x_rank = {x: r for r, x in enumerate(xs)}
-    y_rank = {y: r for r, y in enumerate(ys)}
-    hs, vs = [], []
-    for li, path in enumerate(paths):
-        ranked = [(x_rank[c.x], y_rank[c.y]) for c in path.corners]
-        for (ax, ay), (bx, by) in zip(ranked, ranked[1:]):
-            if ay == by:
-                hs.append((ay, min(ax, bx), max(ax, bx), li))
-            else:
-                vs.append((ax, min(ay, by), max(ay, by), li))
-    return xs, ys, hs, vs
 
 
 def _collinear_contacts(table):
@@ -144,7 +122,7 @@ def intersection_graph(rep: VpgRepresentation) -> Graph:
     """Graph on the representation's labels; edge iff the paths intersect."""
     labels = rep.labels()
     g = Graph(labels)
-    _, _, hs, vs = _segment_tables(rep)
+    _, _, hs, vs = segment_tables(rep.assignment.values())
     for i, j, *_ in _contacts(hs, vs):
         g.add_edge(labels[i], labels[j])
     return g
@@ -209,7 +187,7 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
     """
     labels = rep.labels()
     names = [label_str(l) for l in labels]
-    xs, ys, hs, vs = _segment_tables(rep)
+    xs, ys, hs, vs = segment_tables(rep.assignment.values())
     n_pairs, n_ys = len(labels) ** 2, len(ys)
     # (point rank * n_pairs + pair) -> whether the pair crosses transversally
     # there, which holds iff one of its contacts there is interior to both

@@ -1,0 +1,151 @@
+"""Fraction probe sweep, kept only to test the integer-rank sweep against.
+
+This is the straightforward form of `induced_grid`, `enumerate_good_sets` and
+`strip_small_sets`: every probe position is a `Fraction`, and each one
+rescans every segment of every path.  It is slow but shares no code with the
+rank-compressed sweep in `vpgbend.lowerbound`.
+"""
+
+from fractions import Fraction
+from typing import Dict, List, Sequence
+
+from vpgbend.errors import DomainError, ParameterError
+from vpgbend.geometry import HORIZONTAL, VERTICAL, Point, Segment
+from vpgbend.lowerbound import GoodKSet, InducedGrid
+from vpgbend.representation import VpgRepresentation
+
+
+def induced_grid(ra: VpgRepresentation) -> InducedGrid:
+    if not ra.assignment:
+        raise DomainError("empty representation has no grid")
+    xs, ys = set(), set()
+    for path in ra.assignment.values():
+        for seg in path.segments():
+            if seg.orientation == VERTICAL:
+                xs.add(seg.a.x)
+            else:
+                ys.add(seg.a.y)
+        for endpoint in (path.corners[0], path.corners[-1]):
+            xs.add(endpoint.x)
+            ys.add(endpoint.y)
+    return InducedGrid(x_lines=tuple(sorted(xs)), y_lines=tuple(sorted(ys)))
+
+
+def _positions(events: Sequence[Fraction]) -> List[Fraction]:
+    if not events:
+        return []
+    out = [events[0] - 1]
+    for a, b in zip(events, events[1:]):
+        gap = b - a
+        out.extend((a, a + gap / 3, a + 2 * gap / 3))
+    out.append(events[-1])
+    out.append(events[-1] + 1)
+    return out
+
+
+def _probe_sets_one_axis(ra: VpgRepresentation, k: int, vertical: bool):
+    """All exactly-k hit-sets of one probe orientation, with witnesses."""
+    labels = list(ra.assignment)
+
+    def lo_coord(pt: Point) -> Fraction:
+        return pt.y if vertical else pt.x
+
+    def fix_coord(pt: Point) -> Fraction:
+        return pt.x if vertical else pt.y
+
+    events = set()
+    for label in labels:
+        for seg in ra.path(label).segments():
+            along = seg.orientation == (HORIZONTAL if vertical else VERTICAL)
+            if along:
+                events.add(fix_coord(seg.a))
+                events.add(fix_coord(seg.b))
+            else:
+                events.add(fix_coord(seg.a))
+    found: Dict[frozenset, GoodKSet] = {}
+    for x in _positions(sorted(events)):
+        atoms = []  # (lo, hi, label)
+        for label in labels:
+            for seg in ra.path(label).segments():
+                along = seg.orientation == (HORIZONTAL if vertical else VERTICAL)
+                if along:
+                    if fix_coord(seg.a) <= x <= fix_coord(seg.b):
+                        y = lo_coord(seg.a)
+                        atoms.append((y, y, label))
+                else:
+                    if fix_coord(seg.a) == x:
+                        atoms.append((lo_coord(seg.a), lo_coord(seg.b), label))
+        if not atoms:
+            continue
+        ys = set()
+        for lo, hi, _ in atoms:
+            ys.add(lo)
+            ys.add(hi)
+        pos = _positions(sorted(ys))
+        atoms.sort(key=lambda a: (a[0], a[1]))
+        for ai in range(len(pos)):
+            ya = pos[ai]
+            active = [a for a in atoms if a[1] >= ya]
+            hit: set = set()
+            ptr = 0
+            for bi in range(ai + 1, len(pos)):
+                yb = pos[bi]
+                while ptr < len(active) and active[ptr][0] <= yb:
+                    hit.add(active[ptr][2])
+                    ptr += 1
+                if len(hit) > k:
+                    break
+                if len(hit) == k:
+                    key = frozenset(hit)
+                    if key not in found:
+                        if vertical:
+                            witness = Segment(Point(x, ya), Point(x, yb))
+                        else:
+                            witness = Segment(Point(ya, x), Point(yb, x))
+                        found[key] = GoodKSet(
+                            members=tuple(sorted(hit, key=str)),
+                            orientation=VERTICAL if vertical else HORIZONTAL,
+                            witness=witness,
+                        )
+    return found
+
+
+def enumerate_good_sets(ra: VpgRepresentation, k: int) -> List[GoodKSet]:
+    """Every k-subset of path labels met exactly by some axis-parallel probe.
+
+    One witness probe per set; a set realizable by both orientations is
+    reported once (vertical witness preferred).
+    """
+    if k < 1:
+        raise ParameterError("need k >= 1")
+    found = _probe_sets_one_axis(ra, k, vertical=True)
+    for key, gs in _probe_sets_one_axis(ra, k, vertical=False).items():
+        found.setdefault(key, gs)
+    return [found[key] for key in sorted(found, key=lambda s: tuple(sorted(s, key=str)))]
+
+
+def strip_small_sets(ra: VpgRepresentation, k: int) -> List[frozenset]:
+    """For each grid strip met by fewer than k paths, the set of those paths.
+
+    A vertical strip is crossed only by horizontal segments (vertical segments
+    lie on grid lines), so its unique maximal probe hit-set is exactly the set
+    of paths with a horizontal segment spanning the strip interior; similarly
+    for horizontal strips.
+    """
+    grid = induced_grid(ra)
+    out: List[frozenset] = []
+    for lines, orient in ((grid.x_lines, HORIZONTAL), (grid.y_lines, VERTICAL)):
+        for g1, g2 in zip(lines, lines[1:]):
+            members = set()
+            for label, path in ra.assignment.items():
+                for seg in path.segments():
+                    if seg.orientation != orient:
+                        continue
+                    lo = seg.a.x if orient == HORIZONTAL else seg.a.y
+                    hi = seg.b.x if orient == HORIZONTAL else seg.b.y
+                    if lo < g2 and hi > g1:
+                        members.add(label)
+                        break
+            if 0 < len(members) < k:
+                out.append(frozenset(members))
+    return out

@@ -88,6 +88,19 @@ def test_malformed_corner_token_is_usage_error(tmp_path, capsys, token):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["dim", "realizer-check"])
+def test_malformed_poset_relation_is_usage_error(tmp_path, capsys, command):
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("a\nb\nc\na < b < c\n")
+    rlz = tmp_path / "orders.txt"
+    rlz.write_text("a,b,c\n")
+    extra = ["--realizer", str(rlz)] if command == "realizer-check" else []
+    rc, out, err = run(capsys, "posets", command, "--poset", str(pfile), *extra)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

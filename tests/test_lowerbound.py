@@ -24,7 +24,7 @@ from vpgbend.lowerbound import (
     strip_small_sets,
     validate_counting,
 )
-from vpgbend.representation import VpgRepresentation
+from vpgbend.representation import VpgRepresentation, intersection_graph
 
 
 def two_parallels():
@@ -251,6 +251,27 @@ def test_certificate_sound_on_staircase_fixtures(gtm_reps):
             cert = bend_lb_certificate(ra, subset)
             assert cert is not None
             assert cert <= bend_count(rep.path(subset))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the candidate sets miss probe hit-sets of size < k on grid lines",
+)
+def test_certificate_sound_on_item2_counterexample():
+    ra = VpgRepresentation(
+        {
+            1: RectPath([(6, 1), (4, 1)]),
+            2: RectPath([(0, 3), (1, 3)]),
+            3: RectPath([(2, 4), (2, 6), (5, 6)]),
+            4: RectPath([(5, 1), (2, 1)]),
+            5: RectPath([(1, 1), (1, 4)]),
+        }
+    )
+    path = RectPath([("1/2", 3), (2, 3), (2, 4)])
+    with_path = VpgRepresentation({**ra.assignment, "p": path})
+    assert set(intersection_graph(with_path).neighbors("p")) == {2, 3, 5}
+    assert bend_lb_certificate(ra, (2, 3, 5)) <= bend_count(path)
 
 
 # --- counting validators -------------------------------------------------------------
