@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from . import constructors, lowerbound, oracle, posets
-from .errors import VpgError
+from .errors import ValidationError, VpgError
 from .geometry import Segment
 from .graphs import (
     Graph,
@@ -32,18 +31,13 @@ from .representation import (
 )
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    scale: Fraction = Fraction(40)
-    margin: Fraction = Fraction(1)
-    stroke_widths: Tuple[Tuple[str, Fraction], ...] = (
-        ("clique", Fraction(2)),
-        ("independent", Fraction(3, 2)),
-        ("probe", Fraction(4)),
-    )
-
-    def width(self, role: str) -> Fraction:
-        return dict(self.stroke_widths)[role]
+# SVG drawing constants: user units per coordinate unit, the margin around the
+# drawing in coordinate units, and the stroke widths in user units
+SCALE = Fraction(40)
+MARGIN = Fraction(1)
+CLIQUE_STROKE = Fraction(2)
+INDEPENDENT_STROKE = Fraction(3, 2)
+PROBE_STROKE = Fraction(4)
 
 
 def _decimal(value: Fraction) -> str:
@@ -59,7 +53,6 @@ def _decimal(value: Fraction) -> str:
 
 def render_svg(
     rep: VpgRepresentation,
-    opts: RenderOptions = RenderOptions(),
     dashed_labels: Iterable = (),
     probes: Sequence[Segment] = (),
 ) -> str:
@@ -69,20 +62,20 @@ def render_svg(
     corners = [c for p in rep.assignment.values() for c in p.corners]
     corners.extend(pt for s in probes for pt in (s.a, s.b))
     if corners:
-        min_x = min(c.x for c in corners) - opts.margin
-        max_x = max(c.x for c in corners) + opts.margin
-        min_y = min(c.y for c in corners) - opts.margin
-        max_y = max(c.y for c in corners) + opts.margin
+        min_x = min(c.x for c in corners) - MARGIN
+        max_x = max(c.x for c in corners) + MARGIN
+        min_y = min(c.y for c in corners) - MARGIN
+        max_y = max(c.y for c in corners) + MARGIN
     else:
         min_x, max_x, min_y, max_y = Fraction(0), Fraction(1), Fraction(0), Fraction(1)
-    width = (max_x - min_x) * opts.scale
-    height = (max_y - min_y) * opts.scale
+    width = (max_x - min_x) * SCALE
+    height = (max_y - min_y) * SCALE
 
     def sx(x: Fraction) -> str:
-        return _decimal((x - min_x) * opts.scale)
+        return _decimal((x - min_x) * SCALE)
 
     def sy(y: Fraction) -> str:
-        return _decimal((max_y - y) * opts.scale)
+        return _decimal((max_y - y) * SCALE)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -94,17 +87,17 @@ def render_svg(
         lines.append(
             f'<polyline points="{sx(segment.a.x)},{sy(segment.a.y)} '
             f'{sx(segment.b.x)},{sy(segment.b.y)}" fill="none" stroke="#999999" '
-            f'stroke-width="{_decimal(opts.width("probe"))}"/>'
+            f'stroke-width="{_decimal(PROBE_STROKE)}"/>'
         )
     for label in rep.labels():
         pts = " ".join(f"{sx(c.x)},{sy(c.y)}" for c in rep.path(label).corners)
         if label in dashed:
             style = (
-                f'stroke="#000000" stroke-width="{_decimal(opts.width("independent"))}" '
+                f'stroke="#000000" stroke-width="{_decimal(INDEPENDENT_STROKE)}" '
                 'stroke-dasharray="6,3"'
             )
         else:
-            style = f'stroke="#000000" stroke-width="{_decimal(opts.width("clique"))}"'
+            style = f'stroke="#000000" stroke-width="{_decimal(CLIQUE_STROKE)}"'
         lines.append(f'<polyline points="{pts}" fill="none" {style}/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -131,6 +124,15 @@ def _parse_labels(spec: str) -> List[str]:
     return [tok for tok in spec.split(",") if tok]
 
 
+def _parse_label_set(spec: str, what: str) -> List[str]:
+    """Labels of a comma-separated set option; a repeated label is an error."""
+    labels = _parse_labels(spec)
+    repeated = sorted({tok for tok in labels if labels.count(tok) > 1})
+    if repeated:
+        raise ValidationError(f"repeated {what} labels: {repeated}")
+    return labels
+
+
 def _rep_with_string_labels(rep: VpgRepresentation) -> VpgRepresentation:
     return VpgRepresentation({label_str(l): p for l, p in rep.assignment.items()})
 
@@ -142,7 +144,7 @@ def _rep_with_string_labels(rep: VpgRepresentation) -> VpgRepresentation:
 def _cmd_construct(args) -> int:
     if args.family == "split-upper":
         g = read_graph_text(_read(args.graph))
-        clique = _parse_labels(args.clique)
+        clique = _parse_label_set(args.clique, "clique")
         unknown = [v for v in clique if v not in g]
         if unknown:
             raise VpgError(f"clique labels not in graph: {unknown}")
@@ -198,7 +200,7 @@ def _cmd_goodsets(args) -> int:
 
 def _cmd_certificate(args) -> int:
     rep = read_representation_text(_read(args.rep))
-    target = _parse_labels(args.target)
+    target = _parse_label_set(args.target, "target")
     missing = [t for t in target if t not in rep.assignment]
     if missing:
         raise VpgError(f"target labels not in representation: {missing}")
@@ -270,7 +272,7 @@ def _cmd_render(args) -> int:
     probes: List[Segment] = []
     if args.annotate_goodsets is not None:
         probes = [g.witness for g in lowerbound.enumerate_good_sets(rep, args.annotate_goodsets)]
-    svg = render_svg(rep, RenderOptions(), dashed_labels=dashed, probes=probes)
+    svg = render_svg(rep, dashed_labels=dashed, probes=probes)
     _emit(svg, args.output)
     return 0
 

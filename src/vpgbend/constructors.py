@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, ParameterError
@@ -204,6 +205,21 @@ def construct_k2n_proper(n: int) -> VpgRepresentation:
 # exposure computation (checked, not assumed)
 
 
+def _exposed_interval(paths, target: Segment, along, across) -> Tuple[Fraction, Fraction]:
+    """Maximal [lo, cap) sub-interval of `target`, anchored at its low end,
+    whose open rays towards lower `across` miss every path.  `along` and
+    `across` read a point's coordinates along and across the target, so one
+    scan serves both orientations: each other segment starting below the
+    target and reaching [lo, cap] moves cap down to its low end, not below lo."""
+    c0 = across(target.a)
+    lo, cap = along(target.a), along(target.b)
+    for path in paths:
+        for s in path.segments():
+            if s != target and across(s.a) < c0 and along(s.a) <= cap and along(s.b) >= lo:
+                cap = max(along(s.a), lo)
+    return lo, cap
+
+
 def exposed_below_interval(
     paths: Sequence[RectPath], target: Segment
 ) -> Tuple[Fraction, Fraction]:
@@ -211,19 +227,7 @@ def exposed_below_interval(
     left end, whose open downward rays miss every path."""
     if target.orientation != HORIZONTAL:
         raise ConstructionError("exposure from below needs a horizontal segment")
-    y0 = target.a.y
-    lo, cap = target.a.x, target.b.x
-    for path in paths:
-        for s in path.segments():
-            if s == target:
-                continue
-            if s.orientation == VERTICAL:
-                if s.a.y < y0 and lo <= s.a.x <= cap:
-                    cap = s.a.x if s.a.x > lo else lo
-            else:
-                if s.a.y < y0 and s.a.x <= cap and s.b.x >= lo:
-                    cap = s.a.x if s.a.x > lo else lo
-    return lo, cap
+    return _exposed_interval(paths, target, attrgetter("x"), attrgetter("y"))
 
 
 def exposed_left_interval(
@@ -233,19 +237,7 @@ def exposed_left_interval(
     bottom end, whose open leftward rays miss every path."""
     if target.orientation != VERTICAL:
         raise ConstructionError("exposure from the left needs a vertical segment")
-    x0 = target.a.x
-    lo, cap = target.a.y, target.b.y
-    for path in paths:
-        for s in path.segments():
-            if s == target:
-                continue
-            if s.orientation == HORIZONTAL:
-                if s.a.x < x0 and lo <= s.a.y <= cap:
-                    cap = s.a.y if s.a.y > lo else lo
-            else:
-                if s.a.x < x0 and s.a.y <= cap and s.b.y >= lo:
-                    cap = s.a.y if s.a.y > lo else lo
-    return lo, cap
+    return _exposed_interval(paths, target, attrgetter("y"), attrgetter("x"))
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ class RectPath:
     simple.
     """
 
-    __slots__ = ("corners",)
+    __slots__ = ("corners", "_segments")
 
     def __init__(self, corners: Iterable):
         pts = []
@@ -188,9 +188,10 @@ class RectPath:
                 if pt is not None or ov is not None:
                     raise GeometryError("path is not simple")
         self.corners = tuple(pts)
+        self._segments = tuple(segs)
 
     def segments(self) -> Tuple[Segment, ...]:
-        return tuple(Segment(a, b) for a, b in zip(self.corners, self.corners[1:]))
+        return self._segments
 
     def reversed(self) -> "RectPath":
         return RectPath(tuple(reversed(self.corners)))

@@ -26,12 +26,16 @@ from .geometry import (
     Point,
     Segment,
     bend_count,
-    path_intersections,
     segment_intersection,
     segment_tables,
 )
 from .graphs import Graph, Label
-from .representation import VpgRepresentation, arc_position, is_proper, leaf_trim_window
+from .representation import (
+    VpgRepresentation,
+    clique_hit_sequence,
+    is_proper,
+    leaf_trim_window,
+)
 
 
 @dataclass(frozen=True)
@@ -321,57 +325,22 @@ def count_good_sets_vs_bound(ra: VpgRepresentation, k: int, t: int) -> Tuple[int
 # auxiliary graphs of proper representations of the 3-subset split graph
 
 
-def _hit_details(rep: VpgRepresentation, b: Label, clique_verts) -> List[Tuple[Label, str, int, Point]]:
-    """Ordered (clique label, orientation, segment index, point) hits of P(b).
-
-    Overlap hits contribute with the orientation of the shared portion; point
-    hits take the orientation of the unique clique-path segment whose interior
-    contains the point (segment endpoints fall back to any containing segment).
-    """
-    pb = rep.path(b)
-    out = []
-    for a in clique_verts:
-        if a == b:
-            continue
-        pa = rep.path(a)
-        inter = path_intersections(pb, pa)
-        segs = list(pa.segments())
-        for pt in inter.points:
-            owner = None
-            for idx, seg in enumerate(segs):
-                if seg.interior_contains(pt):
-                    owner = (idx, seg.orientation)
-                    break
-            if owner is None:
-                for idx, seg in enumerate(segs):
-                    if seg.contains(pt):
-                        owner = (idx, seg.orientation)
-                        break
-            out.append((arc_position(pb, pt), a, owner[1], owner[0], pt))
-        for ov in inter.overlaps:
-            for idx, seg in enumerate(segs):
-                if segment_intersection(seg, ov)[1] is not None:
-                    out.append((arc_position(pb, ov.a), a, seg.orientation, idx, ov.a))
-                    break
-    out.sort(key=lambda h: h[0])
-    return [(a, ori, idx, pt) for _, a, ori, idx, pt in out]
-
-
 def classify_sh_sv(rep: VpgRepresentation, clique_verts, indep_verts):
     """Partition-cover (S_H, S_V): b lands in S_H when it meets horizontal
     segments of at least two of its three clique neighbors, S_V symmetrically."""
     clique_verts = list(clique_verts)
     s_h, s_v = [], []
     for b in indep_verts:
-        details = _hit_details(rep, b, clique_verts)
-        nbrs = {a for a, _, _, _ in details}
+        hits = clique_hit_sequence(rep, b, clique_verts)
+        nbrs = {a for a, *_ in hits}
         if len(nbrs) < 3:
             raise DomainError(f"independent vertex {b!r} meets {len(nbrs)} clique paths")
-        horiz = {a for a, ori, _, _ in details if ori == HORIZONTAL}
-        vert = {a for a, ori, _, _ in details if ori == VERTICAL}
-        if len(horiz) >= 2:
+        met = {HORIZONTAL: set(), VERTICAL: set()}
+        for a, _, idx, _ in hits:
+            met[rep.path(a).segments()[idx].orientation].add(a)
+        if len(met[HORIZONTAL]) >= 2:
             s_h.append(b)
-        if len(vert) >= 2:
+        if len(met[VERTICAL]) >= 2:
             s_v.append(b)
     if set(s_h) | set(s_v) != set(indep_verts):
         raise ConstructionError("S_H and S_V fail to cover the independent set")
@@ -424,25 +393,24 @@ def build_auxiliary_fh_fv(rep: VpgRepresentation, clique_verts, indep_verts):
     if not report.ok:
         raise DomainError("representation is not proper: " + "; ".join(report.violations[:3]))
     clique_verts = list(clique_verts)
-    h_vertices, v_vertices = [], []
+    tag = {HORIZONTAL: "h", VERTICAL: "v"}
+    vertices = {HORIZONTAL: [], VERTICAL: []}
     for a in clique_verts:
         for idx, seg in enumerate(rep.path(a).segments()):
-            if seg.orientation == HORIZONTAL:
-                h_vertices.append(("h", a, idx))
-            else:
-                v_vertices.append(("v", a, idx))
-    f_h = Graph(h_vertices)
-    f_v = Graph(v_vertices)
+            vertices[seg.orientation].append((tag[seg.orientation], a, idx))
+    f = {orientation: Graph(vs) for orientation, vs in vertices.items()}
     for b in indep_verts:
-        details = _hit_details(rep, b, clique_verts)
-        lo, hi = leaf_trim_window([a for a, _, _, _ in details])
-        details = details[lo : hi + 1]
-        h_hits = [("h", a, idx) for a, ori, idx, _ in details if ori == HORIZONTAL]
-        v_hits = [("v", a, idx) for a, ori, idx, _ in details if ori == VERTICAL]
-        for hits, f in ((h_hits, f_h), (v_hits, f_v)):
-            for u, v in zip(hits, hits[1:]):
+        hits = clique_hit_sequence(rep, b, clique_verts)
+        lo, hi = leaf_trim_window([a for a, *_ in hits])
+        walks = {HORIZONTAL: [], VERTICAL: []}
+        for a, _, idx, _ in hits[lo : hi + 1]:
+            orientation = rep.path(a).segments()[idx].orientation
+            walks[orientation].append((tag[orientation], a, idx))
+        for orientation, walk in walks.items():
+            for u, v in zip(walk, walk[1:]):
                 if u != v:
-                    f.add_edge(u, v)
+                    f[orientation].add_edge(u, v)
+    f_h, f_v = f[HORIZONTAL], f[VERTICAL]
     return f_h, f_v, _contract_same_path_edges(f_h), _contract_same_path_edges(f_v)
 
 

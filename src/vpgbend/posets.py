@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError, ParameterError, ValidationError
-from .graphs import Graph, ksubsets
+from .graphs import Graph, ksubsets, label_str
 
 Element = Hashable
 
@@ -265,16 +265,10 @@ def find_realizer(p: Poset, t: int) -> Optional[Realizer]:
     return _search_realizer(p, t)
 
 
-def element_str(x: Element) -> str:
-    if isinstance(x, tuple):
-        return ",".join(str(v) for v in x)
-    return str(x)
-
-
 def write_poset_text(p: Poset) -> str:
     """Poset text format: ground elements, then 'u < v' lines."""
-    lines = [element_str(x) for x in p.ground]
-    rel = sorted((element_str(x), element_str(y)) for x, y in p.less)
+    lines = [label_str(x) for x in p.ground]
+    rel = sorted((label_str(x), label_str(y)) for x, y in p.less)
     lines.extend(f"{x} < {y}" for x, y in rel)
     return "\n".join(lines) + "\n"
 

@@ -263,25 +263,29 @@ def subpath_between(path: RectPath, start: Point, end: Point) -> RectPath:
 
 def clique_hit_sequence(
     rep: VpgRepresentation, b: Label, clique_verts: Iterable[Label]
-) -> List[Tuple[Label, Point]]:
-    """Clique vertices hit by P(b), ordered by arc length along P(b).
+) -> List[Tuple[Label, Point, int, bool]]:
+    """Hits of P(b) on the clique paths, ordered by arc length along P(b).
 
-    Requires all intersections with clique paths to be isolated points.
+    Each hit is (clique label, point, segment index, overlap): an isolated
+    meeting point, or an overlap taken at its first end, with the first
+    segment of the clique path that contains the whole hit.  The path is
+    simple, so for a point interior to a segment that is the only one.  Hits
+    at equal arc length keep the order of `clique_verts`.
     """
     pb = rep.path(b)
-    hits: List[Tuple[Fraction, Label, Point]] = []
+    hits: List[Tuple[Fraction, Label, Point, int, bool]] = []
     for a in clique_verts:
         if a == b:
             continue
-        inter = path_intersections(pb, rep.path(a))
-        if inter.overlaps:
-            raise DomainError(
-                f"path of {label_str(b)} overlaps clique path {label_str(a)}"
-            )
-        for pt in inter.points:
-            hits.append((arc_position(pb, pt), a, pt))
+        pa = rep.path(a)
+        inter = path_intersections(pb, pa)
+        found = [(pt, (pt,), False) for pt in inter.points]
+        found += [(ov.a, (ov.a, ov.b), True) for ov in inter.overlaps]
+        for pt, ends, overlap in found:
+            idx = next(i for i, s in enumerate(pa.segments()) if all(s.contains(e) for e in ends))
+            hits.append((arc_position(pb, pt), a, pt, idx, overlap))
     hits.sort(key=lambda h: h[0])
-    return [(a, pt) for _, a, pt in hits]
+    return [h[1:] for h in hits]
 
 
 def leaf_trim_window(labels: List[Label]) -> Tuple[int, int]:
@@ -309,8 +313,15 @@ def trim_independent_path(
     (first from the front, then from the back), and returns the subpath
     spanning the surviving hits.  The subpath ends exactly at the surviving
     end hits, so it still meets every clique vertex the sequence retains.
+    An overlap with a clique path is a `DomainError` naming the first such
+    path in `clique_verts` order.
     """
+    clique_verts = list(clique_verts)
     hits = clique_hit_sequence(rep, b, clique_verts)
+    overlapping = {a for a, _, _, overlap in hits if overlap}
+    for a in clique_verts:
+        if a in overlapping:
+            raise DomainError(f"path of {label_str(b)} overlaps clique path {label_str(a)}")
     if not hits:
         raise DomainError(f"path of {label_str(b)} hits no clique path")
     lo, hi = leaf_trim_window([h[0] for h in hits])

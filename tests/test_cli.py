@@ -1,6 +1,13 @@
-import pytest
+import contextlib
+import io
+import os
+import tempfile
 
-from vpgbend.cli import RenderOptions, _decimal, main, render_svg
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vpgbend.cli import _decimal, main, render_svg
 from vpgbend.constructors import construct_k2n_proper
 from vpgbend.geometry import Point, Segment
 from vpgbend.representation import VpgRepresentation, read_representation_text
@@ -225,8 +232,8 @@ def test_render_k2n_five_polyline_count():
 def test_render_deterministic():
     rep = construct_k2n_proper(3)
     probes = [Segment(Point(0, 0), Point(0, 1))]
-    a = render_svg(rep, RenderOptions(), dashed_labels=[(1, 2)], probes=probes)
-    b = render_svg(rep, RenderOptions(), dashed_labels=[(1, 2)], probes=probes)
+    a = render_svg(rep, dashed_labels=[(1, 2)], probes=probes)
+    b = render_svg(rep, dashed_labels=[(1, 2)], probes=probes)
     assert a == b
 
 
@@ -245,3 +252,64 @@ def test_representation_round_trip_via_cli_files(tmp_path):
     from vpgbend.representation import write_representation_text
 
     assert write_representation_text(rep) == text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certificate", "{rep}", "--target", "a,a"],
+        ["certificate", "{rep}", "--target", "a,b,a"],
+        ["construct", "split-upper", "--graph", "{graph}", "--clique", "a,a"],
+    ],
+)
+def test_repeated_set_label_is_usage_error(tmp_path, capsys, argv):
+    gfile = tmp_path / "g.txt"
+    rfile = tmp_path / "r.txt"
+    gfile.write_text("2 1\na\nb\na b\n")
+    rfile.write_text("a : (0,0) (1,0)\nb : (0,0) (0,1)\n")
+    argv = [arg.format(rep=rfile, graph=gfile) for arg in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: repeated") and err.count("\n") == 1
+
+
+_TOKENS = [
+    "a", "b", "1", "2", "2 1", ":", " : ", "<", " < ", ",", "(0,0)", "(1,0)", "(0,1)",
+    "(1,1)", "(1/2,0)", "(1,2,3)", "(x,1)", "(1/0,0)", "(-1,0)", "a b", "1 2",
+]
+_WHOLE_LINES = st.sampled_from(
+    ["a : (0,0) (1,0)", "b : (0,1) (1,1)", "b : (1,-1) (1,1) (2,1)", "a", "b", "a < b"]
+)
+_LINES = st.one_of(_WHOLE_LINES, st.lists(st.sampled_from(_TOKENS), max_size=5).map(" ".join))
+_TEXT = st.one_of(
+    st.text(alphabet="ab12 ,:()/<-x\n", max_size=40),
+    st.lists(_LINES, max_size=6).map("\n".join),
+    st.lists(_WHOLE_LINES, max_size=4).map("\n".join),
+    st.permutations(["a : (0,0) (1,0)", "b : (1,-1) (1,1) (2,1)", "b : (2,0) (3,0)"]).map(
+        lambda lines: "\n".join(lines[:2])
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["verify", "verify-rep", "goodsets", "dim"]), _TEXT, _TEXT)
+def test_random_input_text_gives_an_exit_code(command, text, other):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first"), os.path.join(tmp, "second")
+        graph = os.path.join(tmp, "graph")
+        for name, content in ((first, text), (second, other), (graph, "2 1\na\nb\na b\n")):
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        argv = {
+            "verify": ["verify", first, second, "--proper"],
+            "verify-rep": ["verify", graph, first, "--proper"],
+            "goodsets": ["goodsets", first, "--k", "2"],
+            "dim": ["posets", "dim", "--poset", first, "--max-dim", "2"],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

@@ -1,0 +1,129 @@
+"""The single clique-hit walk and the single exposure scan against their
+original two-copy forms.
+
+The walk and its three consumers are compared with `hit_reference` on the
+random representations of `rep_strategies`, with path 0 as the independent
+path, and on the k3n and k2n constructions.  The exposure scan is checked
+against its transpose and against a ray test on every corner coordinate.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import hit_reference as reference
+from rep_strategies import representation, representations, scales, shifts
+from vpgbend.constructors import (
+    construct_k2n_proper,
+    exposed_below_interval,
+    exposed_left_interval,
+)
+from vpgbend.geometry import HORIZONTAL, Point, RectPath, Segment
+from vpgbend.lowerbound import build_auxiliary_fh_fv, classify_sh_sv
+from vpgbend.representation import clique_hit_sequence, trim_independent_path
+
+
+def _outcome(fn, *args):
+    """The result of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error itself is part of what is compared
+        return type(exc), str(exc)
+
+
+def _graphs(result):
+    if isinstance(result, tuple) and len(result) == 4:
+        return [(g.vertices, {frozenset(e) for e in g.edges()}) for g in result]
+    return result
+
+
+def _corners(result):
+    return result.corners if isinstance(result, RectPath) else result
+
+
+def _assert_same(rep, clique, indep):
+    for b in indep:
+        walk = [
+            (a, rep.path(a).segments()[idx].orientation, idx, pt)
+            for a, pt, idx, _ in clique_hit_sequence(rep, b, clique)
+        ]
+        assert walk == reference.hit_details(rep, b, clique)
+        assert _corners(_outcome(trim_independent_path, rep, b, clique)) == _corners(
+            _outcome(reference.trim_independent_path, rep, b, clique)
+        )
+    assert _outcome(classify_sh_sv, rep, clique, indep) == _outcome(
+        reference.classify_sh_sv, rep, clique, indep
+    )
+    assert _graphs(_outcome(build_auxiliary_fh_fv, rep, clique, indep)) == _graphs(
+        _outcome(reference.build_auxiliary_fh_fv, rep, clique, indep)
+    )
+
+
+def _random_case(rep):
+    return rep, list(rep.labels())[1:], [0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(representations)
+def test_hit_walk_matches_reference_on_small_grids(paths):
+    _assert_same(*_random_case(representation(paths)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(representations, scales, shifts)
+def test_hit_walk_matches_reference_on_fraction_coordinates(paths, scale, shift):
+    _assert_same(*_random_case(representation(paths, lambda c: c * scale + shift)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(representations, st.randoms(use_true_random=False))
+def test_overlap_error_names_first_clique_path_in_given_order(paths, rnd):
+    rep, clique, indep = _random_case(representation(paths))
+    rnd.shuffle(clique)
+    assert _corners(_outcome(trim_independent_path, rep, 0, clique)) == _corners(
+        _outcome(reference.trim_independent_path, rep, 0, clique)
+    )
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_hit_walk_matches_reference_on_k3n(k3n_reps, n):
+    clique = list(range(1, n + 1))
+    _assert_same(k3n_reps[n], clique, list(combinations(clique, 3)))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_hit_walk_matches_reference_on_k2n(n):
+    clique = list(range(1, n + 1))
+    _assert_same(construct_k2n_proper(n), clique, list(combinations(clique, 2)))
+
+
+def _transposed(pt):
+    return Point(pt.y, pt.x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(representations, st.data())
+def test_exposure_scan_is_transpose_symmetric_and_matches_rays(paths, data):
+    paths = list(representation(paths).assignment.values())
+    targets = [s for p in paths for s in p.segments() if s.orientation == HORIZONTAL]
+    assume(targets)
+    target = data.draw(st.sampled_from(targets))
+    lo, cap = exposed_below_interval(paths, target)
+    flipped = [RectPath([_transposed(c) for c in p.corners]) for p in paths]
+    flipped_target = Segment(_transposed(target.a), _transposed(target.b))
+    assert exposed_left_interval(flipped, flipped_target) == (lo, cap)
+
+    # cap is the first corner x from lo on whose open downward ray meets a
+    # segment other than the target, or the target's right end if none does
+    def ray_hits(x):
+        return any(
+            s != target and s.a.y < target.a.y and s.a.x <= x <= s.b.x
+            for p in paths
+            for s in p.segments()
+        )
+
+    xs = sorted({c.x for p in paths for c in p.corners if target.a.x < c.x <= target.b.x})
+    first = next((x for x in [target.a.x] + xs if ray_hits(x)), target.b.x)
+    assert (lo, cap) == (target.a.x, first)

@@ -139,7 +139,7 @@ def _trim_layout():
 
 def test_hit_sequence_order():
     rep = _trim_layout()
-    seq = [a for a, _ in clique_hit_sequence(rep, "b*", ["a", "b", "c"])]
+    seq = [a for a, *_ in clique_hit_sequence(rep, "b*", ["a", "b", "c"])]
     assert seq == ["a", "c", "a", "b"]
 
 
