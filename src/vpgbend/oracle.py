@@ -4,17 +4,24 @@ The search assigns grid paths vertex by vertex (highest degree first), prunes
 as soon as a placed pair contradicts the target graph, and re-verifies any
 complete assignment with the real checkers before returning it.  A `None`
 result means "not found within budget" and never implies non-realizability.
+
+Paths with integer corners meet only at lattice points, so each candidate
+path is one int: a mask on the grid's doubled lattice, where corner (x, y) is
+bit 2y·(2w−1) + 2x and the odd bits between corners are unit edges.  Two paths
+meet iff their masks share a bit, and overlap iff they share an odd bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import ParameterError
-from .geometry import Point, RectPath, Segment, segment_intersection
+from .geometry import RectPath
 from .graphs import Graph
-from .representation import VpgRepresentation, is_proper, path_intersections, verify_realizes
+from .representation import VpgRepresentation, is_proper, verify_realizes
+
+Corner = Tuple[int, int]
 
 
 class _BudgetExhausted(Exception):
@@ -35,41 +42,38 @@ class GridSearchBudget:
             raise ParameterError("max_bends must be nonnegative")
 
 
-def _grid_paths(budget: GridSearchBudget) -> Iterator[RectPath]:
+def _grid_paths(budget: GridSearchBudget) -> Iterator[Tuple[Tuple[Corner, ...], int]]:
     """All simple rectilinear paths with corners on the grid, each geometric
-    path exactly once (canonical corner order), in a fixed enumeration order."""
+    path exactly once (canonical corner order), in a fixed enumeration order,
+    as (corners, lattice mask)."""
     w, h, max_segments = budget.grid_width, budget.grid_height, budget.max_bends + 1
+    row = 2 * w - 1
 
-    def extend(corners: List[Point], segs: List[Segment], horizontal_next: bool):
-        last = corners[-1]
-        rng = range(w) if horizontal_next else range(h)
-        for c in rng:
-            nxt = Point(c, last.y) if horizontal_next else Point(last.x, c)
-            if nxt == last:
+    def extend(corners: List[Corner], mask: int, horizontal_next: bool):
+        x, y = corners[-1]
+        start = 2 * y * row + 2 * x
+        before = mask & ~(1 << start)  # the new segment may meet the path only at its start
+        # along the segment's axis: grid size, current coordinate, bit stride
+        size, at, stride = (w, x, 1) if horizontal_next else (h, y, row)
+        for c in range(size):
+            if c == at:
                 continue
-            new_seg = Segment(last, nxt)
-            ok = True
-            for old in segs[:-1]:
-                pt, ov = segment_intersection(new_seg, old)
-                if pt is not None or ov is not None:
-                    ok = False
-                    break
-            if not ok:
+            lo, hi = sorted((start, start + 2 * (c - at) * stride))
+            # bits lo, lo + stride, ..., hi
+            seg = ((1 << (hi - lo + stride)) - 1) // ((1 << stride) - 1) << lo
+            if seg & before:
                 continue
-            corners.append(nxt)
-            segs.append(new_seg)
+            corners.append((c, y) if horizontal_next else (x, c))
             if corners[0] <= corners[-1]:
-                yield RectPath(list(corners))
-            if len(segs) < max_segments:
-                yield from extend(corners, segs, not horizontal_next)
+                yield tuple(corners), mask | seg
+            if len(corners) <= max_segments:
+                yield from extend(corners, mask | seg, not horizontal_next)
             corners.pop()
-            segs.pop()
 
     for y in range(h):
         for x in range(w):
-            start = Point(x, y)
             for horizontal_first in (True, False):
-                yield from extend([start], [], horizontal_first)
+                yield from extend([(x, y)], 0, horizontal_first)
 
 
 def search_representation(
@@ -77,38 +81,32 @@ def search_representation(
 ) -> Optional[VpgRepresentation]:
     """A verified representation of `g` within the budget, else None."""
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index(v)))
-    placed: Dict = {}
+    adjacent = [[g.has_edge(u, v) for u in order[:i]] for i, v in enumerate(order)]
+    lattice_bits = (2 * budget.grid_width - 1) * (2 * budget.grid_height - 1)
+    forbidden_overlap = int("10" * lattice_bits, 2) if require_proper else 0
+    placed: List[Tuple[Tuple[Corner, ...], int]] = []
     nodes = 0
 
     def place(idx: int) -> Optional[VpgRepresentation]:
         nonlocal nodes
         if idx == len(order):
-            assignment = {v: placed[v] for v in g.vertices}
-            rep = VpgRepresentation(assignment)
+            paths = {v: RectPath(corners) for v, (corners, _) in zip(order, placed)}
+            rep = VpgRepresentation({v: paths[v] for v in g.vertices})
             if verify_realizes(rep, g).ok and (not require_proper or is_proper(rep).ok):
                 return rep
             return None
-        v = order[idx]
-        for path in _grid_paths(budget):
+        for corners, mask in _grid_paths(budget):
             nodes += 1
             if nodes > budget.node_limit:
                 raise _BudgetExhausted
-            ok = True
-            for u, pu in placed.items():
-                inter = path_intersections(path, pu)
-                if bool(inter) != g.has_edge(u, v):
-                    ok = False
-                    break
-                if require_proper and inter.overlaps:
-                    ok = False
-                    break
-            if not ok:
+            if any(bool(mask & other) != adj or mask & other & forbidden_overlap
+                   for (_, other), adj in zip(placed, adjacent[idx])):
                 continue
-            placed[v] = path
+            placed.append((corners, mask))
             result = place(idx + 1)
             if result is not None:
                 return result
-            del placed[v]
+            placed.pop()
         return None
 
     try:

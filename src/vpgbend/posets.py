@@ -252,6 +252,8 @@ def brute_force_dimension(p: Poset, max_dim: int) -> Optional[int]:
 
     Also see `find_realizer` for the witness itself.
     """
+    if max_dim < 1:
+        raise ParameterError("max dimension must be positive")
     for t in range(1, max_dim + 1):
         if _search_realizer(p, t) is not None:
             return t

@@ -108,6 +108,16 @@ def test_malformed_poset_relation_is_usage_error(tmp_path, capsys, command):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("max_dim", ["0", "-3"])
+def test_posets_dim_bound_below_one_is_usage_error(tmp_path, capsys, max_dim):
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("a\nb\nc\na < b\n")
+    rc, out, err = run(capsys, "posets", "dim", "--poset", str(pfile), "--max-dim", max_dim)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -196,6 +206,14 @@ def test_oracle_subcommand(tmp_path, capsys):
     )
     assert rc == 1
     assert "not found within budget" in out
+
+
+def test_oracle_proper_edge_golden(tmp_path, capsys):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("2 1\na\nb\na b\n")
+    rc, out, _ = run(capsys, "oracle", str(gfile), "--grid", "4x4", "--bends", "1", "--proper")
+    assert rc == 0
+    assert out == "a : (0,0) (1,0) (1,2)\nb : (0,1) (2,1)\n"
 
 
 def test_render_subcommand(tmp_path):

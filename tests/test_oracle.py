@@ -68,3 +68,17 @@ def test_path_with_bends_found():
     rep = search_representation(g, GridSearchBudget(4, 4, 1, 400_000))
     assert rep is not None
     assert verify_realizes(rep, g).ok
+
+
+def test_k2_zero_bend_line_grid_proper_needs_a_crossing():
+    # on a 3x1 grid two 0-bend paths can only overlap or touch end to end:
+    # the overlap realizes K2, and neither is a proper representation
+    g = Graph(["a", "b"], [("a", "b")])
+    budget = GridSearchBudget(3, 1, 0, 100_000)
+    rep = search_representation(g, budget)
+    assert rep is not None
+    assert [[(c.x, c.y) for c in rep.path(v).corners] for v in ("a", "b")] == [
+        [(0, 0), (1, 0)],
+        [(0, 0), (1, 0)],
+    ]
+    assert search_representation(g, budget, require_proper=True) is None

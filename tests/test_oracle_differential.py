@@ -1,0 +1,94 @@
+"""The lattice-mask oracle against the Fraction-geometry reference in
+`tests/oracle_reference.py`: the same candidates in the same order, the same
+search result, and the same node count up to the first witness."""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_reference as ref
+from vpgbend.graphs import Graph
+from vpgbend.oracle import GridSearchBudget, _grid_paths, search_representation
+
+
+def lattice_mask(corners, w):
+    """Bits of every corner and unit edge a path covers, one unit step at a
+    time, on the doubled lattice of a width-`w` grid."""
+    row = 2 * w - 1
+    mask = 0
+    for (ax, ay), (bx, by) in zip(corners, corners[1:]):
+        dx, dy = (bx > ax) - (bx < ax), (by > ay) - (by < ay)
+        x, y = 2 * ax, 2 * ay
+        while (x, y) != (2 * bx, 2 * by):
+            mask |= 1 << (y * row + x)
+            x, y = x + dx, y + dy
+        mask |= 1 << (y * row + x)
+    return mask
+
+
+def same_result(a, b):
+    if a is None or b is None:
+        return a is b
+    return list(a.assignment.items()) == list(b.assignment.items())
+
+
+def test_candidates_match_reference_in_order():
+    for w in range(1, 5):
+        for h in range(1, 5):
+            for bends in range(4):
+                budget = GridSearchBudget(w, h, bends, 1)
+                new = list(_grid_paths(budget))
+                old = [tuple((int(c.x), int(c.y)) for c in p.corners) for p in ref.grid_paths(budget)]
+                assert [corners for corners, _ in new] == old, (w, h, bends)
+                assert all(mask == lattice_mask(corners, w) for corners, mask in new), (w, h, bends)
+
+
+@st.composite
+def searches(draw):
+    n = draw(st.integers(1, 4))
+    edges = [pr for pr in combinations(range(n), 2) if draw(st.booleans())]
+    budget = GridSearchBudget(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                              draw(st.integers(0, 2)), draw(st.integers(1, 5_000)))
+    return Graph(range(n), edges), budget, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(searches())
+def test_search_matches_reference(case):
+    g, budget, proper = case
+    assert same_result(search_representation(g, budget, proper),
+                       ref.search_representation(g, budget, proper))
+
+
+P4 = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
+C4 = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)])
+
+
+@pytest.mark.parametrize("g,grid,bends,proper", [
+    (Graph(["a", "b"], [("a", "b")]), 4, 1, True),
+    (P4, 4, 1, False),
+    (C4, 3, 1, False),
+    # three paths: the overlap prune changes the node count, not only the result
+    (Graph([1, 2, 3], [(1, 2), (2, 3)]), 4, 0, True),
+], ids=["edge", "P4", "C4", "P3-proper"])
+def test_first_witness_takes_the_same_node_count(g, grid, bends, proper):
+    def budget(limit):
+        return GridSearchBudget(grid, grid, bends, limit)
+
+    # the smallest node limit that finds a witness, found on the fast search;
+    # the reference must find the same witness there and nothing one below
+    lo, hi = 1, 10_000
+    assert search_representation(g, budget(hi), proper) is not None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if search_representation(g, budget(mid), proper) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    assert lo > 1
+    expected = ref.search_representation(g, budget(lo), proper)
+    assert expected is not None
+    assert same_result(search_representation(g, budget(lo), proper), expected)
+    assert ref.search_representation(g, budget(lo - 1), proper) is None

@@ -125,6 +125,12 @@ def test_dimension_sentinel_when_budget_too_small():
     assert brute_force_dimension(build_p_rsn(1, 2, 3), 2) is None
 
 
+@pytest.mark.parametrize("max_dim", [0, -3])
+def test_dimension_bound_below_one_rejected(max_dim):
+    with pytest.raises(ParameterError):
+        brute_force_dimension(chain("a", "b", "c"), max_dim)
+
+
 @pytest.mark.parametrize("r,s", [(1, 3), (1, 4), (2, 4), (1, 5), (2, 5)])
 def test_containment_poset_dimension_lower_bound(r, s):
     # dimension of the containment poset on (s-1)-subsets of [s] is > s-r
