@@ -233,10 +233,10 @@ def _cmd_posets(args) -> int:
     # realizer-check
     p = posets.read_poset_text(_read(args.poset))
     orders = []
-    for ln in _read(args.realizer).splitlines():
-        ln = ln.strip()
-        if ln:
-            orders.append(posets.LinearOrder(tuple(_parse_labels(ln))))
+    for ln in filter(None, map(str.strip, _read(args.realizer).splitlines())):
+        # a chain `a < b < c`, since no poset element contains ' < '; else `a,b,c`
+        chain = [e.strip() for e in ln.split(" < ")] if " < " in ln else _parse_labels(ln)
+        orders.append(posets.LinearOrder(tuple(chain)))
     ok = posets.is_realizer(p, posets.Realizer(orders=tuple(orders)))
     print(f"realizer: {'yes' if ok else 'no'}")
     return 0 if ok else 1

@@ -17,8 +17,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from .errors import ConstructionError, DomainError, ParameterError
 from .geometry import (
     HORIZONTAL,
@@ -86,32 +84,33 @@ def _coordinate(values: Sequence[Fraction], events: Sequence[int], code: int) ->
     return a + (code - events[at]) * (values[events[at + 1] // 3] - a) / 3
 
 
-def _probe_sets_one_axis(xs, ys, hs, vs, k: int, point) -> Dict[frozenset, Segment]:
-    """All exactly-k hit-sets of probes along the y axis, with witnesses.
+def _probe_sets_one_axis(xs, ys, hs, vs, k: int) -> Dict[int, tuple]:
+    """Every nonempty hit-set of at most k paths of probes along the y axis.
 
     Over the tables of `segment_tables`, a probe at x meets the horizontals
     spanning x in points and the verticals on x in intervals (the atoms).
     Called on the transposed tables (ys, xs, vs, hs) it gives the probes
-    along the x axis, with `point` swapping the witness corners back.  Keys
-    are frozensets of path indices.  The x positions are those of
-    `_positions` except the two beyond the ends, which meet nothing, and the
-    2/3 point of each cell, which meets what its 1/3 point meets.
+    along the x axis.  Keys are int masks over path indices (bit li for path
+    li); each maps to the int codes (x, events, ya, yb) of its first probe,
+    which `_coordinate` maps back to exact coordinates.  The x positions are
+    those of `_positions` except the two beyond the ends, which meet nothing,
+    and the 2/3 point of each cell, which meets what its 1/3 point meets.
     """
     opening: Dict[int, list] = {}
     for y, lo, hi, li in hs:
-        opening.setdefault(lo, []).append((hi, 3 * y, li))
+        opening.setdefault(lo, []).append((hi, 3 * y, 1 << li))
     on_line: Dict[int, list] = {}
     for x, lo, hi, li in vs:
-        on_line.setdefault(x, []).append((3 * lo, 3 * hi, li))
-    found: Dict[frozenset, Segment] = {}
-    spanning: list = []  # (hi, 3 * y, path) of the horizontals at the current x
+        on_line.setdefault(x, []).append((3 * lo, 3 * hi, 1 << li))
+    found: Dict[int, tuple] = {}
+    spanning: list = []  # (hi, 3 * y, path bit) of the horizontals at the current x
     for r in range(len(xs)):
         spanning += opening.get(r, ())
         intervals = on_line.get(r, [])
-        columns = [(3 * r, intervals, intervals + [(y, y, li) for _, y, li in spanning])]
+        columns = [(3 * r, intervals, intervals + [(y, y, bit) for _, y, bit in spanning])]
         spanning = [h for h in spanning if h[0] > r]
         if spanning:
-            columns.append((3 * r + 1, [], [(y, y, li) for _, y, li in spanning]))
+            columns.append((3 * r + 1, [], [(y, y, bit) for _, y, bit in spanning]))
         for x, intervals, atoms in columns:
             atoms.sort()
             events = sorted({e for lo, hi, _ in atoms for e in (lo, hi)})
@@ -119,26 +118,35 @@ def _probe_sets_one_axis(xs, ys, hs, vs, k: int, point) -> Dict[frozenset, Segme
             for ya, yb in zip(pos, pos[1:]):
                 # [ya, yb] meets the intervals across ya and the atoms from ya
                 # to yb; growing yb changes that only where it reaches an atom
-                hit = {li for lo, hi, li in intervals if lo < ya <= hi}
+                hit = 0
+                for lo, hi, bit in intervals:
+                    if lo < ya <= hi:
+                        hit |= bit
                 at = bisect_left(atoms, (ya,))
                 while True:
                     while at < len(atoms) and atoms[at][0] <= yb:
-                        hit.add(atoms[at][2])
+                        hit |= atoms[at][2]
                         at += 1
-                    if len(hit) > k:
+                    if hit.bit_count() > k:
                         break
-                    if len(hit) == k:
-                        key = frozenset(hit)
-                        if key not in found:
-                            u = _coordinate(xs, range(0, 3 * len(xs), 3), x)
-                            found[key] = Segment(
-                                point(u, _coordinate(ys, events, ya)),
-                                point(u, _coordinate(ys, events, yb)),
-                            )
+                    if hit and hit not in found:
+                        found[hit] = (x, events, ya, yb)
                     if at == len(atoms):
                         break
                     yb = atoms[at][0]
     return found
+
+
+def _probe_sweep(ra: VpgRepresentation, k: int):
+    """(xs, ys, vertical, horizontal): `_probe_sets_one_axis` on both axes."""
+    if k < 1:
+        raise ParameterError("need k >= 1")
+    xs, ys, hs, vs = segment_tables(ra.assignment.values())
+    return xs, ys, _probe_sets_one_axis(xs, ys, hs, vs, k), _probe_sets_one_axis(ys, xs, vs, hs, k)
+
+
+def _members(labels: Sequence[Label], mask: int) -> List[Label]:
+    return [label for i, label in enumerate(labels) if mask >> i & 1]
 
 
 def enumerate_good_sets(ra: VpgRepresentation, k: int) -> List[GoodKSet]:
@@ -147,19 +155,20 @@ def enumerate_good_sets(ra: VpgRepresentation, k: int) -> List[GoodKSet]:
     One witness probe per set; a set realizable by both orientations is
     reported once (vertical witness preferred).
     """
-    if k < 1:
-        raise ParameterError("need k >= 1")
     labels = ra.labels()
-    xs, ys, hs, vs = segment_tables(ra.assignment.values())
-    vertical = _probe_sets_one_axis(xs, ys, hs, vs, k, Point)
-    horizontal = _probe_sets_one_axis(ys, xs, vs, hs, k, lambda y, x: Point(x, y))
-    sets = [
-        GoodKSet(tuple(sorted((labels[i] for i in key), key=str)), orientation, witness)
-        for orientation, found in ((VERTICAL, vertical), (HORIZONTAL, horizontal))
-        for key, witness in found.items()
-        if found is vertical or key not in vertical
-    ]
-    return sorted(sets, key=lambda gs: gs.members)
+    xs, ys, vertical, horizontal = _probe_sweep(ra, k)
+    sets = []
+    for orientation, found, us, ws in ((VERTICAL, vertical, xs, ys), (HORIZONTAL, horizontal, ys, xs)):
+        for mask, (x, events, ya, yb) in found.items():
+            if mask.bit_count() != k or (found is horizontal and mask in vertical):
+                continue
+            u = _coordinate(us, range(0, 3 * len(us), 3), x)
+            ends = (_coordinate(ws, events, ya), _coordinate(ws, events, yb))
+            witness = Segment(*(Point(u, c) if found is vertical else Point(c, u) for c in ends))
+            members = tuple(sorted(_members(labels, mask), key=str))
+            sets.append(GoodKSet(members, orientation, witness))
+    # type name first: labels of two types (ints and tuples) are never compared
+    return sorted(sets, key=lambda gs: [(type(label).__name__, label) for label in gs.members])
 
 
 def probe_hit_set(ra: VpgRepresentation, probe: Segment) -> frozenset:
@@ -204,22 +213,6 @@ def strip_small_sets(ra: VpgRepresentation, k: int) -> List[frozenset]:
     return out
 
 
-def pad_to_k(members: frozenset, n: int, k: int) -> frozenset:
-    """Pad a small set with the lexicographically smallest absent labels of [n]."""
-    need = k - len(members)
-    if need <= 0:
-        return members
-    extra = [l for l in range(1, n + 1) if l not in members][:need]
-    return members | set(extra)
-
-
-def augmented_good_sets(ra: VpgRepresentation, k: int, n: int) -> List[frozenset]:
-    """Good k-sets plus the padded unique small sets of deficient strips."""
-    sets = [frozenset(g.members) for g in enumerate_good_sets(ra, k)]
-    sets.extend(pad_to_k(m, n, k) for m in strip_small_sets(ra, k))
-    return sets
-
-
 def find_far_kset(good_sets: Iterable[Iterable], n: int, k: int) -> Optional[Tuple[int, ...]]:
     """First k-subset of [n] at distance > k-3 from every given k-set, or None."""
     sets = [frozenset(s) for s in good_sets]
@@ -231,10 +224,10 @@ def find_far_kset(good_sets: Iterable[Iterable], n: int, k: int) -> Optional[Tup
 
 
 def certificate_candidates(ra: VpgRepresentation, k: int) -> List[frozenset]:
-    """Good k-sets plus unpadded deficient-strip sets, reusable across targets."""
-    candidates = [frozenset(g.members) for g in enumerate_good_sets(ra, k)]
-    candidates.extend(strip_small_sets(ra, k))
-    return candidates
+    """Every nonempty probe hit-set of at most k paths, reusable across targets."""
+    labels = ra.labels()
+    _, _, vertical, horizontal = _probe_sweep(ra, k)
+    return [frozenset(_members(labels, mask)) for mask in {**vertical, **horizontal}]
 
 
 def bend_lb_certificate(
@@ -244,11 +237,13 @@ def bend_lb_certificate(
 ) -> Optional[int]:
     """Bend lower bound for any path meeting exactly the clique paths of `target`.
 
-    Every segment of such a path is a probe, so it meets at most
-    c = max over good/strip sets S of |target intersect S| members; k members
-    then need at least ceil(k/c) segments.  Returns None when c = 0 (no probe
-    meets any member: unrealizable).  Pass `candidates` from
-    `certificate_candidates` to amortize the probe sweep over many targets.
+    With c = max |S| over the candidate sets S contained in the k-set target,
+    such a path needs at least ceil(k/c) segments.  Sound: the hit-sets of its
+    segments cover the target, each is a probe hit-set S of the target with
+    |S| <= k, and `certificate_candidates(ra, k)` records every nonempty such
+    S.  Returns None when c = 0 (no probe meets only target members:
+    unrealizable).  Pass `candidates` from `certificate_candidates(ra, k)` to
+    amortize the probe sweep over many targets of size k.
     """
     t = frozenset(target)
     k = len(t)
@@ -256,7 +251,7 @@ def bend_lb_certificate(
         raise ParameterError("empty target set")
     if candidates is None:
         candidates = certificate_candidates(ra, k)
-    c = max((len(t & s) for s in candidates), default=0)
+    c = max((len(s) for s in candidates if s <= t), default=0)
     if c == 0:
         return None
     return -(-k // c) - 1
@@ -416,6 +411,8 @@ def build_auxiliary_fh_fv(rep: VpgRepresentation, clique_verts, indep_verts):
 
 def is_planar(g: Graph) -> bool:
     """Planarity via the standard linear-time test."""
+    import networkx as nx  # here, so that a process that tests no planarity never imports it
+
     ng = nx.Graph()
     ng.add_nodes_from(g.vertices)
     ng.add_edges_from(g.edges())

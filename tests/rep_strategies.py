@@ -18,16 +18,17 @@ COORD = st.integers(min_value=0, max_value=5)
 
 
 @st.composite
-def grid_path(draw):
-    """Corners of a 1-4 segment path with alternating axes on the 6x6 grid."""
-    x, y = draw(COORD), draw(COORD)
+def grid_path(draw, coord=COORD):
+    """Corners of a 1-4 segment path with alternating axes on the grid of
+    `coord` (the 6x6 grid by default)."""
+    x, y = draw(coord), draw(coord)
     horizontal = draw(st.booleans())
     corners = [(x, y)]
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         if horizontal:
-            x = draw(COORD.filter(lambda c, x=x: c != x))
+            x = draw(coord.filter(lambda c, x=x: c != x))
         else:
-            y = draw(COORD.filter(lambda c, y=y: c != y))
+            y = draw(coord.filter(lambda c, y=y: c != y))
         corners.append((x, y))
         horizontal = not horizontal
     return corners

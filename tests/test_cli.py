@@ -189,6 +189,20 @@ def test_posets_subcommands(tmp_path, capsys):
     assert rc == 1 and "realizer: no" in out
 
 
+def test_realizer_chains_hold_labels_with_commas(tmp_path, capsys):
+    # `posets build` labels such as `1,2` contain the comma separator, so each
+    # order is written as a chain `a < b < c`
+    from vpgbend.graphs import label_str
+    from vpgbend.posets import build_p_rsn, find_realizer
+
+    pfile, rlz = tmp_path / "p.txt", tmp_path / "chains.txt"
+    assert main(["posets", "build", "--r", "1", "--s", "2", "--n", "3", "-o", str(pfile)]) == 0
+    realizer = find_realizer(build_p_rsn(1, 2, 3), 3)
+    rlz.write_text("".join(" < ".join(map(label_str, o.sequence)) + "\n" for o in realizer.orders))
+    rc, out, err = run(capsys, "posets", "realizer-check", "--poset", str(pfile), "--realizer", str(rlz))
+    assert (rc, out, err) == (0, "realizer: yes\n", "")
+
+
 def test_counting_subcommand(capsys):
     rc, out, _ = run(capsys, "counting", "--n", "100", "--k", "16", "--t", "0")
     assert rc == 1  # growth check fails at this small n

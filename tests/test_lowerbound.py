@@ -1,17 +1,27 @@
+import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import vpgbend
+from rep_strategies import grid_path, representation
 
 from vpgbend.errors import DomainError, ParameterError
 from vpgbend.geometry import VERTICAL, RectPath, bend_count
 from vpgbend.graphs import Graph
-from vpgbend.constructors import construct_gtm_stairs, construct_k2n_proper
+from vpgbend.constructors import construct_gtm_stairs, construct_k2n_proper, construct_k3n_proper
 from vpgbend.lowerbound import (
-    augmented_good_sets,
     bend_lb_certificate,
     build_auxiliary_fh_fv,
+    certificate_candidates,
     classify_sh_sv,
     count_good_sets_vs_bound,
     enumerate_good_sets,
@@ -19,11 +29,11 @@ from vpgbend.lowerbound import (
     induced_grid,
     is_planar,
     kset_distance,
-    pad_to_k,
     probe_hit_set,
     strip_small_sets,
     validate_counting,
 )
+from vpgbend.oracle import GridSearchBudget, _grid_paths
 from vpgbend.representation import VpgRepresentation, intersection_graph
 
 
@@ -179,7 +189,7 @@ def test_kset_distance_intersection_relation():
             assert (d > k - 3) == (len(set(s1) & set(s2)) < 3)
 
 
-# --- far k-sets and augmentation ----------------------------------------------------
+# --- far k-sets and strip sets ------------------------------------------------------
 
 
 def test_far_kset_with_no_good_sets():
@@ -194,13 +204,9 @@ def test_far_kset_with_all_subsets():
 def test_far_kset_small_layouts_return_none():
     rep = construct_gtm_stairs(5, 3)
     ra = rep.restricted(range(1, 6))
-    sets = augmented_good_sets(ra, 3, 5)
+    sets = [gs.members for gs in enumerate_good_sets(ra, 3)]
+    assert len(sets) == 10  # every 3-subset of [5] is good
     assert find_far_kset(sets, 5, 3) is None
-
-
-def test_pad_to_k_lexicographic():
-    assert pad_to_k(frozenset({4}), 6, 3) == {1, 2, 4}
-    assert pad_to_k(frozenset({1, 2, 3}), 6, 3) == {1, 2, 3}
 
 
 def test_strip_small_sets_parallel_layout():
@@ -253,25 +259,58 @@ def test_certificate_sound_on_staircase_fixtures(gtm_reps):
             assert cert <= bend_count(rep.path(subset))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: the candidate sets miss probe hit-sets of size < k on grid lines",
-)
+COUNTEREXAMPLE_PATHS = [
+    [(6, 1), (4, 1)], [(0, 3), (1, 3)], [(2, 4), (2, 6), (5, 6)], [(5, 1), (2, 1)], [(1, 1), (1, 4)],
+]
+
+
 def test_certificate_sound_on_item2_counterexample():
-    ra = VpgRepresentation(
-        {
-            1: RectPath([(6, 1), (4, 1)]),
-            2: RectPath([(0, 3), (1, 3)]),
-            3: RectPath([(2, 4), (2, 6), (5, 6)]),
-            4: RectPath([(5, 1), (2, 1)]),
-            5: RectPath([(1, 1), (1, 4)]),
-        }
-    )
+    ra = VpgRepresentation({label: RectPath(c) for label, c in enumerate(COUNTEREXAMPLE_PATHS, 1)})
     path = RectPath([("1/2", 3), (2, 3), (2, 4)])
     with_path = VpgRepresentation({**ra.assignment, "p": path})
     assert set(intersection_graph(with_path).neighbors("p")) == {2, 3, 5}
     assert bend_lb_certificate(ra, (2, 3, 5)) <= bend_count(path)
+
+
+@functools.cache
+def _lattice_paths(side):
+    """(bends, lattice mask) of every grid path with at most one bend on the
+    side x side grid of the oracle."""
+    return [(len(c) - 2, mask) for c, mask in _grid_paths(GridSearchBudget(side, side, 1, 1))]
+
+
+def _lattice_mask(path, side):
+    """The bits of a path with integer corners on the oracle's doubled lattice."""
+    mask = 0
+    for a, b in zip(path.corners, path.corners[1:]):
+        x0, x1 = sorted((int(2 * a.x), int(2 * b.x)))
+        y0, y1 = sorted((int(2 * a.y), int(2 * b.y)))
+        for x in range(x0, x1 + 1):
+            for y in range(y0, y1 + 1):
+                mask |= 1 << (y * (2 * side - 1) + x)
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(grid_path(st.integers(min_value=0, max_value=3)), min_size=2, max_size=6))
+@example(COUNTEREXAMPLE_PATHS)
+def test_certificate_at_most_bends_of_every_lattice_path(paths):
+    # Doubling the layout and shifting it by 1 puts a lattice line inside
+    # every gap between its lines and one beyond each end; the counterexample
+    # path (1/2,3)(2,3)(2,4) becomes (2,7)(5,7)(5,9).  Every walked path
+    # meets exactly the paths whose masks share a bit with its own.
+    ra = representation(paths, lambda c: 2 * c + 1)
+    side = 2 * max(c for corners in paths for xy in corners for c in xy) + 3
+    masks = {label: _lattice_mask(path, side) for label, path in ra.assignment.items()}
+    fewest = {}  # met set -> fewest bends of a walked path meeting exactly it
+    for bends, mask in _lattice_paths(side):
+        met = frozenset(label for label, m in masks.items() if m & mask)
+        if met and fewest.get(met, 2) > bends:
+            fewest[met] = bends
+    candidates = {k: certificate_candidates(ra, k) for k in {len(met) for met in fewest}}
+    for met, bends in fewest.items():
+        cert = bend_lb_certificate(ra, met, candidates[len(met)])
+        assert cert is not None and cert <= bends, (sorted(met), cert, bends)
 
 
 # --- counting validators -------------------------------------------------------------
@@ -352,6 +391,26 @@ def test_fig1_style_layout_count():
     assert count <= 1800
 
 
+@pytest.mark.parametrize("construct", [construct_k2n_proper, construct_k3n_proper])
+def test_analyses_on_whole_representations_with_mixed_labels(construct):
+    # clique labels are ints and independent labels tuples
+    rep = construct(4)
+    for k in (1, 2, 3):
+        sets = enumerate_good_sets(rep, k)
+        assert sets
+        assert all(probe_hit_set(rep, gs.witness) == frozenset(gs.members) for gs in sets)
+        assert {frozenset(gs.members) for gs in sets} <= set(certificate_candidates(rep, k))
+    t = max(bend_count(p) for p in rep.assignment.values())
+    count, bound, ok = count_good_sets_vs_bound(rep, 2, t)
+    assert ok and count == len(enumerate_good_sets(rep, 2))
+    # each path meets exactly its neighbours among the other paths
+    g = intersection_graph(rep)
+    for v in rep.labels():
+        others = rep.restricted(label for label in rep.labels() if label != v)
+        cert = bend_lb_certificate(others, g.neighbors(v))
+        assert cert is not None and cert <= bend_count(rep.path(v))
+
+
 # --- auxiliary graphs -----------------------------------------------------------------
 
 
@@ -429,6 +488,27 @@ def test_k4_planar_k5_not():
 
     assert is_planar(complete(4))
     assert not is_planar(complete(5))
+
+
+def test_import_leaves_networkx_unloaded():
+    # only is_planar needs networkx, so it is loaded on first use
+    code = (
+        "import sys\n"
+        "import vpgbend.cli\n"
+        "assert 'networkx' not in sys.modules\n"
+        "from itertools import combinations\n"
+        "from vpgbend.graphs import Graph\n"
+        "from vpgbend.lowerbound import is_planar\n"
+        "for n in (4, 5):\n"
+        "    g = Graph(range(n))\n"
+        "    for u, v in combinations(range(n), 2):\n"
+        "        g.add_edge(u, v)\n"
+        "    print(is_planar(g))\n"
+    )
+    src = str(Path(vpgbend.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "True\nFalse\n"), proc.stderr
 
 
 def test_fh_from_k3n_six_planar(k3n_reps):

@@ -1,20 +1,33 @@
 """The integer-rank probe sweep against the Fraction reference in
 `probe_reference`, on the random representations of `rep_strategies` and on
-the clique paths of the constructions."""
+the clique paths of the constructions.  The certificate candidates of k must
+be the reference's good j-sets for all j <= k."""
 
 import pytest
 from hypothesis import given, settings
 
 import probe_reference as reference
 from rep_strategies import representation, representations, scales, shifts
-from vpgbend.lowerbound import enumerate_good_sets, induced_grid, probe_hit_set, strip_small_sets
+from vpgbend.lowerbound import (
+    certificate_candidates,
+    enumerate_good_sets,
+    induced_grid,
+    probe_hit_set,
+    strip_small_sets,
+)
 
 
 def _assert_same(ra):
     assert induced_grid(ra) == reference.induced_grid(ra)
+    at_most_k = set()  # the reference's good j-sets for j <= k
     for k in range(1, 5):
         sets = enumerate_good_sets(ra, k)
-        assert sets == reference.enumerate_good_sets(ra, k)
+        expected = reference.enumerate_good_sets(ra, k)
+        assert sets == expected
+        at_most_k |= {frozenset(gs.members) for gs in expected}
+        candidates = certificate_candidates(ra, k)
+        assert len(set(candidates)) == len(candidates)
+        assert set(candidates) == at_most_k
         for gs in sets:
             assert probe_hit_set(ra, gs.witness) == frozenset(gs.members)
         assert strip_small_sets(ra, k) == reference.strip_small_sets(ra, k)
