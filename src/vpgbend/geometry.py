@@ -225,6 +225,16 @@ def direction_vector(p: RectPath) -> Tuple[str, ...]:
     return tuple(out)
 
 
+def _ranked_corners(paths: Sequence[RectPath]):
+    """(xs, ys, ranked): the sorted distinct corner coordinates of `paths`
+    and each path's corners as (x rank, y rank) pairs, in path order."""
+    xs = sorted({c.x for p in paths for c in p.corners})
+    ys = sorted({c.y for p in paths for c in p.corners})
+    x_rank = {x: r for r, x in enumerate(xs)}
+    y_rank = {y: r for r, y in enumerate(ys)}
+    return xs, ys, [[(x_rank[c.x], y_rank[c.y]) for c in p.corners] for p in paths]
+
+
 def segment_tables(paths: Sequence[RectPath]):
     """Rank-compressed segments of `paths`: (xs, ys, horizontals, verticals).
 
@@ -235,13 +245,9 @@ def segment_tables(paths: Sequence[RectPath]):
     algorithm over them is written once and run on (xs, ys, hs, vs) and on
     the transpose (ys, xs, vs, hs).
     """
-    xs = sorted({c.x for p in paths for c in p.corners})
-    ys = sorted({c.y for p in paths for c in p.corners})
-    x_rank = {x: r for r, x in enumerate(xs)}
-    y_rank = {y: r for r, y in enumerate(ys)}
+    xs, ys, ranked_paths = _ranked_corners(paths)
     hs, vs = [], []
-    for li, path in enumerate(paths):
-        ranked = [(x_rank[c.x], y_rank[c.y]) for c in path.corners]
+    for li, ranked in enumerate(ranked_paths):
         for (ax, ay), (bx, by) in zip(ranked, ranked[1:]):
             if ay == by:
                 hs.append((ay, min(ax, bx), max(ax, bx), li))

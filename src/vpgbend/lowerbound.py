@@ -30,7 +30,8 @@ from .geometry import (
 from .graphs import Graph, Label
 from .representation import (
     VpgRepresentation,
-    clique_hit_sequence,
+    _clique_hits,
+    _hit_table,
     is_proper,
     leaf_trim_window,
 )
@@ -323,10 +324,11 @@ def count_good_sets_vs_bound(ra: VpgRepresentation, k: int, t: int) -> Tuple[int
 def classify_sh_sv(rep: VpgRepresentation, clique_verts, indep_verts):
     """Partition-cover (S_H, S_V): b lands in S_H when it meets horizontal
     segments of at least two of its three clique neighbors, S_V symmetrically."""
-    clique_verts = list(clique_verts)
+    clique_verts, indep_verts = list(clique_verts), list(indep_verts)
+    _, _, table = _hit_table(rep, clique_verts + indep_verts)
     s_h, s_v = [], []
     for b in indep_verts:
-        hits = clique_hit_sequence(rep, b, clique_verts)
+        hits = _clique_hits(table, b, clique_verts)
         nbrs = {a for a, *_ in hits}
         if len(nbrs) < 3:
             raise DomainError(f"independent vertex {b!r} meets {len(nbrs)} clique paths")
@@ -387,15 +389,16 @@ def build_auxiliary_fh_fv(rep: VpgRepresentation, clique_verts, indep_verts):
     report = is_proper(rep)
     if not report.ok:
         raise DomainError("representation is not proper: " + "; ".join(report.violations[:3]))
-    clique_verts = list(clique_verts)
+    clique_verts, indep_verts = list(clique_verts), list(indep_verts)
     tag = {HORIZONTAL: "h", VERTICAL: "v"}
     vertices = {HORIZONTAL: [], VERTICAL: []}
     for a in clique_verts:
         for idx, seg in enumerate(rep.path(a).segments()):
             vertices[seg.orientation].append((tag[seg.orientation], a, idx))
     f = {orientation: Graph(vs) for orientation, vs in vertices.items()}
+    _, _, table = _hit_table(rep, clique_verts + indep_verts)
     for b in indep_verts:
-        hits = clique_hit_sequence(rep, b, clique_verts)
+        hits = _clique_hits(table, b, clique_verts)
         lo, hi = leaf_trim_window([a for a, *_ in hits])
         walks = {HORIZONTAL: [], VERTICAL: []}
         for a, _, idx, _ in hits[lo : hi + 1]:

@@ -14,8 +14,8 @@ from .geometry import (
     RectPath,
     Segment,
     bend_count,
+    _ranked_corners,
     merge_overlaps,
-    path_intersections,
     rational,
     segment_tables,
 )
@@ -261,6 +261,88 @@ def subpath_between(path: RectPath, start: Point, end: Point) -> RectPath:
     return RectPath(corners)
 
 
+def _hit_table(rep: VpgRepresentation, labels: Iterable[Label]):
+    """Rank table for clique-hit walks: (xs, ys, label -> ranked segments).
+
+    Ranks the corners of the paths of `labels`, so one table serves every
+    walk among them: two paths meet only at points whose coordinates are
+    corner coordinates.  A segment is the int tuple (horizontal, fixed, lo,
+    hi, start), `start` being the coordinate along it of its first corner.
+    Labels absent from `rep` are left out, so a walk that needs one raises
+    the KeyError that looking its path up would.
+    """
+    present = [l for l in dict.fromkeys(labels) if l in rep.assignment]
+    xs, ys, ranked = _ranked_corners([rep.assignment[l] for l in present])
+    table = {}
+    for label, corners in zip(present, ranked):
+        segs = table[label] = []
+        for (ax, ay), (bx, by) in zip(corners, corners[1:]):
+            if ay == by:
+                segs.append((True, ay, min(ax, bx), max(ax, bx), ax))
+            else:
+                segs.append((False, ax, min(ay, by), max(ay, by), ay))
+    return xs, ys, table
+
+
+def _holds(seg, pt) -> bool:
+    horizontal, fixed, lo, hi, _ = seg
+    along, across = pt if horizontal else pt[::-1]
+    return across == fixed and lo <= along <= hi
+
+
+def _meet(pb, pa):
+    """Meetings of two ranked paths as `path_intersections` gives them: the
+    isolated points, sorted, and the merged overlaps as (first end, last
+    end) pairs in `merge_overlaps` order."""
+    points, raw = set(), []
+    for hb, fb, lb, ub, _ in pb:
+        for ha, fa, la, ua, _ in pa:
+            if hb != ha:
+                if la <= fb <= ua and lb <= fa <= ub:
+                    points.add((fa, fb) if hb else (fb, fa))
+            elif fb == fa:
+                lo, hi = max(lb, la), min(ub, ua)
+                if lo == hi:
+                    points.add((lo, fb) if hb else (fb, lo))
+                elif lo < hi:
+                    ends = ((lo, fb), (hi, fb)) if hb else ((fb, lo), (fb, hi))
+                    raw.append(Segment(Point(*ends[0]), Point(*ends[1])))
+    overlaps = [
+        ((int(ov.a.x), int(ov.a.y)), (int(ov.b.x), int(ov.b.y))) for ov in merge_overlaps(raw)
+    ]
+    # an overlap is axis-parallel, so its bounding box is the overlap itself
+    isolated = sorted(
+        (x, y) for x, y in points
+        if not any(a[0] <= x <= b[0] and a[1] <= y <= b[1] for a, b in overlaps)
+    )
+    return isolated, overlaps
+
+
+def _clique_hits(table, b: Label, clique_verts: List[Label]):
+    """`clique_hit_sequence` on a `_hit_table`, each point as its ranks.
+
+    A hit is ordered by the first segment of P(b) containing it and its
+    rank offset from that segment's first corner: P(b) is simple, so that
+    is the order of arc length, and only equal points tie.
+    """
+    pb = table[b]
+    hits = []
+    for a in clique_verts:
+        if a == b:
+            continue
+        pa = table[a]
+        points, overlaps = _meet(pb, pa)
+        found = [(pt, (pt,), False) for pt in points]
+        found += [(ends[0], ends, True) for ends in overlaps]
+        for pt, ends, overlap in found:
+            idx = next(i for i, s in enumerate(pa) if all(_holds(s, e) for e in ends))
+            k, seg = next((k, s) for k, s in enumerate(pb) if _holds(s, pt))
+            offset = abs((pt[0] if seg[0] else pt[1]) - seg[4])
+            hits.append(((k, offset), a, pt, idx, overlap))
+    hits.sort(key=lambda h: h[0])
+    return [h[1:] for h in hits]
+
+
 def clique_hit_sequence(
     rep: VpgRepresentation, b: Label, clique_verts: Iterable[Label]
 ) -> List[Tuple[Label, Point, int, bool]]:
@@ -272,20 +354,12 @@ def clique_hit_sequence(
     simple, so for a point interior to a segment that is the only one.  Hits
     at equal arc length keep the order of `clique_verts`.
     """
-    pb = rep.path(b)
-    hits: List[Tuple[Fraction, Label, Point, int, bool]] = []
-    for a in clique_verts:
-        if a == b:
-            continue
-        pa = rep.path(a)
-        inter = path_intersections(pb, pa)
-        found = [(pt, (pt,), False) for pt in inter.points]
-        found += [(ov.a, (ov.a, ov.b), True) for ov in inter.overlaps]
-        for pt, ends, overlap in found:
-            idx = next(i for i, s in enumerate(pa.segments()) if all(s.contains(e) for e in ends))
-            hits.append((arc_position(pb, pt), a, pt, idx, overlap))
-    hits.sort(key=lambda h: h[0])
-    return [h[1:] for h in hits]
+    clique_verts = list(clique_verts)
+    xs, ys, table = _hit_table(rep, [b, *clique_verts])
+    return [
+        (a, Point(xs[x], ys[y]), idx, overlap)
+        for a, (x, y), idx, overlap in _clique_hits(table, b, clique_verts)
+    ]
 
 
 def leaf_trim_window(labels: List[Label]) -> Tuple[int, int]:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
-from vpgbend.geometry import Point, RectPath, Segment, segment_intersection
+from vpgbend.geometry import Point, RectPath, Segment, path_intersections, segment_intersection
 from vpgbend.graphs import Graph
 from vpgbend.oracle import GridSearchBudget
-from vpgbend.representation import VpgRepresentation, is_proper, path_intersections, verify_realizes
+from vpgbend.representation import VpgRepresentation, is_proper, verify_realizes
 
 
 class _BudgetExhausted(Exception):

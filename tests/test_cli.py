@@ -118,6 +118,16 @@ def test_posets_dim_bound_below_one_is_usage_error(tmp_path, capsys, max_dim):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_goodsets_bend_bound_below_the_paths_is_usage_error(tmp_path, capsys, t):
+    rfile = tmp_path / "r.txt"
+    assert main(["construct", "k3n", "--n", "4", "-o", str(rfile)]) == 0
+    rc, out, err = run(capsys, "goodsets", str(rfile), "--k", "3", "--t", t)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

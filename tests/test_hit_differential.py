@@ -3,8 +3,10 @@ original two-copy forms.
 
 The walk and its three consumers are compared with `hit_reference` on the
 random representations of `rep_strategies`, with path 0 as the independent
-path, and on the k3n and k2n constructions.  The exposure scan is checked
-against its transpose and against a ray test on every corner coordinate.
+path, on random cases with several independent paths that the consumers walk
+against one rank table, and on the k3n and k2n constructions.  The exposure
+scan is checked against its transpose and against a ray test on every corner
+coordinate.
 """
 
 from itertools import combinations
@@ -14,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hit_reference as reference
-from rep_strategies import representation, representations, scales, shifts
+from rep_strategies import grid_path, representation, representations, scales, shifts
 from vpgbend.constructors import (
     construct_k2n_proper,
     exposed_below_interval,
@@ -22,7 +24,12 @@ from vpgbend.constructors import (
 )
 from vpgbend.geometry import HORIZONTAL, Point, RectPath, Segment
 from vpgbend.lowerbound import build_auxiliary_fh_fv, classify_sh_sv
-from vpgbend.representation import clique_hit_sequence, trim_independent_path
+from vpgbend.representation import (
+    _clique_hits,
+    _hit_table,
+    clique_hit_sequence,
+    trim_independent_path,
+)
 
 
 def _outcome(fn, *args):
@@ -85,6 +92,41 @@ def test_overlap_error_names_first_clique_path_in_given_order(paths, rnd):
     assert _corners(_outcome(trim_independent_path, rep, 0, clique)) == _corners(
         _outcome(reference.trim_independent_path, rep, 0, clique)
     )
+
+
+# clique corners on even coordinates, independent corners also on odd ones:
+# a corner with two odd coordinates lies on no clique path, and its ranks
+# exist only in a table that covers the walked paths too
+_EVEN = st.integers(min_value=0, max_value=5).map(lambda c: 2 * c)
+_FINE = st.integers(min_value=0, max_value=11)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(grid_path(_EVEN), min_size=1, max_size=5),
+    st.lists(grid_path(_FINE), min_size=2, max_size=3),
+    st.sampled_from(["plain", "b in clique_verts", "repeated label"]),
+    st.randoms(use_true_random=False),
+)
+def test_walks_on_one_table_match_reference(clique_paths, indep_paths, variant, rnd):
+    assume(any(x % 2 and y % 2 for p in indep_paths for x, y in p))
+    rep = representation(clique_paths + indep_paths)
+    clique = list(range(len(clique_paths)))
+    indep = list(range(len(clique_paths), len(rep)))
+    if variant == "b in clique_verts":
+        clique.append(rnd.choice(indep))
+    elif variant == "repeated label":
+        clique.append(rnd.choice(clique))
+    rnd.shuffle(clique)
+    _assert_same(rep, clique, indep)
+    # the consumers' table, shared by every walk of the call
+    xs, ys, table = _hit_table(rep, clique + indep)
+    for b in indep:
+        walk = [
+            (a, rep.path(a).segments()[idx].orientation, idx, Point(xs[x], ys[y]))
+            for a, (x, y), idx, _ in _clique_hits(table, b, clique)
+        ]
+        assert walk == reference.hit_details(rep, b, clique)
 
 
 @pytest.mark.parametrize("n", range(4, 9))

@@ -34,7 +34,7 @@ from vpgbend.lowerbound import (
     validate_counting,
 )
 from vpgbend.oracle import GridSearchBudget, _grid_paths
-from vpgbend.representation import VpgRepresentation, intersection_graph
+from vpgbend.representation import VpgRepresentation, intersection_graph, trim_independent_path
 
 
 def two_parallels():
@@ -509,6 +509,28 @@ def test_import_leaves_networkx_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "True\nFalse\n"), proc.stderr
+
+
+def test_hit_walk_tests_no_fraction_segment_pairs(monkeypatch, k3n_reps):
+    # the hit walk meets segments on int ranks: no Fraction pair test remains
+    calls = []
+    for module in (vpgbend.representation, vpgbend.lowerbound):
+        for name in ("segment_intersection", "path_intersections"):
+            real = getattr(vpgbend.geometry, name)
+
+            def counted(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted, raising=False)
+    rep = k3n_reps[6]
+    clique = list(range(1, 7))
+    indep = list(combinations(clique, 3))
+    classify_sh_sv(rep, clique, indep)
+    build_auxiliary_fh_fv(rep, clique, indep)
+    for b in indep:
+        trim_independent_path(rep, b, clique)
+    assert calls == []
 
 
 def test_fh_from_k3n_six_planar(k3n_reps):
