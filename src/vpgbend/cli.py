@@ -189,12 +189,13 @@ def _cmd_goodsets(args) -> int:
     sets = lowerbound.enumerate_good_sets(rep, args.k)
     # the --t check can be a usage error, so it runs before anything is printed
     if args.t is not None:
-        _, bound, ok = lowerbound.count_good_sets_vs_bound(rep, args.k, args.t)
+        bound = lowerbound._good_set_bound(rep, args.t)
     for gs in sets:
         members = ",".join(label_str(m) for m in gs.members)
         print(f"{gs.orientation} {{{members}}} witness {gs.witness.a}-{gs.witness.b}")
     print(f"good {args.k}-sets: {len(sets)}")
     if args.t is not None:
+        ok = len(sets) <= bound
         print(f"bound 8n^2(t+1)^2 = {bound}: {'within' if ok else 'EXCEEDED'}")
         return 0 if ok else 1
     return 0

@@ -276,6 +276,10 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
                 f"{what}: {value} outside computed exposed interval ({lo}, {cap})"
             )
 
+    # each exposed interval depends only on its clique path: one scan per path
+    below_first = {i: exposed_below_interval(ra, a_paths[i].segments()[0]) for i in a_paths}
+    left_second = {i: exposed_left_interval(ra, a_paths[i].segments()[1]) for i in a_paths}
+    left_fourth = {i: exposed_left_interval(ra, a_paths[i].segments()[3]) for i in a_paths}
     subsets = ksubsets(n, k)
     m_total = len(subsets)
     assignment: Dict = {i: a_paths[i] for i in range(1, n + 1)}
@@ -285,13 +289,13 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
         x_start = shift[i1] + eps
         check_inside(
             x_start,
-            exposed_below_interval(ra, a_paths[i1].segments()[0]),
+            below_first[i1],
             f"start of {subset} on first segment of path {i1}",
         )
         y_run1 = -1 - shift[i2] + eps0 - eps
         check_inside(
             y_run1,
-            exposed_left_interval(ra, a_paths[i2].segments()[1]),
+            left_second[i2],
             f"first run of {subset} in exposed zone of path {i2}",
         )
         corners: List[Tuple[Fraction, Fraction]] = [
@@ -305,7 +309,7 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
             y_run = -2 - shift[ir] + eps0 - eps
             check_inside(
                 y_run,
-                exposed_left_interval(ra, a_paths[ir].segments()[3]),
+                left_fourth[ir],
                 f"run {r} of {subset} in exposed zone of path {ir}",
             )
             corners.append((cur_x, y_run))

@@ -8,9 +8,11 @@ arithmetic.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import GeometryError
 
@@ -133,23 +135,70 @@ def segment_intersection(
     return None, Segment(Point(x, lo), Point(x, hi))
 
 
-def _normalize_corners(points) -> list:
-    out = []
-    for pt in points:
-        if out and pt == out[-1]:
-            continue
-        if len(out) >= 2:
-            a, b = out[-2], out[-1]
-            same_x = a.x == b.x == pt.x
-            same_y = a.y == b.y == pt.y
-            if same_x and (pt.y - b.y) * (b.y - a.y) > 0:
-                out[-1] = pt
-                continue
-            if same_y and (pt.x - b.x) * (b.x - a.x) > 0:
-                out[-1] = pt
-                continue
-        out.append(pt)
-    return out
+def _collinear_contacts(table):
+    """Meetings of segments of different paths on one shared line.
+
+    Yields (i, j, fixed, lo, hi) with label indices i < j; lo == hi is a touch
+    of two segment ends.  Written once over (fixed, lo, hi, label) tuples, so
+    it serves the horizontal and the vertical table alike.
+    """
+    line, active = None, []
+    for fixed, lo, hi, li in sorted(table):
+        if fixed != line:
+            line, active = fixed, []
+        else:
+            active = [seg for seg in active if seg[0] >= lo]
+        for other_hi, other in active:
+            if other != li:
+                yield min(li, other), max(li, other), fixed, lo, min(hi, other_hi)
+        active.append((hi, li))
+
+
+def _crossing_contacts(hs, vs):
+    """Meetings of a horizontal and a vertical segment of different paths.
+
+    Sweeps x over the verticals, keeping the horizontals that span the
+    current x sorted by y.  Yields (h, v, crossing): the two segments and
+    whether the meeting point is interior to both, a transversal crossing.
+    """
+    # at equal x a horizontal opens (0) before and closes (2) after the
+    # verticals there (1) are queried: segments are closed
+    events = [(h[1], 0, k) for k, h in enumerate(hs)]
+    events += [(h[2], 2, k) for k, h in enumerate(hs)]
+    events += [(v[0], 1, k) for k, v in enumerate(vs)]
+    events.sort()
+    active: List[Tuple[int, int]] = []  # (y, horizontal index)
+    for x, kind, k in events:
+        if kind == 0:
+            insort(active, (hs[k][0], k))
+        elif kind == 2:
+            del active[bisect_left(active, (hs[k][0], k))]
+        else:
+            v = vs[k]
+            _, y_lo, y_hi, lv = v
+            at = bisect_left(active, (y_lo,))
+            while at < len(active) and active[at][0] <= y_hi:
+                y, hk = active[at]
+                at += 1
+                h = hs[hk]
+                if h[3] != lv:
+                    yield h, v, h[1] < x < h[2] and y_lo < y < y_hi
+
+
+def _contacts(hs, vs):
+    """Every meeting of two segments of different paths, streamed.
+
+    Yields (i, j, x0, y0, x1, y1, crossing) in ranks with label indices
+    i < j.  The meeting is the segment (x0,y0)-(x1,y1), a single point when
+    the ends coincide; `crossing` is true only for a transversal crossing.
+    """
+    for i, j, y, lo, hi in _collinear_contacts(hs):
+        yield i, j, lo, y, hi, y, False
+    for i, j, x, lo, hi in _collinear_contacts(vs):
+        yield i, j, x, lo, x, hi, False
+    for h, v, crossing in _crossing_contacts(hs, vs):
+        i, j = sorted((h[3], v[3]))
+        yield i, j, v[0], h[0], v[0], h[0], crossing
 
 
 class RectPath:
@@ -158,10 +207,11 @@ class RectPath:
     Invariants enforced on construction: at least two corners, consecutive
     corners differ in exactly one coordinate, consecutive segments alternate
     orientation (straight continuations are merged away), and the path is
-    simple.
+    simple.  The checks run on ints: each coordinate times the lcm `den` of
+    the path's denominators, kept as (den, x0, y0, x1, y1, ...) for ranking.
     """
 
-    __slots__ = ("corners", "_segments")
+    __slots__ = ("corners", "_segments", "_scaled")
 
     def __init__(self, corners: Iterable):
         pts = []
@@ -171,26 +221,50 @@ class RectPath:
             else:
                 x, y = c
                 pts.append(Point(rational(x), rational(y)))
-        pts = _normalize_corners(pts)
-        if len(pts) < 2:
+        den = math.lcm(*(v.denominator for pt in pts for v in (pt.x, pt.y)))
+        kept, ints = [], []
+        for pt in pts:
+            x = pt.x.numerator * (den // pt.x.denominator)
+            y = pt.y.numerator * (den // pt.y.denominator)
+            if ints and ints[-1] == (x, y):
+                continue
+            if len(ints) >= 2:
+                (ax, ay), (bx, by) = ints[-2:]
+                # a straight continuation moves the last corner on
+                if (ax == bx == x and (y - by) * (by - ay) > 0) or (
+                    ay == by == y and (x - bx) * (bx - ax) > 0
+                ):
+                    kept[-1], ints[-1] = pt, (x, y)
+                    continue
+            kept.append(pt)
+            ints.append((x, y))
+        if len(ints) < 2:
             raise GeometryError("a path needs at least two distinct corners")
-        segs = []
-        for a, b in zip(pts, pts[1:]):
-            if a.x != b.x and a.y != b.y:
-                raise GeometryError(f"diagonal move {a} -> {b}")
-            segs.append(Segment(a, b))
-        for s1, s2 in zip(segs, segs[1:]):
-            if s1.orientation == s2.orientation:
-                raise GeometryError("consecutive segments on the same axis (backtracking)")
-        for i in range(len(segs)):
-            for j in range(i + 2, len(segs)):
-                pt, ov = segment_intersection(segs[i], segs[j])
-                if pt is not None or ov is not None:
-                    raise GeometryError("path is not simple")
-        self.corners = tuple(pts)
-        self._segments = tuple(segs)
+        # (fixed, lo, hi, segment index) per axis, the checkers' table layout
+        hs, vs, horizontal = [], [], []
+        for k, ((ax, ay), (bx, by)) in enumerate(zip(ints, ints[1:])):
+            if ay == by:
+                hs.append((ay, min(ax, bx), max(ax, bx), k))
+            elif ax == bx:
+                vs.append((ax, min(ay, by), max(ay, by), k))
+            else:
+                raise GeometryError(f"diagonal move {kept[k]} -> {kept[k + 1]}")
+            horizontal.append(ay == by)
+        if any(h1 == h2 for h1, h2 in zip(horizontal, horizontal[1:])):
+            raise GeometryError("consecutive segments on the same axis (backtracking)")
+        # consecutive segments are perpendicular, so they meet only at their
+        # shared corner; any other meeting makes the path non-simple
+        if any(j > i + 1 for i, j, *_ in _contacts(hs, vs)):
+            raise GeometryError("path is not simple")
+        self.corners = tuple(kept)
+        self._segments = None
+        self._scaled = (den, *(v for xy in ints for v in xy))
 
     def segments(self) -> Tuple[Segment, ...]:
+        if self._segments is None:
+            self._segments = tuple(
+                Segment(a, b) for a, b in zip(self.corners, self.corners[1:])
+            )
         return self._segments
 
     def reversed(self) -> "RectPath":
@@ -227,12 +301,26 @@ def direction_vector(p: RectPath) -> Tuple[str, ...]:
 
 def _ranked_corners(paths: Sequence[RectPath]):
     """(xs, ys, ranked): the sorted distinct corner coordinates of `paths`
-    and each path's corners as (x rank, y rank) pairs, in path order."""
-    xs = sorted({c.x for p in paths for c in p.corners})
-    ys = sorted({c.y for p in paths for c in p.corners})
-    x_rank = {x: r for r, x in enumerate(xs)}
-    y_rank = {y: r for r, y in enumerate(ys)}
-    return xs, ys, [[(x_rank[c.x], y_rank[c.y]) for c in p.corners] for p in paths]
+    and each path's corners as (x rank, y rank) pairs, in path order.
+
+    Ranks come from ints over the lcm of the paths' denominators; each int
+    maps back to the path's own `Fraction`, so `xs` and `ys` hold its values.
+    """
+    den = math.lcm(*(p._scaled[0] for p in paths))
+    x_of, y_of, scaled = {}, {}, []
+    for p in paths:
+        m = den // p._scaled[0]
+        ints = [v * m for v in p._scaled[1:]]
+        x_of.update(zip(ints[::2], [c.x for c in p.corners]))
+        y_of.update(zip(ints[1::2], [c.y for c in p.corners]))
+        scaled.append(ints)
+    x_rank = {x: r for r, x in enumerate(sorted(x_of))}
+    y_rank = {y: r for r, y in enumerate(sorted(y_of))}
+    xs = [x_of[x] for x in x_rank]
+    ys = [y_of[y] for y in y_rank]
+    return xs, ys, [
+        [(x_rank[x], y_rank[y]) for x, y in zip(ints[::2], ints[1::2])] for ints in scaled
+    ]
 
 
 def segment_tables(paths: Sequence[RectPath]):

@@ -306,14 +306,19 @@ def validate_counting(n: int, k: int, t: int) -> CountingReport:
     )
 
 
-def count_good_sets_vs_bound(ra: VpgRepresentation, k: int, t: int) -> Tuple[int, int, bool]:
-    """(number of good k-sets, 8 n^2 (t+1)^2, count <= bound)."""
+def _good_set_bound(ra: VpgRepresentation, t: int) -> int:
+    """8 n^2 (t+1)^2, once every path is checked to have at most t bends."""
     n = len(ra)
     worst = max((bend_count(p) for p in ra.assignment.values()), default=0)
     if worst > t:
         raise ParameterError(f"a path has {worst} bends, above the declared t={t}")
+    return 8 * n * n * (t + 1) ** 2
+
+
+def count_good_sets_vs_bound(ra: VpgRepresentation, k: int, t: int) -> Tuple[int, int, bool]:
+    """(number of good k-sets, 8 n^2 (t+1)^2, count <= bound)."""
+    bound = _good_set_bound(ra, t)
     count = len(enumerate_good_sets(ra, k))
-    bound = 8 * n * n * (t + 1) ** 2
     return count, bound, count <= bound
 
 

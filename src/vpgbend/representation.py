@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -13,6 +12,7 @@ from .geometry import (
     Point,
     RectPath,
     Segment,
+    _contacts,
     bend_count,
     _ranked_corners,
     merge_overlaps,
@@ -50,72 +50,6 @@ class VpgRepresentation:
         return (
             isinstance(other, VpgRepresentation) and self.assignment == other.assignment
         )
-
-
-def _collinear_contacts(table):
-    """Meetings of segments of different paths on one shared line.
-
-    Yields (i, j, fixed, lo, hi) with label indices i < j; lo == hi is a touch
-    of two segment ends.  Written once over (fixed, lo, hi, label) tuples, so
-    it serves the horizontal and the vertical table alike.
-    """
-    line, active = None, []
-    for fixed, lo, hi, li in sorted(table):
-        if fixed != line:
-            line, active = fixed, []
-        else:
-            active = [seg for seg in active if seg[0] >= lo]
-        for other_hi, other in active:
-            if other != li:
-                yield min(li, other), max(li, other), fixed, lo, min(hi, other_hi)
-        active.append((hi, li))
-
-
-def _crossing_contacts(hs, vs):
-    """Meetings of a horizontal and a vertical segment of different paths.
-
-    Sweeps x over the verticals, keeping the horizontals that span the
-    current x sorted by y.  Yields (h, v, crossing): the two segments and
-    whether the meeting point is interior to both, a transversal crossing.
-    """
-    # at equal x a horizontal opens (0) before and closes (2) after the
-    # verticals there (1) are queried: segments are closed
-    events = [(h[1], 0, k) for k, h in enumerate(hs)]
-    events += [(h[2], 2, k) for k, h in enumerate(hs)]
-    events += [(v[0], 1, k) for k, v in enumerate(vs)]
-    events.sort()
-    active: List[Tuple[int, int]] = []  # (y, horizontal index)
-    for x, kind, k in events:
-        if kind == 0:
-            insort(active, (hs[k][0], k))
-        elif kind == 2:
-            del active[bisect_left(active, (hs[k][0], k))]
-        else:
-            v = vs[k]
-            _, y_lo, y_hi, lv = v
-            at = bisect_left(active, (y_lo,))
-            while at < len(active) and active[at][0] <= y_hi:
-                y, hk = active[at]
-                at += 1
-                h = hs[hk]
-                if h[3] != lv:
-                    yield h, v, h[1] < x < h[2] and y_lo < y < y_hi
-
-
-def _contacts(hs, vs):
-    """Every meeting of two segments of different paths, streamed.
-
-    Yields (i, j, x0, y0, x1, y1, crossing) in ranks with label indices
-    i < j.  The meeting is the segment (x0,y0)-(x1,y1), a single point when
-    the ends coincide; `crossing` is true only for a transversal crossing.
-    """
-    for i, j, y, lo, hi in _collinear_contacts(hs):
-        yield i, j, lo, y, hi, y, False
-    for i, j, x, lo, hi in _collinear_contacts(vs):
-        yield i, j, x, lo, x, hi, False
-    for h, v, crossing in _crossing_contacts(hs, vs):
-        i, j = sorted((h[3], v[3]))
-        yield i, j, v[0], h[0], v[0], h[0], crossing
 
 
 def intersection_graph(rep: VpgRepresentation) -> Graph:

@@ -1,12 +1,16 @@
 """The sweep-line checkers against the pairwise reference in `pairwise_reference`,
 on the random representations of `rep_strategies`."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
 import pairwise_reference as reference
 from rep_strategies import representation, representations, scales, shifts
-from vpgbend.representation import intersection_graph, is_proper
+from vpgbend.geometry import RectPath
+from vpgbend.representation import VpgRepresentation, intersection_graph, is_proper
 
 
 def _assert_same(rep):
@@ -34,3 +38,35 @@ def test_checkers_match_reference_on_k3n(k3n_reps, n):
 @pytest.mark.parametrize("nk", [(6, 3), (7, 4)])
 def test_checkers_match_reference_on_staircases(gtm_reps, nk):
     _assert_same(gtm_reps[nk])
+
+
+def _primes(count):
+    primes, n = [], 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def test_checkers_match_reference_on_400_prime_denominators():
+    # path i has its own prime denominator: its least grid value moves up by
+    # 1/p_i and each other one stays put or moves too, which keeps the path's
+    # shape, so integer values still meet across paths while the ranks come
+    # from the lcm of 400 primes
+    rng = random.Random(400)
+    assignment = {}
+    for label, p in enumerate(_primes(400)):
+        x, y = rng.randrange(20), rng.randrange(20)
+        corners, horizontal = [(x, y)], rng.random() < 0.5
+        for _ in range(rng.randint(1, 3)):
+            if horizontal:
+                x = rng.choice([c for c in range(20) if c != x])
+            else:
+                y = rng.choice([c for c in range(20) if c != y])
+            corners.append((x, y))
+            horizontal = not horizontal
+        values = sorted({v for xy in corners for v in xy})
+        moved = {v: v + Fraction(1 if k == 0 else rng.randrange(2), p) for k, v in enumerate(values)}
+        assignment[label] = RectPath([(moved[x], moved[y]) for x, y in corners])
+    _assert_same(VpgRepresentation(assignment))

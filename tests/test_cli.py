@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vpgbend import lowerbound
 from vpgbend.cli import _decimal, main, render_svg
 from vpgbend.constructors import construct_k2n_proper
 from vpgbend.geometry import Point, Segment
@@ -157,6 +158,26 @@ def test_goodsets_subcommand_golden(tmp_path, capsys):
         "good 2-sets: 1\n"
         "bound 8n^2(t+1)^2 = 32: within\n"
     )
+
+
+def test_goodsets_bound_runs_no_second_probe_sweep(tmp_path, capsys, monkeypatch):
+    rfile = tmp_path / "r.txt"
+    assert main(["construct", "k3n", "--n", "6", "-o", str(rfile)]) == 0
+    calls = []
+    real = lowerbound._probe_sets_one_axis
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lowerbound, "_probe_sets_one_axis", counted)
+    counts = []
+    for bound_args in ([], ["--t", "40"]):
+        calls.clear()
+        rc, _, _ = run(capsys, "goodsets", str(rfile), "--k", "3", *bound_args)
+        assert rc == 0
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == counts[0]
 
 
 def test_counting_subcommand_golden(capsys):
