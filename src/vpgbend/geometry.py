@@ -1,9 +1,11 @@
 """Exact rational geometry for axis-parallel (rectilinear) paths.
 
-Every coordinate is a `fractions.Fraction`, so all predicates (containment,
-crossing, overlap) are exact.  Floats are rejected outright: the layered
-epsilon offsets used by the constructions only make sense with exact
-arithmetic.
+Every coordinate is a `fractions.Fraction`.  The hot predicates compare ints
+that keep the order of coordinates, so they stay exact: `RectPath` checks its
+corners times the lcm of their denominators, and the checkers and the
+clique-hit walk run on coordinate ranks (`segment_tables`, `_contacts`).
+Floats are rejected outright: the layered epsilon offsets used by the
+constructions only make sense with exact arithmetic.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ def rational(value: Coord) -> Fraction:
     """Convert an exact value (int, Fraction, or 'num/den' string) to Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise GeometryError(f"not an exact coordinate: {value!r}")
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise GeometryError(f"not an exact coordinate: {value!r}") from None
-    raise GeometryError(f"not an exact coordinate: {value!r} (floats are not allowed)")
+            pass
+    note = " (floats are not allowed)" if isinstance(value, float) else ""
+    raise GeometryError(f"not an exact coordinate: {value!r}{note}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -219,7 +220,10 @@ class RectPath:
             if isinstance(c, Point):
                 pts.append(c)
             else:
-                x, y = c
+                try:
+                    x, y = c
+                except (TypeError, ValueError):
+                    raise GeometryError(f"a corner needs two coordinates: {c!r}") from None
                 pts.append(Point(rational(x), rational(y)))
         den = math.lcm(*(v.denominator for pt in pts for v in (pt.x, pt.y)))
         kept, ints = [], []
@@ -334,6 +338,11 @@ def segment_tables(paths: Sequence[RectPath]):
     the transpose (ys, xs, vs, hs).
     """
     xs, ys, ranked_paths = _ranked_corners(paths)
+    return (xs, ys, *_segment_rows(ranked_paths))
+
+
+def _segment_rows(ranked_paths):
+    """The (horizontals, verticals) of `segment_tables` for ranked corners."""
     hs, vs = [], []
     for li, ranked in enumerate(ranked_paths):
         for (ax, ay), (bx, by) in zip(ranked, ranked[1:]):
@@ -341,7 +350,7 @@ def segment_tables(paths: Sequence[RectPath]):
                 hs.append((ay, min(ax, bx), max(ax, bx), li))
             else:
                 vs.append((ax, min(ay, by), max(ay, by), li))
-    return xs, ys, hs, vs
+    return hs, vs
 
 
 @dataclass(frozen=True)

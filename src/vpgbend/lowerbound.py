@@ -30,8 +30,8 @@ from .geometry import (
 from .graphs import Graph, Label
 from .representation import (
     VpgRepresentation,
-    _clique_hits,
     _hit_table,
+    _hit_walk,
     is_proper,
     leaf_trim_window,
 )
@@ -326,20 +326,26 @@ def count_good_sets_vs_bound(ra: VpgRepresentation, k: int, t: int) -> Tuple[int
 # auxiliary graphs of proper representations of the 3-subset split graph
 
 
+def _orientation(ranked_corners, idx: int) -> str:
+    """Orientation of segment `idx` of a path given by its ranked corners."""
+    (_, ay), (_, by) = ranked_corners[idx : idx + 2]
+    return HORIZONTAL if ay == by else VERTICAL
+
+
 def classify_sh_sv(rep: VpgRepresentation, clique_verts, indep_verts):
     """Partition-cover (S_H, S_V): b lands in S_H when it meets horizontal
     segments of at least two of its three clique neighbors, S_V symmetrically."""
     clique_verts, indep_verts = list(clique_verts), list(indep_verts)
-    _, _, table = _hit_table(rep, clique_verts + indep_verts)
+    _, _, ranked, meetings = _hit_table(rep, clique_verts + indep_verts)
     s_h, s_v = [], []
     for b in indep_verts:
-        hits = _clique_hits(table, b, clique_verts)
+        hits = _hit_walk(ranked, meetings, b, clique_verts)
         nbrs = {a for a, *_ in hits}
         if len(nbrs) < 3:
             raise DomainError(f"independent vertex {b!r} meets {len(nbrs)} clique paths")
         met = {HORIZONTAL: set(), VERTICAL: set()}
         for a, _, idx, _ in hits:
-            met[rep.path(a).segments()[idx].orientation].add(a)
+            met[_orientation(ranked[a], idx)].add(a)
         if len(met[HORIZONTAL]) >= 2:
             s_h.append(b)
         if len(met[VERTICAL]) >= 2:
@@ -396,18 +402,19 @@ def build_auxiliary_fh_fv(rep: VpgRepresentation, clique_verts, indep_verts):
         raise DomainError("representation is not proper: " + "; ".join(report.violations[:3]))
     clique_verts, indep_verts = list(clique_verts), list(indep_verts)
     tag = {HORIZONTAL: "h", VERTICAL: "v"}
+    _, _, ranked, meetings = _hit_table(rep, clique_verts + indep_verts)
     vertices = {HORIZONTAL: [], VERTICAL: []}
     for a in clique_verts:
-        for idx, seg in enumerate(rep.path(a).segments()):
-            vertices[seg.orientation].append((tag[seg.orientation], a, idx))
+        for idx in range(len(ranked[a]) - 1):
+            orientation = _orientation(ranked[a], idx)
+            vertices[orientation].append((tag[orientation], a, idx))
     f = {orientation: Graph(vs) for orientation, vs in vertices.items()}
-    _, _, table = _hit_table(rep, clique_verts + indep_verts)
     for b in indep_verts:
-        hits = _clique_hits(table, b, clique_verts)
+        hits = _hit_walk(ranked, meetings, b, clique_verts)
         lo, hi = leaf_trim_window([a for a, *_ in hits])
         walks = {HORIZONTAL: [], VERTICAL: []}
         for a, _, idx, _ in hits[lo : hi + 1]:
-            orientation = rep.path(a).segments()[idx].orientation
+            orientation = _orientation(ranked[a], idx)
             walks[orientation].append((tag[orientation], a, idx))
         for orientation, walk in walks.items():
             for u, v in zip(walk, walk[1:]):

@@ -15,7 +15,7 @@ from .geometry import (
     _contacts,
     bend_count,
     _ranked_corners,
-    merge_overlaps,
+    _segment_rows,
     rational,
     segment_tables,
 )
@@ -127,20 +127,21 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
     # there, which holds iff one of its contacts there is interior to both
     # segments; keys sort by point, so the pairs at a point come together
     crossed: Dict[int, bool] = {}
-    raw_overlaps: Dict[int, List[Segment]] = {}
+    # pair -> its overlaps as rank boxes (x0, y0, x1, y1); collinear overlaps
+    # of two simple paths never touch, so no merge is needed
+    overlaps: Dict[int, List[Tuple[int, int, int, int]]] = {}
     for i, j, x0, y0, x1, y1, crossing in _contacts(hs, vs):
         pair = i * len(labels) + j
         if x0 == x1 and y0 == y1:
             key = (x0 * n_ys + y0) * n_pairs + pair
             crossed[key] = crossing or crossed.get(key, False)
         else:
-            ov = Segment(Point(xs[x0], ys[y0]), Point(xs[x1], ys[y1]))
-            raw_overlaps.setdefault(pair, []).append(ov)
-    overlaps = {pair: merge_overlaps(ovs) for pair, ovs in raw_overlaps.items()}
+            overlaps.setdefault(pair, []).append((x0, y0, x1, y1))
     violations: List[str] = []
     for pair, ovs in overlaps.items():
         i, j = divmod(pair, len(labels))
-        for ov in ovs:
+        for x0, y0, x1, y1 in ovs:
+            ov = Segment(Point(xs[x0], ys[y0]), Point(xs[x1], ys[y1]))
             violations.append(f"overlap between {names[i]} and {names[j]} along {ov}")
     for point, keys in groupby(sorted(crossed), key=lambda key: key // n_pairs):
         x, y = divmod(point, n_ys)
@@ -148,7 +149,7 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
         owners = set()
         for key in keys:
             pair = key % n_pairs
-            if any(ov.contains(pt) for ov in overlaps.get(pair, ())):
+            if any(_in_box(x, y, box) for box in overlaps.get(pair, ())):
                 continue
             i, j = divmod(pair, len(labels))
             owners.update((i, j))
@@ -196,83 +197,61 @@ def subpath_between(path: RectPath, start: Point, end: Point) -> RectPath:
 
 
 def _hit_table(rep: VpgRepresentation, labels: Iterable[Label]):
-    """Rank table for clique-hit walks: (xs, ys, label -> ranked segments).
-
-    Ranks the corners of the paths of `labels`, so one table serves every
-    walk among them: two paths meet only at points whose coordinates are
-    corner coordinates.  A segment is the int tuple (horizontal, fixed, lo,
-    hi, start), `start` being the coordinate along it of its first corner.
-    Labels absent from `rep` are left out, so a walk that needs one raises
-    the KeyError that looking its path up would.
+    """(xs, ys, ranked, meetings) for clique-hit walks among the paths of
+    `labels`: `ranked` maps a label to its ranked corners, and `meetings` an
+    ordered label pair to the pieces of one contact sweep in which their paths
+    meet, each a rank box (x0, y0, x1, y1).  Collinear pieces of two simple
+    paths never touch, so none is merged.  Labels absent from `rep` are left
+    out, so a walk that needs one raises the KeyError that looking its path
+    up would.
     """
     present = [l for l in dict.fromkeys(labels) if l in rep.assignment]
     xs, ys, ranked = _ranked_corners([rep.assignment[l] for l in present])
-    table = {}
-    for label, corners in zip(present, ranked):
-        segs = table[label] = []
-        for (ax, ay), (bx, by) in zip(corners, corners[1:]):
-            if ay == by:
-                segs.append((True, ay, min(ax, bx), max(ax, bx), ax))
-            else:
-                segs.append((False, ax, min(ay, by), max(ay, by), ay))
-    return xs, ys, table
+    meetings: Dict[Tuple[Label, Label], List[Tuple[int, int, int, int]]] = {}
+    for i, j, x0, y0, x1, y1, _ in _contacts(*_segment_rows(ranked)):
+        for pair in ((present[i], present[j]), (present[j], present[i])):
+            meetings.setdefault(pair, []).append((x0, y0, x1, y1))
+    return xs, ys, dict(zip(present, ranked)), meetings
 
 
-def _holds(seg, pt) -> bool:
-    horizontal, fixed, lo, hi, _ = seg
-    along, across = pt if horizontal else pt[::-1]
-    return across == fixed and lo <= along <= hi
+def _in_box(x, y, box) -> bool:
+    """Whether the rank point (x, y) lies in the box (x0, y0, x1, y1)."""
+    x0, y0, x1, y1 = box
+    return x0 <= x <= x1 and y0 <= y <= y1
 
 
-def _meet(pb, pa):
-    """Meetings of two ranked paths as `path_intersections` gives them: the
-    isolated points, sorted, and the merged overlaps as (first end, last
-    end) pairs in `merge_overlaps` order."""
-    points, raw = set(), []
-    for hb, fb, lb, ub, _ in pb:
-        for ha, fa, la, ua, _ in pa:
-            if hb != ha:
-                if la <= fb <= ua and lb <= fa <= ub:
-                    points.add((fa, fb) if hb else (fb, fa))
-            elif fb == fa:
-                lo, hi = max(lb, la), min(ub, ua)
-                if lo == hi:
-                    points.add((lo, fb) if hb else (fb, lo))
-                elif lo < hi:
-                    ends = ((lo, fb), (hi, fb)) if hb else ((fb, lo), (fb, hi))
-                    raw.append(Segment(Point(*ends[0]), Point(*ends[1])))
-    overlaps = [
-        ((int(ov.a.x), int(ov.a.y)), (int(ov.b.x), int(ov.b.y))) for ov in merge_overlaps(raw)
-    ]
-    # an overlap is axis-parallel, so its bounding box is the overlap itself
-    isolated = sorted(
-        (x, y) for x, y in points
-        if not any(a[0] <= x <= b[0] and a[1] <= y <= b[1] for a, b in overlaps)
-    )
-    return isolated, overlaps
+def _first_segment(corners, x0, y0, x1, y1) -> Tuple[int, int]:
+    """(index, offset): the first segment of a ranked path that holds the
+    box (x0, y0, x1, y1), and the rank distance of (x0, y0) from its first
+    corner.  An axis-parallel segment is its own bounding box."""
+    for k, ((ax, ay), (bx, by)) in enumerate(zip(corners, corners[1:])):
+        seg = (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+        if _in_box(x0, y0, seg) and _in_box(x1, y1, seg):
+            return k, abs(x0 - ax) + abs(y0 - ay)
 
 
-def _clique_hits(table, b: Label, clique_verts: List[Label]):
+def _hit_walk(ranked, meetings, b: Label, clique_verts: List[Label]):
     """`clique_hit_sequence` on a `_hit_table`, each point as its ranks.
 
     A hit is ordered by the first segment of P(b) containing it and its
     rank offset from that segment's first corner: P(b) is simple, so that
     is the order of arc length, and only equal points tie.
     """
-    pb = table[b]
+    pb = ranked[b]
     hits = []
     for a in clique_verts:
         if a == b:
             continue
-        pa = table[a]
-        points, overlaps = _meet(pb, pa)
-        found = [(pt, (pt,), False) for pt in points]
-        found += [(ends[0], ends, True) for ends in overlaps]
-        for pt, ends, overlap in found:
-            idx = next(i for i, s in enumerate(pa) if all(_holds(s, e) for e in ends))
-            k, seg = next((k, s) for k, s in enumerate(pb) if _holds(s, pt))
-            offset = abs((pt[0] if seg[0] else pt[1]) - seg[4])
-            hits.append(((k, offset), a, pt, idx, overlap))
+        pa = ranked[a]
+        pieces = meetings.get((b, a), ())
+        # sorted, since overlaps along both segments at a shared corner tie
+        overlaps = sorted(box for box in pieces if box[:2] != box[2:])
+        # an overlap holds its own first end, so only isolated points stay
+        points = {box for box in pieces if not any(_in_box(*box[:2], ov) for ov in overlaps)}
+        for box in overlaps + list(points):
+            x, y = box[:2]
+            idx, _ = _first_segment(pa, *box)
+            hits.append((_first_segment(pb, x, y, x, y), a, (x, y), idx, (x, y) != box[2:]))
     hits.sort(key=lambda h: h[0])
     return [h[1:] for h in hits]
 
@@ -289,10 +268,10 @@ def clique_hit_sequence(
     at equal arc length keep the order of `clique_verts`.
     """
     clique_verts = list(clique_verts)
-    xs, ys, table = _hit_table(rep, [b, *clique_verts])
+    xs, ys, ranked, meetings = _hit_table(rep, [b, *clique_verts])
     return [
         (a, Point(xs[x], ys[y]), idx, overlap)
-        for a, (x, y), idx, overlap in _clique_hits(table, b, clique_verts)
+        for a, (x, y), idx, overlap in _hit_walk(ranked, meetings, b, clique_verts)
     ]
 
 

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 
 import pairwise_reference as reference
 from rep_strategies import representation, representations, scales, shifts
-from vpgbend.geometry import RectPath
+from vpgbend.geometry import (
+    Point,
+    RectPath,
+    Segment,
+    _contacts,
+    path_intersections,
+    segment_tables,
+)
 from vpgbend.representation import VpgRepresentation, intersection_graph, is_proper
 
 
@@ -28,6 +35,24 @@ def test_checkers_match_reference_on_small_grids(paths):
 @given(representations, scales, shifts)
 def test_checkers_match_reference_on_fraction_coordinates(paths, scale, shift):
     _assert_same(representation(paths, lambda c: c * scale + shift))
+
+
+@settings(max_examples=300, deadline=None)
+@given(representations)
+def test_contact_overlaps_are_the_merged_overlaps(paths):
+    # the overlaps of two simple paths need no merge: the positive-length
+    # pieces of one contact sweep, sorted, are the maximal overlaps
+    paths = list(representation(paths).assignment.values())
+    for p in paths:
+        for q in paths:
+            xs, ys, hs, vs = segment_tables([p, q])
+            pieces = [
+                Segment(Point(xs[x0], ys[y0]), Point(xs[x1], ys[y1]))
+                for _, _, x0, y0, x1, y1, _ in _contacts(hs, vs)
+                if (x0, y0) != (x1, y1)
+            ]
+            pieces.sort(key=lambda s: (s.a, s.b))
+            assert tuple(pieces) == path_intersections(p, q).overlaps
 
 
 @pytest.mark.parametrize("n", range(4, 11))

@@ -30,6 +30,30 @@ def test_rational_rejects_floats():
         rational(0.5)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (0.5, "not an exact coordinate: 0.5 (floats are not allowed)"),
+        (None, "not an exact coordinate: None"),
+        ([1], "not an exact coordinate: [1]"),
+        (True, "not an exact coordinate: True"),
+        ("1/0", "not an exact coordinate: '1/0'"),
+    ],
+)
+def test_rational_names_floats_only_for_floats(value, message):
+    with pytest.raises(GeometryError) as err:
+        rational(value)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "corners", [[(1, 2, 3), (1, 5)], [5, 6], [(0, 0), (1,)], [(0, 0), None]]
+)
+def test_malformed_corner_is_a_geometry_error(corners):
+    with pytest.raises(GeometryError, match="a corner needs two coordinates"):
+        RectPath(corners)
+
+
 def test_rational_parses_strings():
     assert rational("3/4") == Fraction(3, 4)
     assert rational(7) == Fraction(7)

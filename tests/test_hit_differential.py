@@ -25,8 +25,8 @@ from vpgbend.constructors import (
 from vpgbend.geometry import HORIZONTAL, Point, RectPath, Segment
 from vpgbend.lowerbound import build_auxiliary_fh_fv, classify_sh_sv
 from vpgbend.representation import (
-    _clique_hits,
     _hit_table,
+    _hit_walk,
     clique_hit_sequence,
     trim_independent_path,
 )
@@ -120,11 +120,11 @@ def test_walks_on_one_table_match_reference(clique_paths, indep_paths, variant, 
     rnd.shuffle(clique)
     _assert_same(rep, clique, indep)
     # the consumers' table, shared by every walk of the call
-    xs, ys, table = _hit_table(rep, clique + indep)
+    xs, ys, ranked, meetings = _hit_table(rep, clique + indep)
     for b in indep:
         walk = [
             (a, rep.path(a).segments()[idx].orientation, idx, Point(xs[x], ys[y]))
-            for a, (x, y), idx, _ in _clique_hits(table, b, clique)
+            for a, (x, y), idx, _ in _hit_walk(ranked, meetings, b, clique)
         ]
         assert walk == reference.hit_details(rep, b, clique)
 

@@ -34,7 +34,12 @@ from vpgbend.lowerbound import (
     validate_counting,
 )
 from vpgbend.oracle import GridSearchBudget, _grid_paths
-from vpgbend.representation import VpgRepresentation, intersection_graph, trim_independent_path
+from vpgbend.representation import (
+    VpgRepresentation,
+    intersection_graph,
+    is_proper,
+    trim_independent_path,
+)
 
 
 def two_parallels():
@@ -512,10 +517,11 @@ def test_import_leaves_networkx_unloaded():
 
 
 def test_hit_walk_tests_no_fraction_segment_pairs(monkeypatch, k3n_reps):
-    # the hit walk meets segments on int ranks: no Fraction pair test remains
+    # the hit walk and is_proper meet segments on int ranks: no Fraction pair
+    # test and no overlap merge remains
     calls = []
     for module in (vpgbend.representation, vpgbend.lowerbound):
-        for name in ("segment_intersection", "path_intersections"):
+        for name in ("segment_intersection", "path_intersections", "merge_overlaps"):
             real = getattr(vpgbend.geometry, name)
 
             def counted(*args, name=name, real=real):
@@ -530,6 +536,10 @@ def test_hit_walk_tests_no_fraction_segment_pairs(monkeypatch, k3n_reps):
     build_auxiliary_fh_fv(rep, clique, indep)
     for b in indep:
         trim_independent_path(rep, b, clique)
+    overlapping = VpgRepresentation(
+        {"a": RectPath([(0, 0), (4, 0)]), "b": RectPath([(2, 0), (6, 0), (6, 2)])}
+    )
+    assert is_proper(overlapping).violations == ("overlap between a and b along [(2,0)-(4,0)]",)
     assert calls == []
 
 
