@@ -1,14 +1,17 @@
 """Bounded-grid backtracking search for small representations.
 
-The search assigns grid paths vertex by vertex (highest degree first), prunes
-as soon as a placed pair contradicts the target graph, and re-verifies any
+The search assigns grid paths vertex by vertex (highest degree first), skips
+every candidate that cannot join the placed paths in a representation of the
+target graph (or, for a proper search, in a proper one), and re-verifies the
 complete assignment with the real checkers before returning it.  A `None`
 result means "not found within budget" and never implies non-realizability.
 
 Paths with integer corners meet only at lattice points, so each candidate
 path is one int: a mask on the grid's doubled lattice, where corner (x, y) is
 bit 2y·(2w−1) + 2x and the odd bits between corners are unit edges.  Two paths
-meet iff their masks share a bit, and overlap iff they share an odd bit.
+meet iff their masks share a bit, and overlap iff they share an odd bit.  A
+proper representation is then one in which no two masks share an odd bit, no
+bit lies on three masks, and no shared bit is a corner of either path.
 """
 
 from __future__ import annotations
@@ -82,34 +85,53 @@ def search_representation(
     """A verified representation of `g` within the budget, else None."""
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index(v)))
     adjacent = [[g.has_edge(u, v) for u in order[:i]] for i, v in enumerate(order)]
-    lattice_bits = (2 * budget.grid_width - 1) * (2 * budget.grid_height - 1)
-    forbidden_overlap = int("10" * lattice_bits, 2) if require_proper else 0
+    row = 2 * budget.grid_width - 1
+    odd_bits = int("10" * row * (2 * budget.grid_height - 1), 2) if require_proper else 0
     placed: List[Tuple[Tuple[Corner, ...], int]] = []
     nodes = 0
 
-    def place(idx: int) -> Optional[VpgRepresentation]:
+    def place(idx: int, union: int, ends_union: int, met: int) -> Optional[VpgRepresentation]:
+        # the masks of every placed path, of their corners and of the points
+        # two of them share (all three are kept only under require_proper)
         nonlocal nodes
         if idx == len(order):
+            # every pair passed the tests below, so this re-check runs once
             paths = {v: RectPath(corners) for v, (corners, _) in zip(order, placed)}
             rep = VpgRepresentation({v: paths[v] for v in g.vertices})
             if verify_realizes(rep, g).ok and (not require_proper or is_proper(rep).ok):
                 return rep
             return None
+        apart, neighbours = 0, []
+        for (_, other), adj in zip(placed, adjacent[idx]):
+            if adj:
+                neighbours.append(other)
+            else:
+                apart |= other
+        # a candidate must miss every placed non-neighbour and, to stay
+        # proper, overlap no placed path, meet none at a corner of either and
+        # miss every point already on two paths
+        forbid = apart | (union & odd_bits) | ends_union | met
         for corners, mask in _grid_paths(budget):
             nodes += 1
             if nodes > budget.node_limit:
                 raise _BudgetExhausted
-            if any(bool(mask & other) != adj or mask & other & forbidden_overlap
-                   for (_, other), adj in zip(placed, adjacent[idx])):
+            if mask & forbid or not all(mask & other for other in neighbours):
                 continue
+            if require_proper:
+                ends = sum(1 << 2 * (y * row + x) for x, y in corners)
+                if ends & union:
+                    continue
+                down = (union | mask, ends_union | ends, met | mask & union)
+            else:
+                down = (0, 0, 0)
             placed.append((corners, mask))
-            result = place(idx + 1)
+            result = place(idx + 1, *down)
             if result is not None:
                 return result
             placed.pop()
         return None
 
     try:
-        return place(0)
+        return place(0, 0, 0, 0)
     except _BudgetExhausted:
         return None

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import DegenerateTrimError, DomainError, ValidationError
 from .geometry import (
@@ -196,19 +196,26 @@ def subpath_between(path: RectPath, start: Point, end: Point) -> RectPath:
     return RectPath(corners)
 
 
-def _hit_table(rep: VpgRepresentation, labels: Iterable[Label]):
+def _hit_table(rep: VpgRepresentation, labels: Iterable[Label], around: Optional[Label] = None):
     """(xs, ys, ranked, meetings) for clique-hit walks among the paths of
     `labels`: `ranked` maps a label to its ranked corners, and `meetings` an
     ordered label pair to the pieces of one contact sweep in which their paths
     meet, each a rank box (x0, y0, x1, y1).  Collinear pieces of two simple
     paths never touch, so none is merged.  Labels absent from `rep` are left
     out, so a walk that needs one raises the KeyError that looking its path
-    up would.
+    up would.  Given `around`, only the segments that meet its path's
+    bounding box are swept, which keeps every meeting of that path.
     """
     present = [l for l in dict.fromkeys(labels) if l in rep.assignment]
     xs, ys, ranked = _ranked_corners([rep.assignment[l] for l in present])
+    hs, vs = _segment_rows(ranked)
+    if around in present:
+        x_of, y_of = zip(*ranked[present.index(around)])
+        x0, y0, x1, y1 = min(x_of), min(y_of), max(x_of), max(y_of)
+        hs = [s for s in hs if y0 <= s[0] <= y1 and s[1] <= x1 and x0 <= s[2]]
+        vs = [s for s in vs if x0 <= s[0] <= x1 and s[1] <= y1 and y0 <= s[2]]
     meetings: Dict[Tuple[Label, Label], List[Tuple[int, int, int, int]]] = {}
-    for i, j, x0, y0, x1, y1, _ in _contacts(*_segment_rows(ranked)):
+    for i, j, x0, y0, x1, y1, _ in _contacts(hs, vs):
         for pair in ((present[i], present[j]), (present[j], present[i])):
             meetings.setdefault(pair, []).append((x0, y0, x1, y1))
     return xs, ys, dict(zip(present, ranked)), meetings
@@ -268,7 +275,7 @@ def clique_hit_sequence(
     at equal arc length keep the order of `clique_verts`.
     """
     clique_verts = list(clique_verts)
-    xs, ys, ranked, meetings = _hit_table(rep, [b, *clique_verts])
+    xs, ys, ranked, meetings = _hit_table(rep, [b, *clique_verts], around=b)
     return [
         (a, Point(xs[x], ys[y]), idx, overlap)
         for a, (x, y), idx, overlap in _hit_walk(ranked, meetings, b, clique_verts)

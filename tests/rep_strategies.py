@@ -1,5 +1,5 @@
-"""Hypothesis strategies for random representations shared by the
-differential tests.
+"""Hypothesis strategies for random representations and random oracle
+searches shared by the tests.
 
 Random representations live on a 6x6 integer grid, so collinear touches,
 corner touches, overlaps and points on three or more paths are common;
@@ -7,11 +7,14 @@ corner touches, overlaps and points on three or more paths are common;
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import strategies as st
 
 from vpgbend.errors import GeometryError
 from vpgbend.geometry import RectPath
+from vpgbend.graphs import Graph
+from vpgbend.oracle import GridSearchBudget
 from vpgbend.representation import VpgRepresentation
 
 COORD = st.integers(min_value=0, max_value=5)
@@ -54,3 +57,14 @@ def representation(paths, scale=lambda c: c):
 
 scales = st.fractions(min_value=Fraction(1, 9), max_value=3, max_denominator=9)
 shifts = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+
+
+@st.composite
+def searches(draw):
+    """(graph, budget, require_proper): a graph on at most 4 vertices and a
+    grid of side at most 4 with at most 2 bends and 5,000 nodes."""
+    n = draw(st.integers(1, 4))
+    edges = [pr for pr in combinations(range(n), 2) if draw(st.booleans())]
+    budget = GridSearchBudget(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                              draw(st.integers(0, 2)), draw(st.integers(1, 5_000)))
+    return Graph(range(n), edges), budget, draw(st.booleans())

@@ -1,5 +1,11 @@
-import pytest
+from collections import Counter
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+
+from rep_strategies import searches
+from vpgbend import oracle
 from vpgbend.errors import ParameterError
 from vpgbend.graphs import Graph
 from vpgbend.oracle import GridSearchBudget, search_representation
@@ -82,3 +88,57 @@ def test_k2_zero_bend_line_grid_proper_needs_a_crossing():
         [(0, 0), (1, 0)],
     ]
     assert search_representation(g, budget, require_proper=True) is None
+
+
+def test_p4_proper_one_bend_found_on_5x5():
+    # a proper 1-bend witness exists on 5x5; with only overlaps pruned during
+    # the search, 200k nodes were spent on improper complete assignments
+    g = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
+    rep = search_representation(g, GridSearchBudget(5, 5, 1, 200_000), require_proper=True)
+    assert rep is not None
+    assert verify_realizes(rep, g).ok
+    assert is_proper(rep).ok
+    assert max_bends(rep) <= 1
+
+
+def _checked_search(g, budget, proper):
+    """Run the search with its final checkers spied on; assert that they run
+    once on the witness it returns, never on anything else, and accept it."""
+    calls, reports = Counter(), []
+
+    def spy(check):
+        def spied(*args):
+            report = check(*args)
+            calls[check.__name__] += 1
+            reports.append(report)
+            return report
+        return spied
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "verify_realizes", spy(verify_realizes))
+        mp.setattr(oracle, "is_proper", spy(is_proper))
+        rep = search_representation(g, budget, proper)
+    assert all(report.ok for report in reports)
+    assert calls["verify_realizes"] == (rep is not None)
+    assert calls["is_proper"] == (rep is not None and proper)
+
+
+@settings(max_examples=200, deadline=None)
+@given(searches())
+def test_final_check_never_rejects(case):
+    _checked_search(*case)
+
+
+_PAIRS_5 = list(combinations(range(1, 6), 2))
+
+
+@pytest.mark.parametrize("g,grid,bends,proper", [
+    (complete(3), 12, 0, False),
+    (Graph(["a", "b"], [("a", "b")]), 4, 1, True),
+    (Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)]), 3, 1, False),
+    (Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)]), 5, 1, True),
+    (Graph(list(range(1, 6)) + _PAIRS_5, _PAIRS_5 + [(s, v) for s in _PAIRS_5 for v in s]),
+     12, 1, True),
+], ids=["K3", "edge", "C4", "P4-proper", "K5^2-proper"])
+def test_final_check_never_rejects_on_benchmark_graphs(g, grid, bends, proper):
+    _checked_search(g, GridSearchBudget(grid, grid, bends, 20_000), proper)
