@@ -261,9 +261,13 @@ def _cmd_oracle(args) -> int:
     budget = oracle.GridSearchBudget(
         grid_width=w, grid_height=h, max_bends=args.bends, node_limit=args.node_limit
     )
-    rep = oracle.search_representation(g, budget, require_proper=args.proper)
-    if rep is None:
+    outcome, rep = oracle._search(g, budget, require_proper=args.proper)
+    if outcome == "budget":
         print("not found within budget")
+        return 1
+    if outcome == "exhausted":
+        kind = "proper representation" if args.proper else "representation"
+        print(f"no {kind} on {w}x{h} with at most {args.bends} bends")
         return 1
     sys.stdout.write(write_representation_text(_rep_with_string_labels(rep)))
     return 0
@@ -359,12 +363,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
 
-    p = sub.add_parser("oracle", help="bounded-grid search for a witness representation")
+    p = sub.add_parser(
+        "oracle",
+        help="bounded-grid search for a witness representation",
+        description="Search the WxH integer grid for a representation (with --proper, a "
+        "proper one) whose paths have at most --bends bends, and print it (exit 0). "
+        "Otherwise exit 1 with 'not found within budget' when --node-limit ran out, "
+        "which proves nothing, or 'no representation on WxH with at most b bends' when "
+        "the whole grid was ruled out; on a grid of side n*(b+2), n the number of "
+        "vertices, that proves the graph needs more than b bends.",
+    )
     p.add_argument("graph")
     p.add_argument("--grid", required=True, help="WxH")
     p.add_argument("--bends", type=int, required=True)
     p.add_argument("--proper", action="store_true")
-    p.add_argument("--node-limit", type=int, default=1_000_000)
+    p.add_argument("--node-limit", type=int, default=1_000_000,
+                   help="candidate paths tried before giving up")
 
     p = sub.add_parser("render", help="render a representation as SVG")
     p.add_argument("rep")

@@ -1,10 +1,11 @@
 """Bounded-grid backtracking search for small representations.
 
-The search assigns grid paths vertex by vertex (highest degree first), skips
-every candidate that cannot join the placed paths in a representation of the
-target graph (or, for a proper search, in a proper one), and re-verifies the
-complete assignment with the real checkers before returning it.  A `None`
-result means "not found within budget" and never implies non-realizability.
+The search assigns grid paths to vertices and re-verifies the complete
+assignment with the real checkers before returning it.  It ends in one of
+three outcomes: `found` (a witness), `exhausted` (every assignment on the
+grid was ruled out, so the graph has no representation on it) or `budget`
+(the node limit was reached first).  `search_representation` returns the
+witness or `None`; a `None` alone never implies non-realizability.
 
 Paths with integer corners meet only at lattice points, so each candidate
 path is one int: a mask on the grid's doubled lattice, where corner (x, y) is
@@ -12,12 +13,28 @@ bit 2y·(2w−1) + 2x and the odd bits between corners are unit edges.  Two path
 meet iff their masks share a bit, and overlap iff they share an odd bit.  A
 proper representation is then one in which no two masks share an odd bit, no
 bit lies on three masks, and no shared bit is a corner of either path.
+
+Two searches share the node limit and the final re-check, and the grid size
+and bends alone choose between them:
+
+* on small grids, `_TableSearch` enumerates the candidates once and keeps,
+  for each lattice bit, an int over candidate indices (the candidates through
+  the bit and, for a proper search, those with a corner on it).  Each
+  unplaced vertex's domain is one int, filtered by a few ANDs whenever a path
+  is placed; a branch dies as soon as some domain is empty, and the search
+  branches on the smallest domain (forward checking, Haralick & Elliott,
+  *Artificial Intelligence* 14, 1980).  A node is one candidate taken from a
+  domain.
+* elsewhere, where those tables would be large, `_LazySearch` places the
+  vertices in a fixed order (highest degree first), enumerates the
+  candidates lazily at every depth and skips every one that cannot join the
+  placed paths.  A node is one enumerated candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParameterError
 from .geometry import RectPath
@@ -25,6 +42,11 @@ from .graphs import Graph
 from .representation import VpgRepresentation, is_proper, verify_realizes
 
 Corner = Tuple[int, int]
+
+# The tables of `_TableSearch` hold about (candidates × lattice points) bits.
+# They are built only where an upper bound on that product, taken from the
+# grid and bends alone, is at most this; a larger grid runs `_LazySearch`.
+_TABLE_LIMIT = 1 << 17
 
 
 class _BudgetExhausted(Exception):
@@ -49,60 +71,100 @@ def _grid_paths(budget: GridSearchBudget) -> Iterator[Tuple[Tuple[Corner, ...], 
     """All simple rectilinear paths with corners on the grid, each geometric
     path exactly once (canonical corner order), in a fixed enumeration order,
     as (corners, lattice mask)."""
-    w, h, max_segments = budget.grid_width, budget.grid_height, budget.max_bends + 1
-    row = 2 * w - 1
-
-    def extend(corners: List[Corner], mask: int, horizontal_next: bool):
-        x, y = corners[-1]
-        start = 2 * y * row + 2 * x
-        before = mask & ~(1 << start)  # the new segment may meet the path only at its start
-        # along the segment's axis: grid size, current coordinate, bit stride
-        size, at, stride = (w, x, 1) if horizontal_next else (h, y, row)
-        for c in range(size):
-            if c == at:
-                continue
-            lo, hi = sorted((start, start + 2 * (c - at) * stride))
-            # bits lo, lo + stride, ..., hi
-            seg = ((1 << (hi - lo + stride)) - 1) // ((1 << stride) - 1) << lo
-            if seg & before:
-                continue
-            corners.append((c, y) if horizontal_next else (x, c))
-            if corners[0] <= corners[-1]:
-                yield tuple(corners), mask | seg
-            if len(corners) <= max_segments:
-                yield from extend(corners, mask | seg, not horizontal_next)
-            corners.pop()
-
+    w, h = budget.grid_width, budget.grid_height
     for y in range(h):
         for x in range(w):
             for horizontal_first in (True, False):
-                yield from extend([(x, y)], 0, horizontal_first)
+                yield from _extend([(x, y)], 0, horizontal_first, w, h, budget.max_bends + 1)
 
 
-def search_representation(
-    g: Graph, budget: GridSearchBudget, require_proper: bool = False
-) -> Optional[VpgRepresentation]:
-    """A verified representation of `g` within the budget, else None."""
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index(v)))
-    adjacent = [[g.has_edge(u, v) for u in order[:i]] for i, v in enumerate(order)]
-    row = 2 * budget.grid_width - 1
-    odd_bits = int("10" * row * (2 * budget.grid_height - 1), 2) if require_proper else 0
-    placed: List[Tuple[Tuple[Corner, ...], int]] = []
-    nodes = 0
+def _extend(corners: List[Corner], mask: int, horizontal_next: bool, w: int, h: int,
+            max_segments: int) -> Iterator[Tuple[Tuple[Corner, ...], int]]:
+    """The paths of `_grid_paths` that continue `corners` (lattice mask
+    `mask`) by a segment along the given axis."""
+    row = 2 * w - 1
+    x, y = corners[-1]
+    start = 2 * y * row + 2 * x
+    before = mask & ~(1 << start)  # the new segment may meet the path only at its start
+    # along the segment's axis: grid size, current coordinate, bit stride
+    size, at, stride = (w, x, 1) if horizontal_next else (h, y, row)
+    for c in range(size):
+        if c == at:
+            continue
+        lo, hi = sorted((start, start + 2 * (c - at) * stride))
+        # bits lo, lo + stride, ..., hi
+        seg = ((1 << (hi - lo + stride)) - 1) // ((1 << stride) - 1) << lo
+        if seg & before:
+            continue
+        corners.append((c, y) if horizontal_next else (x, c))
+        if corners[0] <= corners[-1]:
+            yield tuple(corners), mask | seg
+        if len(corners) <= max_segments:
+            yield from _extend(corners, mask | seg, not horizontal_next, w, h, max_segments)
+        corners.pop()
 
-    def place(idx: int, union: int, ends_union: int, met: int) -> Optional[VpgRepresentation]:
+
+def _corner_bits(corners: Sequence[Corner], row: int) -> int:
+    return sum(1 << 2 * (y * row + x) for x, y in corners)
+
+
+class _Search:
+    """What both searches share: the vertex order, the node limit, the final
+    re-check and the outcome.  A subclass's `start` returns a witness, or
+    None once the grid is exhausted.  No attribute refers back to the
+    search, so a finished search is freed without the cyclic garbage
+    collector."""
+
+    def __init__(self, g: Graph, budget: GridSearchBudget, require_proper: bool):
+        self.g, self.budget, self.require_proper = g, budget, require_proper
+        self.order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index(v)))
+        self.row = 2 * budget.grid_width - 1
+        self.nodes = 0
+
+    def outcome(self) -> Tuple[str, Optional[VpgRepresentation]]:
+        try:
+            rep = self.start()
+        except _BudgetExhausted:
+            return "budget", None
+        return ("found", rep) if rep is not None else ("exhausted", None)
+
+    def take(self) -> None:
+        """Count one node against the limit."""
+        self.nodes += 1
+        if self.nodes > self.budget.node_limit:
+            raise _BudgetExhausted
+
+    def verified(self, corners: Sequence[Tuple[Corner, ...]]) -> Optional[VpgRepresentation]:
+        """The representation with corners[i] on order[i], if the checkers
+        accept it.  Every pair passed the search's tests, so this runs once."""
+        paths = {v: RectPath(c) for v, c in zip(self.order, corners)}
+        rep = VpgRepresentation({v: paths[v] for v in self.g.vertices})
+        if verify_realizes(rep, self.g).ok and (not self.require_proper or is_proper(rep).ok):
+            return rep
+        return None
+
+
+class _LazySearch(_Search):
+    """Vertices in the fixed order; candidates enumerated lazily at every
+    depth, each kept iff it can join the placed paths."""
+
+    def __init__(self, g: Graph, budget: GridSearchBudget, require_proper: bool):
+        super().__init__(g, budget, require_proper)
+        self.adjacent = [[g.has_edge(u, v) for u in self.order[:i]] for i, v in enumerate(self.order)]
+        self.odd_bits = (int("10" * self.row * (2 * budget.grid_height - 1), 2)
+                         if require_proper else 0)
+        self.placed: List[Tuple[Tuple[Corner, ...], int]] = []
+
+    def start(self) -> Optional[VpgRepresentation]:
+        return self.place(0, 0, 0, 0)
+
+    def place(self, idx: int, union: int, ends_union: int, met: int) -> Optional[VpgRepresentation]:
         # the masks of every placed path, of their corners and of the points
         # two of them share (all three are kept only under require_proper)
-        nonlocal nodes
-        if idx == len(order):
-            # every pair passed the tests below, so this re-check runs once
-            paths = {v: RectPath(corners) for v, (corners, _) in zip(order, placed)}
-            rep = VpgRepresentation({v: paths[v] for v in g.vertices})
-            if verify_realizes(rep, g).ok and (not require_proper or is_proper(rep).ok):
-                return rep
-            return None
+        if idx == len(self.order):
+            return self.verified([corners for corners, _ in self.placed])
         apart, neighbours = 0, []
-        for (_, other), adj in zip(placed, adjacent[idx]):
+        for (_, other), adj in zip(self.placed, self.adjacent[idx]):
             if adj:
                 neighbours.append(other)
             else:
@@ -110,28 +172,139 @@ def search_representation(
         # a candidate must miss every placed non-neighbour and, to stay
         # proper, overlap no placed path, meet none at a corner of either and
         # miss every point already on two paths
-        forbid = apart | (union & odd_bits) | ends_union | met
-        for corners, mask in _grid_paths(budget):
-            nodes += 1
-            if nodes > budget.node_limit:
-                raise _BudgetExhausted
+        forbid = apart | (union & self.odd_bits) | ends_union | met
+        for corners, mask in _grid_paths(self.budget):
+            self.take()
             if mask & forbid or not all(mask & other for other in neighbours):
                 continue
-            if require_proper:
-                ends = sum(1 << 2 * (y * row + x) for x, y in corners)
+            if self.require_proper:
+                ends = _corner_bits(corners, self.row)
                 if ends & union:
                     continue
                 down = (union | mask, ends_union | ends, met | mask & union)
             else:
                 down = (0, 0, 0)
-            placed.append((corners, mask))
-            result = place(idx + 1, *down)
+            self.placed.append((corners, mask))
+            result = self.place(idx + 1, *down)
             if result is not None:
                 return result
-            placed.pop()
+            self.placed.pop()
         return None
 
-    try:
-        return place(0, 0, 0, 0)
-    except _BudgetExhausted:
+
+def _columns(masks: Sequence[int], width: int) -> List[int]:
+    """For each bit b < width, the int whose bit i is bit b of masks[i]."""
+    columns = [0] * width
+    for i, mask in enumerate(masks):
+        index = 1 << i
+        while mask:
+            low = mask & -mask
+            columns[low.bit_length() - 1] |= index
+            mask ^= low
+    return columns
+
+
+def _gather(table: Sequence[int], mask: int) -> int:
+    """The union of table[b] over the set bits b of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+class _TableSearch(_Search):
+    """Forward checking on bitset domains over candidates enumerated once.
+
+    Each unplaced vertex's domain is an int over candidate indices and holds
+    exactly the candidates that can join the placed paths, so a candidate
+    taken from a domain needs no test of its own.  Placing candidate m keeps,
+    in a neighbour's domain, the candidates that meet m (and, for a proper
+    search, neither overlap m, nor meet it at a corner of either path, nor
+    pass through a point that m shares with an earlier path), and in a
+    non-neighbour's domain those that miss m.
+    """
+
+    def __init__(self, g: Graph, budget: GridSearchBudget, require_proper: bool):
+        super().__init__(g, budget, require_proper)
+        self.adjacent = [[g.has_edge(u, v) for u in self.order] for v in self.order]
+        self.paths = list(_grid_paths(budget))
+        size = self.row * (2 * budget.grid_height - 1)
+        # the even bits: lattice points, and cell centres that no path covers
+        self.points = int("01" * size, 2)
+        self.through = _columns([mask for _, mask in self.paths], size)
+        if require_proper:
+            self.ends = [_corner_bits(corners, self.row) for corners, _ in self.paths]
+            self.cornered = _columns(self.ends, size)
+        self.chosen: List[int] = [0] * len(self.order)
+
+    def start(self) -> Optional[VpgRepresentation]:
+        everything = (1 << len(self.paths)) - 1
+        return self.place([everything] * len(self.order), 0)
+
+    def place(self, domains: List[Optional[int]], union: int) -> Optional[VpgRepresentation]:
+        # domains[k] is None once order[k] is placed; `union` is the mask of
+        # the placed paths, kept only under require_proper
+        open_ = [k for k, dom in enumerate(domains) if dom is not None]
+        if not open_:
+            return self.verified([self.paths[i][0] for i in self.chosen])
+        k = min(open_, key=lambda k: (domains[k].bit_count(), k))
+        open_.remove(k)
+        adjacent = self.adjacent[k]
+        dom = domains[k]
+        while dom:
+            low = dom & -dom
+            dom ^= low
+            i = low.bit_length() - 1
+            self.take()
+            mask = self.paths[i][1]
+            hit = _gather(self.through, mask & self.points)
+            meets = hit
+            if self.require_proper:
+                # overlap m, pass through a corner of m or a point that m
+                # shares with a placed path, or have a corner on m
+                bad = (_gather(self.through, mask & ~self.points | self.ends[i] | mask & union)
+                       | _gather(self.cornered, mask))
+                meets &= ~bad
+                down_union = union | mask
+            else:
+                down_union = 0
+            down = list(domains)
+            down[k] = None
+            for u in open_:
+                left = domains[u] & (meets if adjacent[u] else ~hit)
+                if not left:
+                    break
+                down[u] = left
+            else:
+                self.chosen[k] = i
+                result = self.place(down, down_union)
+                if result is not None:
+                    return result
         return None
+
+
+def _tables_fit(budget: GridSearchBudget) -> bool:
+    """Whether a bound on (candidates × lattice points) is within the limit:
+    a path has 2 start directions and at most max(w−1, h−1) choices per
+    segment."""
+    w, h = budget.grid_width, budget.grid_height
+    candidates = 2 * w * h * max(w - 1, h - 1) ** (budget.max_bends + 1)
+    return candidates * w * h <= _TABLE_LIMIT
+
+
+def _search(
+    g: Graph, budget: GridSearchBudget, require_proper: bool = False
+) -> Tuple[str, Optional[VpgRepresentation]]:
+    """(outcome, witness): `found` with a verified representation, or
+    `exhausted` or `budget` with None."""
+    search = _TableSearch if _tables_fit(budget) else _LazySearch
+    return search(g, budget, require_proper).outcome()
+
+
+def search_representation(
+    g: Graph, budget: GridSearchBudget, require_proper: bool = False
+) -> Optional[VpgRepresentation]:
+    """A verified representation of `g` within the budget, else None."""
+    return _search(g, budget, require_proper)[1]

@@ -46,6 +46,18 @@ class VpgRepresentation:
         keep = set(labels)
         return VpgRepresentation({l: p for l, p in self.assignment.items() if l in keep})
 
+    def compressed(self) -> "VpgRepresentation":
+        """The same paths with every corner coordinate replaced by its rank
+        among the distinct corner coordinates on its axis.
+
+        Meeting, overlap, crossing and corner contacts depend only on the
+        order of coordinates, so the result realizes the same graph, is proper
+        iff this one is and keeps every bend count; n paths with at most b
+        bends then lie on a grid of side n·(b+2), the most corners they have.
+        """
+        _, _, ranked = _ranked_corners(list(self.assignment.values()))
+        return VpgRepresentation({l: RectPath(c) for l, c in zip(self.assignment, ranked)})
+
     def __eq__(self, other):
         return (
             isinstance(other, VpgRepresentation) and self.assignment == other.assignment

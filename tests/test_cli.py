@@ -253,6 +253,16 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert "not found within budget" in out
 
 
+def test_oracle_exhausted_grid(tmp_path, capsys):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("3 3\n1\n2\n3\n1 2\n2 3\n1 3\n")
+    rc, out, _ = run(capsys, "oracle", str(gfile), "--grid", "6x6", "--bends", "0", "--proper")
+    assert (rc, out) == (1, "no proper representation on 6x6 with at most 0 bends\n")
+    gfile.write_text("2 0\na\nb\n")
+    rc, out, _ = run(capsys, "oracle", str(gfile), "--grid", "1x2", "--bends", "0")
+    assert (rc, out) == (1, "no representation on 1x2 with at most 0 bends\n")
+
+
 def test_oracle_proper_edge_golden(tmp_path, capsys):
     gfile = tmp_path / "g.txt"
     gfile.write_text("2 1\na\nb\na b\n")

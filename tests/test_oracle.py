@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from itertools import combinations
 
@@ -8,7 +9,7 @@ from rep_strategies import searches
 from vpgbend import oracle
 from vpgbend.errors import ParameterError
 from vpgbend.graphs import Graph
-from vpgbend.oracle import GridSearchBudget, search_representation
+from vpgbend.oracle import GridSearchBudget, _LazySearch, _search, _tables_fit, search_representation
 from vpgbend.representation import is_proper, max_bends, verify_realizes
 
 
@@ -90,18 +91,54 @@ def test_k2_zero_bend_line_grid_proper_needs_a_crossing():
     assert search_representation(g, budget, require_proper=True) is None
 
 
+P4 = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
+
+
 def test_p4_proper_one_bend_found_on_5x5():
-    # a proper 1-bend witness exists on 5x5; with only overlaps pruned during
-    # the search, 200k nodes were spent on improper complete assignments
-    g = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
-    rep = search_representation(g, GridSearchBudget(5, 5, 1, 200_000), require_proper=True)
+    # a proper 1-bend witness exists on 5x5; the lazy search needs 59,736
+    # nodes for it, forward checking finds it within the benchmark's 20k
+    g = P4
+    rep = search_representation(g, GridSearchBudget(5, 5, 1, 20_000), require_proper=True)
     assert rep is not None
     assert verify_realizes(rep, g).ok
     assert is_proper(rep).ok
     assert max_bends(rep) <= 1
 
 
-def _checked_search(g, budget, proper):
+@pytest.mark.parametrize("side", range(3, 7))
+def test_k3_has_no_proper_zero_bend_representation(side):
+    # two of three segments are parallel, so they overlap or miss; on side
+    # 6 = 3·(0+2) the exhausted grid certifies it (any representation
+    # rank-compresses onto it)
+    assert _search(complete(3), GridSearchBudget(side, side, 0, 20_000), True) == ("exhausted", None)
+
+
+def test_outcomes():
+    k3 = complete(3)
+    assert _search(k3, GridSearchBudget(6, 6, 0, 20_000))[0] == "found"
+    assert _search(k3, GridSearchBudget(6, 6, 0, 1)) == ("budget", None)
+    # both paths know exhaustion: a 1x2 grid holds one path
+    two = Graph([1, 2])
+    assert _search(two, GridSearchBudget(1, 2, 0, 100)) == ("exhausted", None)
+    assert _LazySearch(two, GridSearchBudget(1, 2, 0, 100), False).outcome() == ("exhausted", None)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # P4 on 5x5 takes the table path, on 12x12 the lazy one; both must be
+    # freed by reference counting alone
+    assert _tables_fit(GridSearchBudget(5, 5, 1, 1))
+    assert not _tables_fit(GridSearchBudget(12, 12, 1, 1))
+    gc.collect()
+    gc.disable()
+    try:
+        for side, limit in ((5, 20_000), (12, 2_000)):
+            search_representation(P4, GridSearchBudget(side, side, 1, limit), True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _checked_search(g, budget, proper, search=search_representation):
     """Run the search with its final checkers spied on; assert that they run
     once on the witness it returns, never on anything else, and accept it."""
     calls, reports = Counter(), []
@@ -117,7 +154,7 @@ def _checked_search(g, budget, proper):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "verify_realizes", spy(verify_realizes))
         mp.setattr(oracle, "is_proper", spy(is_proper))
-        rep = search_representation(g, budget, proper)
+        rep = search(g, budget, proper)
     assert all(report.ok for report in reports)
     assert calls["verify_realizes"] == (rep is not None)
     assert calls["is_proper"] == (rep is not None and proper)
@@ -127,6 +164,7 @@ def _checked_search(g, budget, proper):
 @given(searches())
 def test_final_check_never_rejects(case):
     _checked_search(*case)
+    _checked_search(*case, search=lambda *args: _LazySearch(*args).outcome()[1])
 
 
 _PAIRS_5 = list(combinations(range(1, 6), 2))

@@ -1,6 +1,8 @@
 """The lattice-mask oracle against the Fraction-geometry reference in
 `tests/oracle_reference.py`: the same candidates in the same order, and the
-same first witness.
+same first witness from the lazy search, which every grid here would
+otherwise send to the table search; and the table search against the lazy
+one, which never reach opposite decisions.
 
 Without `require_proper` both searches prune only on adjacency, so they take
 the same node count up to the first witness.  With it the reference prunes
@@ -16,8 +18,13 @@ from hypothesis import example, given, settings
 import oracle_reference as ref
 from rep_strategies import searches
 from vpgbend.graphs import Graph
-from vpgbend.oracle import GridSearchBudget, _grid_paths, search_representation
+from vpgbend.oracle import GridSearchBudget, _grid_paths, _LazySearch, _TableSearch
 from vpgbend.representation import is_proper, verify_realizes
+
+
+def search_representation(g, budget, require_proper=False):
+    """The lazy search, whose candidate order the reference pins."""
+    return _LazySearch(g, budget, require_proper).outcome()[1]
 
 
 def lattice_mask(corners, w):
@@ -65,6 +72,15 @@ def test_search_matches_reference(case):
         assert found is None or (verify_realizes(found, g).ok and is_proper(found).ok)
     else:
         assert same_result(found, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(searches())
+def test_table_and_lazy_searches_never_disagree(case):
+    # each may run out where the other decides, but found on one side and
+    # exhausted on the other would make one of them wrong
+    outcomes = {search(*case).outcome()[0] for search in (_TableSearch, _LazySearch)}
+    assert outcomes != {"found", "exhausted"}
 
 
 P4 = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
+from rep_strategies import representation, representations, scales, shifts
 from vpgbend.errors import DegenerateTrimError, DomainError, ValidationError
 from vpgbend.geometry import Point, RectPath, bend_count, rational
 from vpgbend.graphs import Graph
@@ -119,6 +121,26 @@ def test_max_bends():
     )
     assert max_bends(rep) == 1
     assert max_bends(VpgRepresentation({})) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(representations, scales, shifts)
+def test_compressed_keeps_realization_properness_and_bends(paths, scale, shift):
+    rep = representation(paths, lambda c: c * scale + shift)
+    small = rep.compressed()
+    assert small.labels() == rep.labels()
+    assert verify_realizes(small, intersection_graph(rep)).ok
+    assert is_proper(small).ok == is_proper(rep).ok
+    assert [bend_count(p) for p in small.assignment.values()] == [
+        bend_count(p) for p in rep.assignment.values()
+    ]
+    # integer corners on the grid of side n·(b+2)
+    side = len(rep) * (max_bends(rep) + 2)
+    assert all(
+        c.x.denominator == c.y.denominator == 1 and 0 <= c.x < side and 0 <= c.y < side
+        for p in small.assignment.values()
+        for c in p.corners
+    )
 
 
 # --- trimming --------------------------------------------------------------------
