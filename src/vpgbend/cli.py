@@ -109,7 +109,10 @@ def render_svg(
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:

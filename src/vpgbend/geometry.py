@@ -198,7 +198,7 @@ def _contacts(hs, vs):
     for i, j, x, lo, hi in _collinear_contacts(vs):
         yield i, j, x, lo, x, hi, False
     for h, v, crossing in _crossing_contacts(hs, vs):
-        i, j = sorted((h[3], v[3]))
+        i, j = (h[3], v[3]) if h[3] < v[3] else (v[3], h[3])
         yield i, j, v[0], h[0], v[0], h[0], crossing
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import chain, groupby
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import DegenerateTrimError, DomainError, ValidationError
 from .geometry import (
@@ -64,12 +64,20 @@ class VpgRepresentation:
         )
 
 
+def _meeting_codes(rep: VpgRepresentation) -> Set[int]:
+    """The pairs of paths that meet, each as the int code i·n + j of its label
+    indices i < j in `rep.labels()` order, from one contact sweep."""
+    n = len(rep)
+    _, _, hs, vs = segment_tables(rep.assignment.values())
+    return {c[0] * n + c[1] for c in _contacts(hs, vs)}
+
+
 def intersection_graph(rep: VpgRepresentation) -> Graph:
     """Graph on the representation's labels; edge iff the paths intersect."""
     labels = rep.labels()
     g = Graph(labels)
-    _, _, hs, vs = segment_tables(rep.assignment.values())
-    for i, j, *_ in _contacts(hs, vs):
+    for code in _meeting_codes(rep):
+        i, j = divmod(code, len(labels))
         g.add_edge(labels[i], labels[j])
     return g
 
@@ -93,24 +101,35 @@ class RealizationReport:
 
 
 def verify_realizes(rep: VpgRepresentation, g: Graph) -> RealizationReport:
-    """Check intersection_graph(rep) == g, reporting each mismatched edge."""
-    if set(rep.labels()) != set(g.vertices):
+    """Check intersection_graph(rep) == g, reporting each mismatched edge.
+
+    Both edge sets are compared as sets of int pair codes (`_meeting_codes`),
+    so only the mismatched pairs are turned into label strings and sorted.
+    No meeting point is examined, not even where one pair crosses: two paths
+    are adjacent iff they have any contact, whatever its kind or place.
+    """
+    labels = rep.labels()
+    if set(labels) != set(g.vertices):
         raise DomainError("representation and graph have different vertex label sets")
-    derived = intersection_graph(rep)
-    missing = sorted(
-        tuple(sorted((label_str(u), label_str(v))))
-        for u, v in g.edges()
-        if not derived.has_edge(u, v)
-    )
-    spurious = sorted(
-        tuple(sorted((label_str(u), label_str(v))))
-        for u, v in derived.edges()
-        if not g.has_edge(u, v)
-    )
+    n = len(labels)
+    index = {l: k for k, l in enumerate(labels)}
+    want = set()
+    for u, v in g.edges():
+        i, j = index[u], index[v]
+        want.add(i * n + j if i < j else j * n + i)
+    met = _meeting_codes(rep)
+
+    def named(codes):
+        pairs = (divmod(code, n) for code in codes)
+        return tuple(sorted(
+            tuple(sorted((label_str(labels[i]), label_str(labels[j])))) for i, j in pairs
+        ))
+
+    missing, spurious = named(want - met), named(met - want)
     return RealizationReport(
         ok=not missing and not spurious,
-        missing_edges=tuple(missing),
-        spurious_edges=tuple(spurious),
+        missing_edges=missing,
+        spurious_edges=spurious,
     )
 
 
@@ -130,15 +149,22 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
     intersection point lies on exactly two paths, (c) every intersection is a
     transversal crossing (interior of a horizontal segment of one path and of
     a vertical segment of the other).
+
+    Only the points that have a non-crossing touch or lie on two or more
+    pairs are examined one by one.  Skipping the others is exact: a point met
+    by a single pair through one crossing contact has two owners and is
+    crossed, and it lies in none of that pair's overlaps, since each simple
+    path has only one segment through a point interior to one of its segments.
     """
     labels = rep.labels()
     names = [label_str(l) for l in labels]
     xs, ys, hs, vs = segment_tables(rep.assignment.values())
     n_pairs, n_ys = len(labels) ** 2, len(ys)
-    # (point rank * n_pairs + pair) -> whether the pair crosses transversally
-    # there, which holds iff one of its contacts there is interior to both
-    # segments; keys sort by point, so the pairs at a point come together
-    crossed: Dict[int, bool] = {}
+    # one key (point rank * n_pairs + pair) per point contact: a crossing is
+    # the only contact of its pair at its point, so the crossing keys are
+    # distinct and none of them is a touch key
+    crossings: List[int] = []
+    touches: Set[int] = set()
     # pair -> its overlaps as rank boxes (x0, y0, x1, y1); collinear overlaps
     # of two simple paths never touch, so no merge is needed
     overlaps: Dict[int, List[Tuple[int, int, int, int]]] = {}
@@ -146,7 +172,10 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
         pair = i * len(labels) + j
         if x0 == x1 and y0 == y1:
             key = (x0 * n_ys + y0) * n_pairs + pair
-            crossed[key] = crossing or crossed.get(key, False)
+            if crossing:
+                crossings.append(key)
+            else:
+                touches.add(key)
         else:
             overlaps.setdefault(pair, []).append((x0, y0, x1, y1))
     violations: List[str] = []
@@ -155,17 +184,25 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
         for x0, y0, x1, y1 in ovs:
             ov = Segment(Point(xs[x0], ys[y0]), Point(xs[x1], ys[y1]))
             violations.append(f"overlap between {names[i]} and {names[j]} along {ov}")
-    for point, keys in groupby(sorted(crossed), key=lambda key: key // n_pairs):
+    # sorted keys put the pairs at one point side by side
+    crossings.sort()
+    point_of = n_pairs.__rfloordiv__
+    screened = set(map(point_of, touches))
+    screened.update(
+        a // n_pairs for a, b in zip(crossings, crossings[1:]) if a // n_pairs == b // n_pairs
+    )
+    keys = [key for key in chain(crossings, touches) if key // n_pairs in screened]
+    for point, group in groupby(sorted(keys), key=point_of):
         x, y = divmod(point, n_ys)
         pt = Point(xs[x], ys[y])
         owners = set()
-        for key in keys:
+        for key in group:
             pair = key % n_pairs
             if any(_in_box(x, y, box) for box in overlaps.get(pair, ())):
                 continue
             i, j = divmod(pair, len(labels))
             owners.update((i, j))
-            if not crossed[key]:
+            if key in touches:
                 violations.append(f"non-crossing touch of {names[i]} and {names[j]} at {pt}")
         if len(owners) > 2:
             on = ",".join(sorted(names[o] for o in owners))

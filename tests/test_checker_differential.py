@@ -3,9 +3,11 @@ on the random representations of `rep_strategies`."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairwise_reference as reference
 from rep_strategies import representation, representations, scales, shifts
@@ -17,12 +19,51 @@ from vpgbend.geometry import (
     path_intersections,
     segment_tables,
 )
-from vpgbend.representation import VpgRepresentation, intersection_graph, is_proper
+from vpgbend.graphs import Graph, label_str
+from vpgbend.representation import (
+    RealizationReport,
+    VpgRepresentation,
+    intersection_graph,
+    is_proper,
+    verify_realizes,
+)
 
 
 def _assert_same(rep):
     assert intersection_graph(rep).edges() == reference.intersection_graph(rep).edges()
     assert is_proper(rep) == reference.is_proper(rep)
+
+
+def _toggled(g, u, v):
+    """`g` with the pair {u, v} removed if it is an edge, added if not."""
+    edges = [e for e in g.edges() if set(e) != {u, v}]
+    if not g.has_edge(u, v):
+        edges.append((u, v))
+    return Graph(g.vertices, edges)
+
+
+def _assert_same_report(rep, derived, g):
+    # `derived` is the reference intersection graph of `rep`
+    def named(edges, other):
+        return tuple(sorted(
+            tuple(sorted((label_str(u), label_str(v))))
+            for u, v in edges.edges() if not other.has_edge(u, v)
+        ))
+
+    missing, spurious = named(g, derived), named(derived, g)
+    expected = RealizationReport(not missing and not spurious, missing, spurious)
+    assert verify_realizes(rep, g) == expected
+
+
+def _assert_same_reports(rep, seed):
+    # the reference graph itself, and one edge removed and one non-edge added
+    derived = reference.intersection_graph(rep)
+    _assert_same_report(rep, derived, derived)
+    rng = random.Random(seed)
+    non_edges = [pr for pr in combinations(rep.labels(), 2) if not derived.has_edge(*pr)]
+    for chosen in (derived.edges(), non_edges):
+        if chosen:
+            _assert_same_report(rep, derived, _toggled(derived, *rng.choice(chosen)))
 
 
 @settings(max_examples=600, deadline=None)
@@ -35,6 +76,17 @@ def test_checkers_match_reference_on_small_grids(paths):
 @given(representations, scales, shifts)
 def test_checkers_match_reference_on_fraction_coordinates(paths, scale, shift):
     _assert_same(representation(paths, lambda c: c * scale + shift))
+
+
+@settings(max_examples=300, deadline=None)
+@given(representations, st.data())
+def test_verify_realizes_matches_reference_with_one_pair_toggled(paths, data):
+    rep = representation(paths)
+    index = st.integers(0, len(paths) - 1)
+    i, j = data.draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    derived = reference.intersection_graph(rep)
+    _assert_same_report(rep, derived, derived)
+    _assert_same_report(rep, derived, _toggled(derived, i, j))
 
 
 @settings(max_examples=300, deadline=None)
@@ -58,11 +110,13 @@ def test_contact_overlaps_are_the_merged_overlaps(paths):
 @pytest.mark.parametrize("n", range(4, 11))
 def test_checkers_match_reference_on_k3n(k3n_reps, n):
     _assert_same(k3n_reps[n])
+    _assert_same_reports(k3n_reps[n], n)
 
 
 @pytest.mark.parametrize("nk", [(6, 3), (7, 4)])
 def test_checkers_match_reference_on_staircases(gtm_reps, nk):
     _assert_same(gtm_reps[nk])
+    _assert_same_reports(gtm_reps[nk], nk[0] * nk[1])
 
 
 def _primes(count):

@@ -84,6 +84,21 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("binary", ["graph", "rep"])
+def test_non_utf8_input_file_is_usage_error(tmp_path, capsys, binary):
+    gfile = tmp_path / "g.txt"
+    rfile = tmp_path / "r.txt"
+    gfile.write_text("2 1\na\nb\na b\n")
+    rfile.write_text("a : (0,0) (2,0)\nb : (1,-1) (1,1)\n")
+    bad = gfile if binary == "graph" else rfile
+    bad.write_bytes(b"\xff\xfe")
+    rc, out, err = run(capsys, "verify", str(gfile), str(rfile))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err
+
+
 @pytest.mark.parametrize("token", ["(1,2,3)", "(x,1)", "(1/0,0)"])
 def test_malformed_corner_token_is_usage_error(tmp_path, capsys, token):
     gfile = tmp_path / "g.txt"

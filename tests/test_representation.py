@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
+import pairwise_reference as reference
+import vpgbend.representation as representation_module
 from rep_strategies import representation, representations, scales, shifts
 from vpgbend.errors import DegenerateTrimError, DomainError, ValidationError
 from vpgbend.geometry import Point, RectPath, bend_count, rational
@@ -113,6 +115,80 @@ def test_is_proper_rejects_t_touch():
     report = is_proper(rep)
     assert not report.ok
     assert any("non-crossing" in v for v in report.violations)
+
+
+def _proper_report(paths):
+    rep = VpgRepresentation({l: RectPath(corners) for l, corners in paths.items()})
+    report = is_proper(rep)
+    assert report == reference.is_proper(rep)
+    return report.violations
+
+
+# `is_proper` examines a point one by one only when it has a non-crossing
+# touch or lies on two or more pairs; these cases reach that loop
+
+
+def test_is_proper_crossing_point_with_two_touches_in_overlaps():
+    # a and b cross at the origin; c turns there, so it overlaps both and
+    # touches each of them at the origin inside that overlap
+    violations = _proper_report(
+        {"a": [(-2, 0), (2, 0)], "b": [(0, -2), (0, 2)], "c": [(0, 1), (0, 0), (1, 0)]}
+    )
+    assert violations == (
+        "overlap between a and c along [(0,0)-(1,0)]",
+        "overlap between b and c along [(0,0)-(0,1)]",
+    )
+
+
+def test_is_proper_crossing_point_with_a_touch_on_three_paths():
+    violations = _proper_report(
+        {"a": [(-2, 0), (2, 0)], "b": [(0, -2), (0, 2)], "c": [(0, 0), (0, 1)]}
+    )
+    assert violations == (
+        "non-crossing touch of a and c at (0,0)",
+        "overlap between b and c along [(0,0)-(0,1)]",
+        "point (0,0) lies on 3 paths (a,b,c)",
+    )
+
+
+def test_is_proper_two_crossings_at_one_point():
+    # b and c overlap on a vertical line, and a crosses both at the origin
+    violations = _proper_report(
+        {"a": [(-2, 0), (2, 0)], "b": [(0, -2), (0, 2)], "c": [(0, -1), (0, 1)]}
+    )
+    assert violations == (
+        "overlap between b and c along [(0,-1)-(0,1)]",
+        "point (0,0) lies on 3 paths (a,b,c)",
+    )
+
+
+def test_is_proper_touch_only_point_of_one_pair():
+    violations = _proper_report({"a": [(0, 0), (2, 0)], "b": [(1, 1), (1, 0)]})
+    assert violations == ("non-crossing touch of a and b at (1,0)",)
+
+
+def test_is_proper_skips_a_touch_inside_the_pairs_overlap():
+    # a's vertical ends on b's horizontal at (2,0), the end of their overlap
+    violations = _proper_report({"a": [(0, 0), (2, 0), (2, 1)], "b": [(1, 0), (3, 0)]})
+    assert violations == ("overlap between a and b along [(1,0)-(2,0)]",)
+
+
+def test_is_proper_examines_no_point_of_a_proper_representation(monkeypatch):
+    paths = {
+        "a": [(0, 0), (4, 0)],
+        "b": [(1, -1), (1, 2)],
+        "c": [(3, -1), (3, 2), (5, 2)],
+        "d": [(0, 1), (6, 1)],
+    }
+    assert _proper_report(paths) == ()
+
+    # every crossing point lies on one pair, so none is built as a Point
+    def no_point(*args):
+        raise AssertionError("a point was examined")
+
+    rep = VpgRepresentation({l: RectPath(corners) for l, corners in paths.items()})
+    monkeypatch.setattr(representation_module, "Point", no_point)
+    assert is_proper(rep).ok
 
 
 def test_max_bends():
