@@ -11,18 +11,13 @@ from .errors import (
     VpgError,
 )
 from .geometry import (
-    DOWN,
     HORIZONTAL,
-    LEFT,
-    RIGHT,
-    UP,
     VERTICAL,
     PathIntersections,
     Point,
     RectPath,
     Segment,
     bend_count,
-    direction_vector,
     is_crossing_point,
     path_intersections,
     rational,

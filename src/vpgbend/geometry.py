@@ -1,11 +1,11 @@
 """Exact rational geometry for axis-parallel (rectilinear) paths.
 
-Every coordinate is a `fractions.Fraction`.  The hot predicates compare ints
-that keep the order of coordinates, so they stay exact: `RectPath` checks its
-corners times the lcm of their denominators, and the checkers and the
-clique-hit walk run on coordinate ranks (`segment_tables`, `_contacts`).
-Floats are rejected outright: the layered epsilon offsets used by the
-constructions only make sense with exact arithmetic.
+Coordinates are exact rationals and floats are rejected outright: the
+layered epsilon offsets used by the constructions only make sense with exact
+arithmetic.  A `RectPath` keeps only ints, its corners times the lcm of their
+denominators, and builds `Fraction` `Point`s on demand.  The hot predicates
+compare those ints, or coordinate ranks (`segment_tables`, `_contacts`),
+which keep the order of coordinates and so stay exact.
 """
 
 from __future__ import annotations
@@ -23,19 +23,31 @@ Coord = Union[int, str, Fraction]
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
-# direction-vector symbols
-RIGHT, LEFT, UP, DOWN = "R", "L", "U", "D"
+
+def _parse_ratio(tok: str) -> Tuple[int, int]:
+    """(num, den), reduced with den > 0, of a coordinate written `7`, `-7` or
+    `7/2` in ASCII digits with a nonzero denominator.  Anything else, such as
+    `0.5`, `1e9`, `+1` or ` 1`, is an error, so no text is costly to parse."""
+    num, slash, den = tok.partition("/")
+    if tok.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        try:
+            n, d = int(num), int(den or 1)
+        except ValueError:  # more digits than int() converts
+            d = 0
+        if d:
+            g = math.gcd(n, d)
+            return n // g, d // g
+    raise GeometryError(f"not an exact coordinate: {tok!r}")
 
 
 def rational(value: Coord) -> Fraction:
-    """Convert an exact value (int, Fraction, or 'num/den' string) to Fraction."""
+    """Convert an exact value (int, Fraction, or a string `7`, `-7`, `7/2`) to Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
+    if isinstance(value, str):
+        return Fraction(*_parse_ratio(value))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     note = " (floats are not allowed)" if isinstance(value, float) else ""
     raise GeometryError(f"not an exact coordinate: {value!r}{note}")
 
@@ -202,34 +214,52 @@ def _contacts(hs, vs):
         yield i, j, v[0], h[0], v[0], h[0], crossing
 
 
+def _corner_text(x: int, y: int, den: int) -> str:
+    """`str(Point(Fraction(x, den), Fraction(y, den)))`, formatted on ints."""
+    out = []
+    for v in (x, y):
+        g = math.gcd(v, den)
+        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return f"({out[0]},{out[1]})"
+
+
 class RectPath:
     """Axis-parallel path stored by its corner sequence.
 
     Invariants enforced on construction: at least two corners, consecutive
     corners differ in exactly one coordinate, consecutive segments alternate
     orientation (straight continuations are merged away), and the path is
-    simple.  The checks run on ints: each coordinate times the lcm `den` of
-    the path's denominators, kept as (den, x0, y0, x1, y1, ...) for ranking.
+    simple.  The path keeps only ints: `_scaled` is (den, x0, y0, x1, y1, ...),
+    each coordinate times the lcm `den` of the corners' reduced denominators,
+    on which the checks and the ranking run.  `corners` are `Point`s, built on
+    first access.
     """
 
-    __slots__ = ("corners", "_segments", "_scaled")
+    __slots__ = ("_scaled", "_corners", "_segments")
 
     def __init__(self, corners: Iterable):
-        pts = []
+        ratios = []
         for c in corners:
-            if isinstance(c, Point):
-                pts.append(c)
-            else:
-                try:
-                    x, y = c
-                except (TypeError, ValueError):
-                    raise GeometryError(f"a corner needs two coordinates: {c!r}") from None
-                pts.append(Point(rational(x), rational(y)))
-        den = math.lcm(*(v.denominator for pt in pts for v in (pt.x, pt.y)))
-        kept, ints = [], []
-        for pt in pts:
-            x = pt.x.numerator * (den // pt.x.denominator)
-            y = pt.y.numerator * (den // pt.y.denominator)
+            try:
+                x, y = (c.x, c.y) if isinstance(c, Point) else c
+            except (TypeError, ValueError):
+                raise GeometryError(f"a corner needs two coordinates: {c!r}") from None
+            x, y = rational(x), rational(y)
+            ratios.append((x.numerator, x.denominator, y.numerator, y.denominator))
+        self._build(ratios)
+
+    @classmethod
+    def _of_ratios(cls, ratios) -> "RectPath":
+        """The path through corners (x num, x den, y num, y den), dens positive."""
+        path = cls.__new__(cls)
+        path._build(ratios)
+        return path
+
+    def _build(self, ratios) -> None:
+        den = math.lcm(*(r[1] for r in ratios), *(r[3] for r in ratios))
+        ints = []
+        for xn, xd, yn, yd in ratios:
+            x, y = xn * (den // xd), yn * (den // yd)
             if ints and ints[-1] == (x, y):
                 continue
             if len(ints) >= 2:
@@ -238,9 +268,8 @@ class RectPath:
                 if (ax == bx == x and (y - by) * (by - ay) > 0) or (
                     ay == by == y and (x - bx) * (bx - ax) > 0
                 ):
-                    kept[-1], ints[-1] = pt, (x, y)
+                    ints[-1] = (x, y)
                     continue
-            kept.append(pt)
             ints.append((x, y))
         if len(ints) < 2:
             raise GeometryError("a path needs at least two distinct corners")
@@ -252,7 +281,8 @@ class RectPath:
             elif ax == bx:
                 vs.append((ax, min(ay, by), max(ay, by), k))
             else:
-                raise GeometryError(f"diagonal move {kept[k]} -> {kept[k + 1]}")
+                a, b = _corner_text(ax, ay, den), _corner_text(bx, by, den)
+                raise GeometryError(f"diagonal move {a} -> {b}")
             horizontal.append(ay == by)
         if any(h1 == h2 for h1, h2 in zip(horizontal, horizontal[1:])):
             raise GeometryError("consecutive segments on the same axis (backtracking)")
@@ -260,9 +290,19 @@ class RectPath:
         # shared corner; any other meeting makes the path non-simple
         if any(j > i + 1 for i, j, *_ in _contacts(hs, vs)):
             raise GeometryError("path is not simple")
-        self.corners = tuple(kept)
-        self._segments = None
-        self._scaled = (den, *(v for xy in ints for v in xy))
+        # merged-away corners may have left den larger than the kept ones need
+        g = math.gcd(den, *(v for xy in ints for v in xy))
+        self._scaled = (den // g, *(v // g for xy in ints for v in xy))
+        self._corners = self._segments = None
+
+    @property
+    def corners(self) -> Tuple[Point, ...]:
+        if self._corners is None:
+            den, flat = self._scaled[0], self._scaled[1:]
+            self._corners = tuple(
+                Point(Fraction(x, den), Fraction(y, den)) for x, y in zip(flat[::2], flat[1::2])
+            )
+        return self._corners
 
     def segments(self) -> Tuple[Segment, ...]:
         if self._segments is None:
@@ -278,51 +318,37 @@ class RectPath:
         return RectPath(tuple(c.translated(dx, dy) for c in self.corners))
 
     def __eq__(self, other):
-        return isinstance(other, RectPath) and self.corners == other.corners
+        return isinstance(other, RectPath) and self._scaled == other._scaled
 
     def __hash__(self):
-        return hash(self.corners)
+        return hash(self._scaled)
 
     def __repr__(self):
         return f"RectPath({[str(c) for c in self.corners]})"
 
 
 def bend_count(p: RectPath) -> int:
-    """Number of bends: segments minus one."""
-    return len(p.corners) - 2
-
-
-def direction_vector(p: RectPath) -> Tuple[str, ...]:
-    """Per-segment movement symbols (R/L/U/D), one per corner transition."""
-    out = []
-    for a, b in zip(p.corners, p.corners[1:]):
-        if a.y == b.y:
-            out.append(RIGHT if b.x > a.x else LEFT)
-        else:
-            out.append(UP if b.y > a.y else DOWN)
-    return tuple(out)
+    """Number of bends: segments minus one, read off the int corners."""
+    return len(p._scaled) // 2 - 2
 
 
 def _ranked_corners(paths: Sequence[RectPath]):
     """(xs, ys, ranked): the sorted distinct corner coordinates of `paths`
     and each path's corners as (x rank, y rank) pairs, in path order.
 
-    Ranks come from ints over the lcm of the paths' denominators; each int
-    maps back to the path's own `Fraction`, so `xs` and `ys` hold its values.
+    Ranks come from ints over the lcm of the paths' denominators, so a
+    `Fraction` is made only for each distinct coordinate in `xs` and `ys`.
     """
     den = math.lcm(*(p._scaled[0] for p in paths))
-    x_of, y_of, scaled = {}, {}, []
+    scaled = []
     for p in paths:
         m = den // p._scaled[0]
-        ints = [v * m for v in p._scaled[1:]]
-        x_of.update(zip(ints[::2], [c.x for c in p.corners]))
-        y_of.update(zip(ints[1::2], [c.y for c in p.corners]))
-        scaled.append(ints)
-    x_rank = {x: r for r, x in enumerate(sorted(x_of))}
-    y_rank = {y: r for r, y in enumerate(sorted(y_of))}
-    xs = [x_of[x] for x in x_rank]
-    ys = [y_of[y] for y in y_rank]
-    return xs, ys, [
+        scaled.append([v * m for v in p._scaled[1:]])
+    x_ints = sorted({x for ints in scaled for x in ints[::2]})
+    y_ints = sorted({y for ints in scaled for y in ints[1::2]})
+    x_rank = {x: r for r, x in enumerate(x_ints)}
+    y_rank = {y: r for r, y in enumerate(y_ints)}
+    return [Fraction(x, den) for x in x_ints], [Fraction(y, den) for y in y_ints], [
         [(x_rank[x], y_rank[y]) for x, y in zip(ints[::2], ints[1::2])] for ints in scaled
     ]
 

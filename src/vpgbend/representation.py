@@ -13,10 +13,11 @@ from .geometry import (
     RectPath,
     Segment,
     _contacts,
+    _corner_text,
+    _parse_ratio,
     bend_count,
     _ranked_corners,
     _segment_rows,
-    rational,
     segment_tables,
 )
 from .graphs import Graph, Label, label_str
@@ -113,10 +114,11 @@ def verify_realizes(rep: VpgRepresentation, g: Graph) -> RealizationReport:
         raise DomainError("representation and graph have different vertex label sets")
     n = len(labels)
     index = {l: k for k, l in enumerate(labels)}
+    # read the adjacency unsorted, since the codes only go into a set
     want = set()
-    for u, v in g.edges():
-        i, j = index[u], index[v]
-        want.add(i * n + j if i < j else j * n + i)
+    for u in labels:
+        i = index[u]
+        want.update(i * n + j for j in map(index.__getitem__, g._adj[u]) if i < j)
     met = _meeting_codes(rep)
 
     def named(codes):
@@ -379,12 +381,14 @@ def write_representation_text(rep: VpgRepresentation) -> str:
     """One record per vertex: 'label : (x1,y1) (x2,y2) ...'."""
     lines = []
     for label in rep.labels():
-        pts = " ".join(str(c) for c in rep.path(label).corners)
+        den, *flat = rep.path(label)._scaled
+        pts = " ".join(_corner_text(x, y, den) for x, y in zip(flat[::2], flat[1::2]))
         lines.append(f"{label_str(label)} : {pts}")
     return "\n".join(lines) + "\n"
 
 
 def read_representation_text(text: str) -> VpgRepresentation:
+    """Parse the text format, each coordinate straight to a reduced int pair."""
     assignment: Dict[Label, RectPath] = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -393,16 +397,16 @@ def read_representation_text(text: str) -> VpgRepresentation:
         if " : " not in ln:
             raise ValidationError(f"bad representation line {ln!r}")
         label, rest = ln.split(" : ", 1)
-        corners = []
+        ratios = []
         for tok in rest.split():
             if not (tok.startswith("(") and tok.endswith(")")):
                 raise ValidationError(f"bad corner token {tok!r}")
             xy = tok[1:-1].split(",")
             if len(xy) != 2:
                 raise ValidationError(f"bad corner token {tok!r}")
-            corners.append(Point(rational(xy[0]), rational(xy[1])))
+            ratios.append((*_parse_ratio(xy[0]), *_parse_ratio(xy[1])))
         label = label.strip()
         if label in assignment:
             raise ValidationError(f"duplicate label {label!r}")
-        assignment[label] = RectPath(corners)
+        assignment[label] = RectPath._of_ratios(ratios)
     return VpgRepresentation(assignment)

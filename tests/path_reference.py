@@ -1,17 +1,45 @@
-"""Fraction path validation and corner ranking, kept only to test the int
-core of `geometry.RectPath` and `geometry._ranked_corners` against.
+"""Fraction coordinate parsing, path validation and corner ranking, kept
+only to test the int core of `geometry.RectPath`, `geometry._parse_ratio`
+and `geometry._ranked_corners` against.
 
-This is the straightforward form: corners are merged and checked on
-`Fraction`s, the path is simple when no two segments that are not
-consecutive meet under `geometry.segment_intersection`, a quadratic test,
-and ranks come from sorted sets of `Fraction`s.  It shares no code with the
-common-denominator ints and the contact sweep of `vpgbend.geometry`.
+This is the straightforward form: a coordinate is the grammar's regex and
+then `Fraction`, corners are merged and checked on `Fraction`s, the path is
+simple when no two segments that are not consecutive meet under
+`geometry.segment_intersection`, a quadratic test, and ranks come from sorted
+sets of `Fraction`s.  It shares no code with the common-denominator ints and
+the contact sweep of `vpgbend.geometry`.
 """
 
+import math
+import re
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from vpgbend.errors import GeometryError
 from vpgbend.geometry import Point, Segment, rational, segment_intersection
+
+
+COORDINATE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parsed_ratio(tok: str):
+    """(numerator, denominator) of a coordinate token, or the error for it."""
+    if COORDINATE.fullmatch(tok):
+        try:
+            value = Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            return value.numerator, value.denominator
+    raise GeometryError(f"not an exact coordinate: {tok!r}")
+
+
+def scaled(corners) -> tuple:
+    """(den, x0, y0, x1, y1, ...): the corners times the lcm of their
+    denominators."""
+    values = [v for pt in corners for v in (pt.x, pt.y)]
+    den = math.lcm(*(v.denominator for v in values))
+    return (den, *(int(v * den) for v in values))
 
 
 def _normalize_corners(points) -> list:
@@ -34,8 +62,8 @@ def _normalize_corners(points) -> list:
 
 
 def validated(corners: Iterable):
-    """(corners, segments) of the path `RectPath(corners)` would build, or
-    the `GeometryError` it would raise."""
+    """(scaled, corners, segments) of the path `RectPath(corners)` would
+    build, or the `GeometryError` it would raise."""
     pts = []
     for c in corners:
         if isinstance(c, Point):
@@ -59,7 +87,7 @@ def validated(corners: Iterable):
             pt, ov = segment_intersection(segs[i], segs[j])
             if pt is not None or ov is not None:
                 raise GeometryError("path is not simple")
-    return tuple(pts), tuple(segs)
+    return scaled(pts), tuple(pts), tuple(segs)
 
 
 def ranked_corners(paths: Sequence):

@@ -119,6 +119,13 @@ def test_checkers_match_reference_on_staircases(gtm_reps, nk):
     _assert_same_reports(gtm_reps[nk], nk[0] * nk[1])
 
 
+def test_verify_realizes_builds_no_sorted_edge_list(gtm_reps, monkeypatch):
+    rep = gtm_reps[(6, 3)]
+    g = reference.intersection_graph(rep)
+    monkeypatch.setattr(Graph, "edges", None)  # any call fails
+    assert verify_realizes(rep, g).ok
+
+
 def _primes(count):
     primes, n = [], 2
     while len(primes) < count:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,23 @@ def test_malformed_corner_token_is_usage_error(tmp_path, capsys, token):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "coordinate", ["1e-9999999999", "1e400000000", "0.5", "+1", "1_0", "-1/-2", "\u0661"]
+)
+def test_coordinate_outside_the_grammar_is_usage_error_at_once(tmp_path, capsys, coordinate):
+    # Fraction("1e400000000") would compute 10**400000000
+    gfile = tmp_path / "g.txt"
+    rfile = tmp_path / "r.txt"
+    gfile.write_text("2 1\na\nb\na b\n")
+    rfile.write_text(f"a : (0,0) ({coordinate},0)\nb : (0,-1) (0,1)\n", encoding="utf-8")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "verify", str(gfile), str(rfile), "--proper")
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: not an exact coordinate: {coordinate!r}\n"
 
 
 @pytest.mark.parametrize("command", ["dim", "realizer-check"])

@@ -4,8 +4,9 @@ from math import comb
 import pytest
 
 from conftest import subset_split_graph
+from direction_vectors import DOWN, RIGHT, direction_vector
 from vpgbend.errors import ParameterError
-from vpgbend.geometry import DOWN, RIGHT, bend_count, direction_vector, path_intersections
+from vpgbend.geometry import bend_count, path_intersections
 from vpgbend.graphs import Graph, SplitPartition, all_qedges, build_hnk_member, build_split_knk
 from vpgbend.constructors import (
     SquareRegionLayout,

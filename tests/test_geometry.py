@@ -3,17 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from direction_vectors import DOWN, LEFT, RIGHT, UP, direction_vector
 from vpgbend.errors import GeometryError
 from vpgbend.geometry import (
-    DOWN,
-    LEFT,
-    RIGHT,
-    UP,
     Point,
     RectPath,
     Segment,
     bend_count,
-    direction_vector,
     is_crossing_point,
     path_intersections,
     rational,

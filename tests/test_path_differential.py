@@ -1,11 +1,15 @@
-"""`RectPath` validation and corner ranking on common-denominator ints against
-the `Fraction` forms in `path_reference`.
+"""`RectPath` validation, corner ranking and the representation reader on
+common-denominator ints against the `Fraction` forms in `path_reference`.
 
 Corner walks of 2-8 corners on a 5x5 grid mix axis moves, repeated corners
 and jumps, so straight continuations, backtracking, diagonals, self-touches,
 self-overlaps and closed loops all occur.  Scaled and shifted copies give
-mixed denominators, and some walks are passed as `Point`s.
+mixed denominators, and some walks are passed as `Point`s.  Coordinate
+tokens mix the grammar's forms with decimals, exponents, signs, spaces and
+non-ASCII digits.
 """
+
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +18,8 @@ from hypothesis import strategies as st
 import path_reference as reference
 import vpgbend.geometry
 from rep_strategies import representation, representations, scales, shifts
-from vpgbend.constructors import construct_k3n_proper
-from vpgbend.geometry import Point, RectPath, _ranked_corners, segment_tables
+from vpgbend.constructors import construct_gtm_stairs, construct_k3n_proper
+from vpgbend.geometry import Point, RectPath, _parse_ratio, _ranked_corners, rational, segment_tables
 from vpgbend.representation import read_representation_text, write_representation_text
 
 GRID = st.integers(min_value=0, max_value=4)
@@ -44,14 +48,15 @@ def corner_walks(draw):
     return corners
 
 
-def _outcome(build, corners):
-    """(corners, segments) of the built path, or the error's type and message."""
+def _outcome(build, arg):
+    """(scaled ints, corners, segments) of a built path, any other result as
+    it is, or the error's type and message."""
     try:
-        result = build(corners)
+        result = build(arg)
     except Exception as exc:  # the error itself is part of what is compared
         return type(exc), str(exc)
     if isinstance(result, RectPath):
-        return result.corners, result.segments()
+        return result._scaled, result.corners, result.segments()
     return result
 
 
@@ -100,3 +105,54 @@ def test_building_paths_tests_no_fraction_segment_pairs(monkeypatch):
     text = write_representation_text(construct_k3n_proper(6))
     read_representation_text(text)
     assert calls == []
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=5)
+coordinate_tokens = st.one_of(
+    st.builds(lambda sign, num, den: sign + num + (den and "/" + den),
+              st.sampled_from(("", "-")), DIGITS, st.sampled_from(("", "0", "00")) | DIGITS),
+    st.text(st.sampled_from("0123456789-/+._eE ()\n\u0661\u00b2"), max_size=7),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(coordinate_tokens)
+@example("1e-9999999999")
+@example("1e400000000")
+@example("9" * 5000)  # over int()'s digit limit where the interpreter has one
+@example("-0/7")
+def test_coordinate_parser_matches_reference(tok):
+    expected = _outcome(reference.parsed_ratio, tok)
+    assert _outcome(_parse_ratio, tok) == expected
+    assert _outcome(lambda t: rational(t).as_integer_ratio(), tok) == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_coordinate_over_the_digit_limit_is_rejected():
+    tok = "7" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(vpgbend.geometry.GeometryError, match="not an exact coordinate"):
+        _parse_ratio(tok)
+
+
+@settings(max_examples=300, deadline=None)
+@given(representations, scales, shifts)
+def test_text_round_trip_and_points_match_the_reader(paths, scale, shift):
+    rep = representation(paths, lambda c: c * scale + shift)
+    text = write_representation_text(rep)
+    read = read_representation_text(text)
+    assert write_representation_text(read) == text
+    for label, path in rep.assignment.items():
+        from_text, from_points = read.path(str(label)), RectPath(path.corners)
+        assert from_text == path == from_points and hash(from_text) == hash(from_points)
+        assert from_text.corners == from_points.corners
+
+
+@pytest.mark.parametrize("build", [lambda: construct_k3n_proper(7), lambda: construct_gtm_stairs(6, 3)])
+def test_text_round_trip_on_constructions(build):
+    rep = build()
+    text = write_representation_text(rep)
+    assert write_representation_text(read_representation_text(text)) == text
+    assert [str(c) for p in rep.assignment.values() for c in p.corners] == [
+        tok for ln in text.splitlines() for tok in ln.split(" : ")[1].split()
+    ]
