@@ -18,7 +18,6 @@ from .geometry import (
     RectPath,
     Segment,
     bend_count,
-    is_crossing_point,
     path_intersections,
     rational,
 )

@@ -1,6 +1,6 @@
 """Explicit bend-bounded representations of the split-graph families.
 
-Three constructions live here, plus the Hamiltonian-cycle machinery that the
+Four constructions live here, plus the Hamiltonian-cycle machinery that the
 clique layout of `construct_k3n_proper` is built on:
 
 * `construct_split_upper` - every split graph, clique paths threading the

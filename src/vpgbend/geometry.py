@@ -4,8 +4,9 @@ Coordinates are exact rationals and floats are rejected outright: the
 layered epsilon offsets used by the constructions only make sense with exact
 arithmetic.  A `RectPath` keeps only ints, its corners times the lcm of their
 denominators, and builds `Fraction` `Point`s on demand.  The hot predicates
-compare those ints, or coordinate ranks (`segment_tables`, `_contacts`),
-which keep the order of coordinates and so stay exact.
+compare those ints, or coordinate ranks over ints (`segment_tables`,
+`_contacts`), which keep the order of coordinates and so stay exact; a
+`Fraction` is made only where a point is reported or returned.
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ def rational(value: Coord) -> Fraction:
     raise GeometryError(f"not an exact coordinate: {value!r}{note}")
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical text form: '3' for integers, '3/4' otherwise."""
-    return str(value)
-
-
 @dataclass(frozen=True, order=True)
 class Point:
     x: Fraction
@@ -70,7 +66,7 @@ class Point:
         return Point(self.x + rational(dx), self.y + rational(dy))
 
     def __str__(self):
-        return f"({format_rational(self.x)},{format_rational(self.y)})"
+        return f"({self.x},{self.y})"
 
 
 @dataclass(frozen=True)
@@ -333,38 +329,37 @@ def bend_count(p: RectPath) -> int:
 
 
 def _ranked_corners(paths: Sequence[RectPath]):
-    """(xs, ys, ranked): the sorted distinct corner coordinates of `paths`
-    and each path's corners as (x rank, y rank) pairs, in path order.
-
-    Ranks come from ints over the lcm of the paths' denominators, so a
-    `Fraction` is made only for each distinct coordinate in `xs` and `ys`.
+    """(den, xs, ys, ranked): the sorted distinct corner coordinates of
+    `paths` as ints over the lcm `den` of their denominators, so the x of
+    rank r is xs[r] / den, and each path's corners as (x rank, y rank)
+    pairs, in path order.
     """
     den = math.lcm(*(p._scaled[0] for p in paths))
     scaled = []
     for p in paths:
         m = den // p._scaled[0]
         scaled.append([v * m for v in p._scaled[1:]])
-    x_ints = sorted({x for ints in scaled for x in ints[::2]})
-    y_ints = sorted({y for ints in scaled for y in ints[1::2]})
-    x_rank = {x: r for r, x in enumerate(x_ints)}
-    y_rank = {y: r for r, y in enumerate(y_ints)}
-    return [Fraction(x, den) for x in x_ints], [Fraction(y, den) for y in y_ints], [
+    xs = sorted({x for ints in scaled for x in ints[::2]})
+    ys = sorted({y for ints in scaled for y in ints[1::2]})
+    x_rank = {x: r for r, x in enumerate(xs)}
+    y_rank = {y: r for r, y in enumerate(ys)}
+    return den, xs, ys, [
         [(x_rank[x], y_rank[y]) for x, y in zip(ints[::2], ints[1::2])] for ints in scaled
     ]
 
 
 def segment_tables(paths: Sequence[RectPath]):
-    """Rank-compressed segments of `paths`: (xs, ys, horizontals, verticals).
+    """Rank-compressed segments of `paths`: (den, xs, ys, horizontals, verticals).
 
-    `xs` and `ys` are the sorted distinct corner coordinates.  Every predicate
-    of the checkers and the probe analyses depends only on the order of
+    `den`, `xs` and `ys` are those of `_ranked_corners`.  Every predicate of
+    the checkers and the probe analyses depends only on the order of
     coordinates, so a segment is the int tuple (fixed, lo, hi, path index)
     over ranks into `xs`/`ys`.  Swapping x and y swaps the two tables, so an
     algorithm over them is written once and run on (xs, ys, hs, vs) and on
     the transpose (ys, xs, vs, hs).
     """
-    xs, ys, ranked_paths = _ranked_corners(paths)
-    return (xs, ys, *_segment_rows(ranked_paths))
+    den, xs, ys, ranked_paths = _ranked_corners(paths)
+    return (den, xs, ys, *_segment_rows(ranked_paths))
 
 
 def _segment_rows(ranked_paths):
@@ -444,8 +439,9 @@ def path_intersections(p: RectPath, q: RectPath) -> PathIntersections:
 
 
 def transversal_at(p: RectPath, q: RectPath, pt: Point) -> bool:
-    """Crossing test without domain validation: `pt` must already be known to
-    be an isolated intersection point of the two paths."""
+    """True iff the paths cross transversally at `pt`, a known isolated
+    intersection point: interior to a horizontal segment of one and a
+    vertical segment of the other, so no touch at a corner crosses."""
 
     def interior_hits(path):
         h = v = False
@@ -460,17 +456,3 @@ def transversal_at(p: RectPath, q: RectPath, pt: Point) -> bool:
     ph, pv = interior_hits(p)
     qh, qv = interior_hits(q)
     return (ph and qv) or (pv and qh)
-
-
-def is_crossing_point(p: RectPath, q: RectPath, pt: Point) -> bool:
-    """True iff the paths cross transversally at `pt`.
-
-    Requires `pt` to be an isolated intersection point of the two paths.  The
-    point must lie in the interior of a horizontal segment of one path and the
-    interior of a vertical segment of the other; touching at a segment
-    endpoint (in particular at any corner) does not count as a crossing.
-    """
-    inter = path_intersections(p, q)
-    if pt not in inter.points:
-        raise GeometryError(f"{pt} is not an isolated intersection point of the paths")
-    return transversal_at(p, q, pt)

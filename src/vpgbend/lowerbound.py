@@ -50,8 +50,10 @@ class InducedGrid:
 def induced_grid(ra: VpgRepresentation) -> InducedGrid:
     if not ra.assignment:
         raise DomainError("empty representation has no grid")
-    xs, ys, _, _ = segment_tables(ra.assignment.values())
-    return InducedGrid(x_lines=tuple(xs), y_lines=tuple(ys))
+    den, xs, ys, _, _ = segment_tables(ra.assignment.values())
+    return InducedGrid(
+        x_lines=tuple(Fraction(x, den) for x in xs), y_lines=tuple(Fraction(y, den) for y in ys)
+    )
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,17 @@ def _positions(events: Sequence[int]) -> List[int]:
     return out
 
 
-def _coordinate(values: Sequence[Fraction], events: Sequence[int], code: int) -> Fraction:
+def _coordinate(values: Sequence[int], den: int, events: Sequence[int], code: int) -> Fraction:
     """The coordinate of position `code` of `_positions(events)`, where event
-    3 * r lies at values[r]: a - 1 below the first event a, a + 1 above the
-    last, else a + (code - event) * gap / 3 from the event a at or below."""
+    3 * r lies at values[r] / den: a - 1 below the first event a, a + 1 above
+    the last, else a + (code - event) * gap / 3 from the event a at or below."""
     at = bisect_right(events, code) - 1
     if at < 0:
-        return values[events[0] // 3] - 1
+        return Fraction(values[events[0] // 3] - den, den)
     a = values[events[at] // 3]
     if at + 1 == len(events):
-        return a + (code - events[at])
-    return a + (code - events[at]) * (values[events[at + 1] // 3] - a) / 3
+        return Fraction(a + (code - events[at]) * den, den)
+    return Fraction(3 * a + (code - events[at]) * (values[events[at + 1] // 3] - a), 3 * den)
 
 
 def _probe_sets_one_axis(xs, ys, hs, vs, k: int) -> Dict[int, tuple]:
@@ -139,11 +141,11 @@ def _probe_sets_one_axis(xs, ys, hs, vs, k: int) -> Dict[int, tuple]:
 
 
 def _probe_sweep(ra: VpgRepresentation, k: int):
-    """(xs, ys, vertical, horizontal): `_probe_sets_one_axis` on both axes."""
+    """(den, xs, ys, vertical, horizontal): `_probe_sets_one_axis` on both axes."""
     if k < 1:
         raise ParameterError("need k >= 1")
-    xs, ys, hs, vs = segment_tables(ra.assignment.values())
-    return xs, ys, _probe_sets_one_axis(xs, ys, hs, vs, k), _probe_sets_one_axis(ys, xs, vs, hs, k)
+    den, xs, ys, hs, vs = segment_tables(ra.assignment.values())
+    return den, xs, ys, _probe_sets_one_axis(xs, ys, hs, vs, k), _probe_sets_one_axis(ys, xs, vs, hs, k)
 
 
 def _members(labels: Sequence[Label], mask: int) -> List[Label]:
@@ -157,14 +159,14 @@ def enumerate_good_sets(ra: VpgRepresentation, k: int) -> List[GoodKSet]:
     reported once (vertical witness preferred).
     """
     labels = ra.labels()
-    xs, ys, vertical, horizontal = _probe_sweep(ra, k)
+    den, xs, ys, vertical, horizontal = _probe_sweep(ra, k)
     sets = []
     for orientation, found, us, ws in ((VERTICAL, vertical, xs, ys), (HORIZONTAL, horizontal, ys, xs)):
         for mask, (x, events, ya, yb) in found.items():
             if mask.bit_count() != k or (found is horizontal and mask in vertical):
                 continue
-            u = _coordinate(us, range(0, 3 * len(us), 3), x)
-            ends = (_coordinate(ws, events, ya), _coordinate(ws, events, yb))
+            u = _coordinate(us, den, range(0, 3 * len(us), 3), x)
+            ends = (_coordinate(ws, den, events, ya), _coordinate(ws, den, events, yb))
             witness = Segment(*(Point(u, c) if found is vertical else Point(c, u) for c in ends))
             members = tuple(sorted(_members(labels, mask), key=str))
             sets.append(GoodKSet(members, orientation, witness))
@@ -203,7 +205,7 @@ def strip_small_sets(ra: VpgRepresentation, k: int) -> List[frozenset]:
     if not ra.assignment:
         raise DomainError("empty representation has no grid")
     labels = ra.labels()
-    xs, ys, hs, vs = segment_tables(ra.assignment.values())
+    _, xs, ys, hs, vs = segment_tables(ra.assignment.values())
     out: List[frozenset] = []
     for lines, across in ((xs, hs), (ys, vs)):
         strips = [set() for _ in lines[1:]]
@@ -227,7 +229,7 @@ def find_far_kset(good_sets: Iterable[Iterable], n: int, k: int) -> Optional[Tup
 def certificate_candidates(ra: VpgRepresentation, k: int) -> List[frozenset]:
     """Every nonempty probe hit-set of at most k paths, reusable across targets."""
     labels = ra.labels()
-    _, _, vertical, horizontal = _probe_sweep(ra, k)
+    *_, vertical, horizontal = _probe_sweep(ra, k)
     return [frozenset(_members(labels, mask)) for mask in {**vertical, **horizontal}]
 
 
@@ -336,7 +338,7 @@ def classify_sh_sv(rep: VpgRepresentation, clique_verts, indep_verts):
     """Partition-cover (S_H, S_V): b lands in S_H when it meets horizontal
     segments of at least two of its three clique neighbors, S_V symmetrically."""
     clique_verts, indep_verts = list(clique_verts), list(indep_verts)
-    _, _, ranked, meetings = _hit_table(rep, clique_verts + indep_verts)
+    *_, ranked, meetings = _hit_table(rep, clique_verts + indep_verts)
     s_h, s_v = [], []
     for b in indep_verts:
         hits = _hit_walk(ranked, meetings, b, clique_verts)
@@ -402,7 +404,7 @@ def build_auxiliary_fh_fv(rep: VpgRepresentation, clique_verts, indep_verts):
         raise DomainError("representation is not proper: " + "; ".join(report.violations[:3]))
     clique_verts, indep_verts = list(clique_verts), list(indep_verts)
     tag = {HORIZONTAL: "h", VERTICAL: "v"}
-    _, _, ranked, meetings = _hit_table(rep, clique_verts + indep_verts)
+    *_, ranked, meetings = _hit_table(rep, clique_verts + indep_verts)
     vertices = {HORIZONTAL: [], VERTICAL: []}
     for a in clique_verts:
         for idx in range(len(ranked[a]) - 1):

@@ -11,7 +11,6 @@ from .errors import DegenerateTrimError, DomainError, ValidationError
 from .geometry import (
     Point,
     RectPath,
-    Segment,
     _contacts,
     _corner_text,
     _parse_ratio,
@@ -56,7 +55,7 @@ class VpgRepresentation:
         iff this one is and keeps every bend count; n paths with at most b
         bends then lie on a grid of side n·(b+2), the most corners they have.
         """
-        _, _, ranked = _ranked_corners(list(self.assignment.values()))
+        *_, ranked = _ranked_corners(list(self.assignment.values()))
         return VpgRepresentation({l: RectPath(c) for l, c in zip(self.assignment, ranked)})
 
     def __eq__(self, other):
@@ -69,7 +68,7 @@ def _meeting_codes(rep: VpgRepresentation) -> Set[int]:
     """The pairs of paths that meet, each as the int code i·n + j of its label
     indices i < j in `rep.labels()` order, from one contact sweep."""
     n = len(rep)
-    _, _, hs, vs = segment_tables(rep.assignment.values())
+    *_, hs, vs = segment_tables(rep.assignment.values())
     return {c[0] * n + c[1] for c in _contacts(hs, vs)}
 
 
@@ -160,7 +159,7 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
     """
     labels = rep.labels()
     names = [label_str(l) for l in labels]
-    xs, ys, hs, vs = segment_tables(rep.assignment.values())
+    den, xs, ys, hs, vs = segment_tables(rep.assignment.values())
     n_pairs, n_ys = len(labels) ** 2, len(ys)
     # one key (point rank * n_pairs + pair) per point contact: a crossing is
     # the only contact of its pair at its point, so the crossing keys are
@@ -184,7 +183,7 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
     for pair, ovs in overlaps.items():
         i, j = divmod(pair, len(labels))
         for x0, y0, x1, y1 in ovs:
-            ov = Segment(Point(xs[x0], ys[y0]), Point(xs[x1], ys[y1]))
+            ov = f"[{_corner_text(xs[x0], ys[y0], den)}-{_corner_text(xs[x1], ys[y1], den)}]"
             violations.append(f"overlap between {names[i]} and {names[j]} along {ov}")
     # sorted keys put the pairs at one point side by side
     crossings.sort()
@@ -196,7 +195,7 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
     keys = [key for key in chain(crossings, touches) if key // n_pairs in screened]
     for point, group in groupby(sorted(keys), key=point_of):
         x, y = divmod(point, n_ys)
-        pt = Point(xs[x], ys[y])
+        pt = _corner_text(xs[x], ys[y], den)
         owners = set()
         for key in group:
             pair = key % n_pairs
@@ -219,37 +218,9 @@ def max_bends(rep: VpgRepresentation) -> int:
     return max(bend_count(p) for p in rep.assignment.values())
 
 
-def arc_position(path: RectPath, pt: Point) -> Fraction:
-    """Arc length from the first corner to `pt` (which must lie on the path)."""
-    total = Fraction(0)
-    for seg, a, b in zip(path.segments(), path.corners, path.corners[1:]):
-        if seg.contains(pt):
-            return total + abs(pt.x - a.x) + abs(pt.y - a.y)
-        total += seg.length
-    raise DomainError(f"{pt} does not lie on the path")
-
-
-def subpath_between(path: RectPath, start: Point, end: Point) -> RectPath:
-    """Contiguous subpath of `path` from `start` to `end` (both on the path)."""
-    s_pos, e_pos = arc_position(path, start), arc_position(path, end)
-    if s_pos > e_pos:
-        start, end, s_pos, e_pos = end, start, e_pos, s_pos
-    if s_pos == e_pos:
-        raise DomainError("degenerate subpath (start equals end)")
-    corners = [start]
-    total = Fraction(0)
-    for seg, a, b in zip(path.segments(), path.corners, path.corners[1:]):
-        nxt = total + seg.length
-        if s_pos < nxt and total < e_pos:
-            corners.append(b)
-        total = nxt
-    corners[-1] = end
-    return RectPath(corners)
-
-
 def _hit_table(rep: VpgRepresentation, labels: Iterable[Label], around: Optional[Label] = None):
-    """(xs, ys, ranked, meetings) for clique-hit walks among the paths of
-    `labels`: `ranked` maps a label to its ranked corners, and `meetings` an
+    """(den, xs, ys, ranked, meetings) for clique-hit walks among the paths
+    of `labels`: `_ranked_corners` with `ranked` by label, and `meetings` an
     ordered label pair to the pieces of one contact sweep in which their paths
     meet, each a rank box (x0, y0, x1, y1).  Collinear pieces of two simple
     paths never touch, so none is merged.  Labels absent from `rep` are left
@@ -258,7 +229,7 @@ def _hit_table(rep: VpgRepresentation, labels: Iterable[Label], around: Optional
     bounding box are swept, which keeps every meeting of that path.
     """
     present = [l for l in dict.fromkeys(labels) if l in rep.assignment]
-    xs, ys, ranked = _ranked_corners([rep.assignment[l] for l in present])
+    den, xs, ys, ranked = _ranked_corners([rep.assignment[l] for l in present])
     hs, vs = _segment_rows(ranked)
     if around in present:
         x_of, y_of = zip(*ranked[present.index(around)])
@@ -269,7 +240,7 @@ def _hit_table(rep: VpgRepresentation, labels: Iterable[Label], around: Optional
     for i, j, x0, y0, x1, y1, _ in _contacts(hs, vs):
         for pair in ((present[i], present[j]), (present[j], present[i])):
             meetings.setdefault(pair, []).append((x0, y0, x1, y1))
-    return xs, ys, dict(zip(present, ranked)), meetings
+    return den, xs, ys, dict(zip(present, ranked)), meetings
 
 
 def _in_box(x, y, box) -> bool:
@@ -326,9 +297,9 @@ def clique_hit_sequence(
     at equal arc length keep the order of `clique_verts`.
     """
     clique_verts = list(clique_verts)
-    xs, ys, ranked, meetings = _hit_table(rep, [b, *clique_verts], around=b)
+    den, xs, ys, ranked, meetings = _hit_table(rep, [b, *clique_verts], around=b)
     return [
-        (a, Point(xs[x], ys[y]), idx, overlap)
+        (a, Point(Fraction(xs[x], den), Fraction(ys[y], den)), idx, overlap)
         for a, (x, y), idx, overlap in _hit_walk(ranked, meetings, b, clique_verts)
     ]
 
@@ -359,10 +330,12 @@ def trim_independent_path(
     spanning the surviving hits.  The subpath ends exactly at the surviving
     end hits, so it still meets every clique vertex the sequence retains.
     An overlap with a clique path is a `DomainError` naming the first such
-    path in `clique_verts` order.
+    path in `clique_verts` order.  The subpath is cut from P(b)'s ranked
+    corners between the segments that hold the two surviving hits.
     """
     clique_verts = list(clique_verts)
-    hits = clique_hit_sequence(rep, b, clique_verts)
+    den, xs, ys, ranked, meetings = _hit_table(rep, [b, *clique_verts], around=b)
+    hits = _hit_walk(ranked, meetings, b, clique_verts)
     overlapping = {a for a, _, _, overlap in hits if overlap}
     for a in clique_verts:
         if a in overlapping:
@@ -374,7 +347,15 @@ def trim_independent_path(
         raise DegenerateTrimError(
             f"trimmed hit sequence of {label_str(b)} has a single element"
         )
-    return subpath_between(rep.path(b), hits[lo][1], hits[hi][1])
+    start, end = hits[lo][1], hits[hi][1]
+    if start == end:
+        raise DomainError("degenerate subpath (start equals end)")
+    pb = ranked[b]
+    first, _ = _first_segment(pb, *start, *start)
+    last, _ = _first_segment(pb, *end, *end)
+    # a start at the far end of its segment repeats the next corner, which is dropped
+    corners = [start, *pb[first + 1 : last + 1], end]
+    return RectPath._of_ratios([(xs[x], den, ys[y], den) for x, y in corners])
 
 
 def write_representation_text(rep: VpgRepresentation) -> str:

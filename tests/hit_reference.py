@@ -2,16 +2,54 @@
 single walk `vpgbend.representation.clique_hit_sequence` against.
 
 `hit_details` is the walk behind S_H/S_V and F_h/F_v, and `hit_sequence` the
-one behind the recurring-leaf trim, each in its original form; the three
-consumers below are the original `classify_sh_sv`, `build_auxiliary_fh_fv`
-and `trim_independent_path` on top of them.
+one behind the recurring-leaf trim, each in its original form on `Fraction`
+arc lengths (`arc_position`); the three consumers below are the original
+`classify_sh_sv`, `build_auxiliary_fh_fv` and `trim_independent_path` on top
+of them, the trim cutting its subpath by arc length (`subpath_between`).
 """
 
+from fractions import Fraction
+
 from vpgbend.errors import ConstructionError, DegenerateTrimError, DomainError
-from vpgbend.geometry import HORIZONTAL, VERTICAL, path_intersections, segment_intersection
+from vpgbend.geometry import (
+    HORIZONTAL,
+    VERTICAL,
+    Point,
+    RectPath,
+    path_intersections,
+    segment_intersection,
+)
 from vpgbend.graphs import Graph, label_str
 from vpgbend.lowerbound import _contract_same_path_edges
-from vpgbend.representation import arc_position, is_proper, leaf_trim_window, subpath_between
+from vpgbend.representation import is_proper, leaf_trim_window
+
+
+def arc_position(path: RectPath, pt: Point) -> Fraction:
+    """Arc length from the first corner to `pt` (which must lie on the path)."""
+    total = Fraction(0)
+    for seg, a, b in zip(path.segments(), path.corners, path.corners[1:]):
+        if seg.contains(pt):
+            return total + abs(pt.x - a.x) + abs(pt.y - a.y)
+        total += seg.length
+    raise DomainError(f"{pt} does not lie on the path")
+
+
+def subpath_between(path: RectPath, start: Point, end: Point) -> RectPath:
+    """Contiguous subpath of `path` from `start` to `end` (both on the path)."""
+    s_pos, e_pos = arc_position(path, start), arc_position(path, end)
+    if s_pos > e_pos:
+        start, end, s_pos, e_pos = end, start, e_pos, s_pos
+    if s_pos == e_pos:
+        raise DomainError("degenerate subpath (start equals end)")
+    corners = [start]
+    total = Fraction(0)
+    for seg, a, b in zip(path.segments(), path.corners, path.corners[1:]):
+        nxt = total + seg.length
+        if s_pos < nxt and total < e_pos:
+            corners.append(b)
+        total = nxt
+    corners[-1] = end
+    return RectPath(corners)
 
 
 def hit_details(rep, b, clique_verts):

@@ -97,9 +97,12 @@ def test_contact_overlaps_are_the_merged_overlaps(paths):
     paths = list(representation(paths).assignment.values())
     for p in paths:
         for q in paths:
-            xs, ys, hs, vs = segment_tables([p, q])
+            den, xs, ys, hs, vs = segment_tables([p, q])
             pieces = [
-                Segment(Point(xs[x0], ys[y0]), Point(xs[x1], ys[y1]))
+                Segment(
+                    Point(Fraction(xs[x0], den), Fraction(ys[y0], den)),
+                    Point(Fraction(xs[x1], den), Fraction(ys[y1], den)),
+                )
                 for _, _, x0, y0, x1, y1, _ in _contacts(hs, vs)
                 if (x0, y0) != (x1, y1)
             ]

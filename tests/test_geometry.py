@@ -10,10 +10,10 @@ from vpgbend.geometry import (
     RectPath,
     Segment,
     bend_count,
-    is_crossing_point,
     path_intersections,
     rational,
     segment_intersection,
+    transversal_at,
 )
 
 
@@ -217,19 +217,19 @@ def test_symmetry_of_path_intersections():
 def test_crossing_at_interior_point():
     p = RectPath([(0, 0), (2, 0)])
     q = RectPath([(1, -1), (1, 1)])
-    assert is_crossing_point(p, q, P(1, 0))
+    assert transversal_at(p, q, P(1, 0))
 
 
 def test_endpoint_touch_is_not_crossing():
     p = RectPath([(0, 0), (2, 0)])
     q = RectPath([(2, -1), (2, 1)])
-    assert not is_crossing_point(p, q, P(2, 0))
+    assert not transversal_at(p, q, P(2, 0))
 
 
 def test_t_touch_is_not_crossing():
     p = RectPath([(0, 0), (2, 0)])
     q = RectPath([(1, 1), (1, 0)])  # ends on p's interior
-    assert not is_crossing_point(p, q, P(1, 0))
+    assert not transversal_at(p, q, P(1, 0))
 
 
 def test_crossing_at_corner_of_one_path_is_not_crossing():
@@ -237,14 +237,7 @@ def test_crossing_at_corner_of_one_path_is_not_crossing():
     q = RectPath([(2, -1), (2, 0), (3, 0)])  # shares the corner point (2,0)
     inter = path_intersections(p, q)
     assert P(2, 0) in inter.points
-    assert not is_crossing_point(p, q, P(2, 0))
-
-
-def test_crossing_query_requires_intersection_point():
-    p = RectPath([(0, 0), (2, 0)])
-    q = RectPath([(1, -1), (1, 1)])
-    with pytest.raises(GeometryError):
-        is_crossing_point(p, q, P(0, 0))
+    assert not transversal_at(p, q, P(2, 0))
 
 
 # --- properties -------------------------------------------------------------
@@ -268,7 +261,7 @@ def test_translation_invariance(x1, y1, x2, y2, dx, dy):
     moved = tuple(sorted(pt.translated(dx, dy) for pt in before.points))
     assert moved == after.points
     for pt in before.points:
-        same = is_crossing_point(p, q, pt) == is_crossing_point(
+        same = transversal_at(p, q, pt) == transversal_at(
             p.translated(dx, dy), q.translated(dx, dy), pt.translated(dx, dy)
         )
         assert same

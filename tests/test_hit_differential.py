@@ -9,6 +9,7 @@ scan is checked against its transpose and against a ray test on every corner
 coordinate.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -22,9 +23,11 @@ from vpgbend.constructors import (
     exposed_below_interval,
     exposed_left_interval,
 )
+from vpgbend.errors import DomainError
 from vpgbend.geometry import HORIZONTAL, Point, RectPath, Segment
 from vpgbend.lowerbound import build_auxiliary_fh_fv, classify_sh_sv
 from vpgbend.representation import (
+    VpgRepresentation,
     _hit_table,
     _hit_walk,
     clique_hit_sequence,
@@ -120,10 +123,15 @@ def test_walks_on_one_table_match_reference(clique_paths, indep_paths, variant, 
     rnd.shuffle(clique)
     _assert_same(rep, clique, indep)
     # the consumers' table, shared by every walk of the call
-    xs, ys, ranked, meetings = _hit_table(rep, clique + indep)
+    den, xs, ys, ranked, meetings = _hit_table(rep, clique + indep)
     for b in indep:
         walk = [
-            (a, rep.path(a).segments()[idx].orientation, idx, Point(xs[x], ys[y]))
+            (
+                a,
+                rep.path(a).segments()[idx].orientation,
+                idx,
+                Point(Fraction(xs[x], den), Fraction(ys[y], den)),
+            )
             for a, (x, y), idx, _ in _hit_walk(ranked, meetings, b, clique)
         ]
         assert walk == reference.hit_details(rep, b, clique)
@@ -139,6 +147,50 @@ def test_hit_walk_matches_reference_on_k3n(k3n_reps, n):
 def test_hit_walk_matches_reference_on_k2n(n):
     clique = list(range(1, n + 1))
     _assert_same(construct_k2n_proper(n), clique, list(combinations(clique, 2)))
+
+
+# the rank cut's edge cases: P(b) is path "b" and every other path is a
+# clique path; each case gives the trimmed corners or the error
+_CROSSING_U = [(2, 1), (2, -1), (6, -1), (6, 1)]  # crosses y = 0 at x = 2 and 6
+_TRIM_CASES = {
+    # the leaf trim drops the first hit at x = 2, which recurs at x = 6
+    "both survivors on one segment": (
+        {"b": [(0, 0), (10, 0), (10, 5)], "a1": _CROSSING_U, "a2": [(4, -1), (4, 1)]},
+        ((4, 0), (6, 0)),
+    ),
+    "start survivor on a corner": (
+        {"b": [(0, 0), (4, 0), (4, 4)], "a1": [(6, 0), (4, 0)], "a2": [(3, 2), (5, 2)]},
+        ((4, 0), (4, 2)),
+    ),
+    "end survivor on a corner": (
+        {"b": [(0, 0), (4, 0), (4, 4)], "a1": [(2, -1), (2, 1)], "a2": [(4, -2), (4, 0)]},
+        ((2, 0), (4, 0)),
+    ),
+    "survivors on both ends of P(b)": (
+        {"b": [(0, 0), (4, 0), (4, 4)], "a1": [(0, -1), (0, 0)], "a2": [(4, 4), (6, 4)]},
+        ((0, 0), (4, 0), (4, 4)),
+    ),
+    "two survivors at one point": (
+        {"b": [(0, 0), (10, 0)], "a1": [(3, -1), (3, 1)], "a2": [(3, 0), (3, -2)]},
+        (DomainError, "degenerate subpath (start equals end)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(2, 3)], ids=["den 1", "den 3"])
+@pytest.mark.parametrize("case", list(_TRIM_CASES))
+def test_rank_cut_edge_cases_match_reference(case, scale):
+    paths, expected = _TRIM_CASES[case]
+    rep = VpgRepresentation(
+        {label: RectPath([(x * scale, y * scale) for x, y in c]) for label, c in paths.items()}
+    )
+    assert rep.path("b")._scaled[0] == scale.denominator
+    if not isinstance(expected[0], type):
+        expected = tuple(Point(x * scale, y * scale) for x, y in expected)
+    clique = [label for label in paths if label != "b"]
+    trimmed = _corners(_outcome(trim_independent_path, rep, "b", clique))
+    assert trimmed == expected
+    assert trimmed == _corners(_outcome(reference.trim_independent_path, rep, "b", clique))
 
 
 def _transposed(pt):

