@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ConstructionError, ParameterError
-from .geometry import HORIZONTAL, VERTICAL, RectPath, Segment
+from .geometry import RectPath, segment_tables
 from .graphs import Graph, SplitPartition, check_split_partition, ksubsets
 from .representation import VpgRepresentation
 
@@ -205,39 +204,25 @@ def construct_k2n_proper(n: int) -> VpgRepresentation:
 # exposure computation (checked, not assumed)
 
 
-def _exposed_interval(paths, target: Segment, along, across) -> Tuple[Fraction, Fraction]:
-    """Maximal [lo, cap) sub-interval of `target`, anchored at its low end,
-    whose open rays towards lower `across` miss every path.  `along` and
-    `across` read a point's coordinates along and across the target, so one
-    scan serves both orientations: each other segment starting below the
-    target and reaching [lo, cap] moves cap down to its low end, not below lo."""
-    c0 = across(target.a)
-    lo, cap = along(target.a), along(target.b)
-    for path in paths:
-        for s in path.segments():
-            if s != target and across(s.a) < c0 and along(s.a) <= cap and along(s.b) >= lo:
-                cap = max(along(s.a), lo)
-    return lo, cap
-
-
-def exposed_below_interval(
-    paths: Sequence[RectPath], target: Segment
-) -> Tuple[Fraction, Fraction]:
-    """Maximal [lo, cap) sub-interval of a horizontal segment, anchored at its
-    left end, whose open downward rays miss every path."""
-    if target.orientation != HORIZONTAL:
-        raise ConstructionError("exposure from below needs a horizontal segment")
-    return _exposed_interval(paths, target, attrgetter("x"), attrgetter("y"))
-
-
-def exposed_left_interval(
-    paths: Sequence[RectPath], target: Segment
-) -> Tuple[Fraction, Fraction]:
-    """Maximal [lo, cap) sub-interval of a vertical segment, anchored at its
-    bottom end, whose open leftward rays miss every path."""
-    if target.orientation != VERTICAL:
-        raise ConstructionError("exposure from the left needs a vertical segment")
-    return _exposed_interval(paths, target, attrgetter("y"), attrgetter("x"))
+def _exposures(hs, vs) -> Dict[int, List[Tuple[int, int]]]:
+    """Per path index, the [lo, cap) rank interval of each of its horizontal
+    segments, in path order, over the tables of `segment_tables`: the maximal
+    sub-interval anchored at the segment's left end whose open downward rays
+    miss every path.  Each segment starting below the target and reaching
+    [lo, cap] moves cap down to its left end, not below lo, so cap is the
+    least such end whatever the order.  On the transposed tables (vs, hs) it
+    gives each vertical segment's exposure from the left.
+    """
+    out: Dict[int, List[Tuple[int, int]]] = {}
+    for y, lo, cap, li in hs:
+        for fixed, a, b, _ in hs:
+            if fixed < y and a <= cap and b >= lo:
+                cap = max(a, lo)
+        for fixed, a, _, _ in vs:
+            if a < y and lo <= fixed <= cap:
+                cap = fixed
+        out.setdefault(li, []).append((lo, cap))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +252,18 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
         a_paths[i] = RectPath(
             [(t, -t), (1 + t, -t), (1 + t, -1 - t), (2 + t, -1 - t), (2 + t, -2 - t)]
         )
-    ra = [a_paths[i] for i in range(1, n + 1)]
+    den, xs, ys, hs, vs = segment_tables(a_paths.values())
+    # path i - 1 holds clique path i; its horizontals are segments 0 and 2,
+    # its verticals segments 1 and 3
+    below, left = _exposures(hs, vs), _exposures(vs, hs)
 
-    def check_inside(value, interval, what):
-        lo, cap = interval
+    def check_inside(value, values, interval, what):
+        lo, cap = (Fraction(values[r], den) for r in interval)
         if not (lo < value < cap):
             raise ConstructionError(
                 f"{what}: {value} outside computed exposed interval ({lo}, {cap})"
             )
 
-    # each exposed interval depends only on its clique path: one scan per path
-    below_first = {i: exposed_below_interval(ra, a_paths[i].segments()[0]) for i in a_paths}
-    left_second = {i: exposed_left_interval(ra, a_paths[i].segments()[1]) for i in a_paths}
-    left_fourth = {i: exposed_left_interval(ra, a_paths[i].segments()[3]) for i in a_paths}
     subsets = ksubsets(n, k)
     m_total = len(subsets)
     assignment: Dict = {i: a_paths[i] for i in range(1, n + 1)}
@@ -289,13 +273,15 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
         x_start = shift[i1] + eps
         check_inside(
             x_start,
-            below_first[i1],
+            xs,
+            below[i1 - 1][0],
             f"start of {subset} on first segment of path {i1}",
         )
         y_run1 = -1 - shift[i2] + eps0 - eps
         check_inside(
             y_run1,
-            left_second[i2],
+            ys,
+            left[i2 - 1][0],
             f"first run of {subset} in exposed zone of path {i2}",
         )
         corners: List[Tuple[Fraction, Fraction]] = [
@@ -309,7 +295,8 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
             y_run = -2 - shift[ir] + eps0 - eps
             check_inside(
                 y_run,
-                left_fourth[ir],
+                ys,
+                left[ir - 1][1],
                 f"run {r} of {subset} in exposed zone of path {ir}",
             )
             corners.append((cur_x, y_run))

@@ -30,4 +30,4 @@ class ConstructionError(VpgError, RuntimeError):
 
 
 class DegenerateTrimError(VpgError, RuntimeError):
-    """Path trimming ended with a single-element hit sequence (no distinct leaves)."""
+    """Path trimming left no subpath: a single surviving hit, or two at one point."""

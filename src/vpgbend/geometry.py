@@ -102,9 +102,6 @@ class Segment:
     def interior_contains(self, pt: Point) -> bool:
         return self.contains(pt) and pt != self.a and pt != self.b
 
-    def translated(self, dx: Coord, dy: Coord) -> "Segment":
-        return Segment(self.a.translated(dx, dy), self.b.translated(dx, dy))
-
     def __str__(self):
         return f"[{self.a}-{self.b}]"
 

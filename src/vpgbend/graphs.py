@@ -132,15 +132,8 @@ def build_split_knk(n: int, k: int) -> Tuple[Graph, SplitPartition]:
     """
     if not 1 <= k < n:
         raise ParameterError(f"need 1 <= k < n, got k={k}, n={n}")
-    clique = list(range(1, n + 1))
-    indep = ksubsets(n, k)
-    g = Graph(clique + indep)
-    for u, v in combinations(clique, 2):
-        g.add_edge(u, v)
-    for subset in indep:
-        for w in subset:
-            g.add_edge(subset, w)
-    return g, SplitPartition(clique=tuple(clique), independent=tuple(indep))
+    part = SplitPartition(clique=tuple(range(1, n + 1)), independent=tuple(ksubsets(n, k)))
+    return build_hnk_member(n, k, ()), part
 
 
 def all_qedges(n: int, k: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:

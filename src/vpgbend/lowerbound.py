@@ -24,7 +24,6 @@ from .geometry import (
     Point,
     Segment,
     bend_count,
-    segment_intersection,
     segment_tables,
 )
 from .graphs import Graph, Label
@@ -87,17 +86,18 @@ def _coordinate(values: Sequence[int], den: int, events: Sequence[int], code: in
     return Fraction(3 * a + (code - events[at]) * (values[events[at + 1] // 3] - a), 3 * den)
 
 
-def _probe_sets_one_axis(xs, ys, hs, vs, k: int) -> Dict[int, tuple]:
+def _probe_sets_one_axis(width: int, hs, vs, k: int) -> Dict[int, tuple]:
     """Every nonempty hit-set of at most k paths of probes along the y axis.
 
-    Over the tables of `segment_tables`, a probe at x meets the horizontals
-    spanning x in points and the verticals on x in intervals (the atoms).
-    Called on the transposed tables (ys, xs, vs, hs) it gives the probes
-    along the x axis.  Keys are int masks over path indices (bit li for path
-    li); each maps to the int codes (x, events, ya, yb) of its first probe,
-    which `_coordinate` maps back to exact coordinates.  The x positions are
-    those of `_positions` except the two beyond the ends, which meet nothing,
-    and the 2/3 point of each cell, which meets what its 1/3 point meets.
+    Over the tables of `segment_tables`, whose x ranks run below `width`, a
+    probe at x meets the horizontals spanning x in points and the verticals
+    on x in intervals (the atoms).  Called on the transposed tables (vs, hs)
+    and the count of y ranks it gives the probes along the x axis.  Keys are
+    int masks over path indices (bit li for path li); each maps to the int
+    codes (x, events, ya, yb) of its first probe, which `_coordinate` maps
+    back to exact coordinates.  The x positions are those of `_positions`
+    except the two beyond the ends, which meet nothing, and the 2/3 point of
+    each cell, which meets what its 1/3 point meets.
     """
     opening: Dict[int, list] = {}
     for y, lo, hi, li in hs:
@@ -107,7 +107,7 @@ def _probe_sets_one_axis(xs, ys, hs, vs, k: int) -> Dict[int, tuple]:
         on_line.setdefault(x, []).append((3 * lo, 3 * hi, 1 << li))
     found: Dict[int, tuple] = {}
     spanning: list = []  # (hi, 3 * y, path bit) of the horizontals at the current x
-    for r in range(len(xs)):
+    for r in range(width):
         spanning += opening.get(r, ())
         intervals = on_line.get(r, [])
         columns = [(3 * r, intervals, intervals + [(y, y, bit) for _, y, bit in spanning])]
@@ -145,7 +145,8 @@ def _probe_sweep(ra: VpgRepresentation, k: int):
     if k < 1:
         raise ParameterError("need k >= 1")
     den, xs, ys, hs, vs = segment_tables(ra.assignment.values())
-    return den, xs, ys, _probe_sets_one_axis(xs, ys, hs, vs, k), _probe_sets_one_axis(ys, xs, vs, hs, k)
+    vertical = _probe_sets_one_axis(len(xs), hs, vs, k)
+    return den, xs, ys, vertical, _probe_sets_one_axis(len(ys), vs, hs, k)
 
 
 def _members(labels: Sequence[Label], mask: int) -> List[Label]:
@@ -175,14 +176,27 @@ def enumerate_good_sets(ra: VpgRepresentation, k: int) -> List[GoodKSet]:
 
 
 def probe_hit_set(ra: VpgRepresentation, probe: Segment) -> frozenset:
-    """Labels of paths met by a probe segment (independent witness re-check)."""
+    """Labels of paths met by a probe segment (independent witness re-check).
+
+    An axis-parallel segment is its own bounding box, so a path meets the
+    probe iff the box of one of its segments meets the probe's.  Each path's
+    own ints are compared with the probe's ends over a common denominator,
+    with no ranking or sweep shared with the probe sweep that this checks.
+    """
+    ends = (probe.a.x, probe.a.y, probe.b.x, probe.b.y)
+    pden = math.lcm(*(c.denominator for c in ends))
+    box = [c.numerator * (pden // c.denominator) for c in ends]
     hit = set()
     for label, path in ra.assignment.items():
-        for seg in path.segments():
-            pt, ov = segment_intersection(seg, probe)
-            if pt is not None or ov is not None:
-                hit.add(label)
-                break
+        den, *flat = path._scaled
+        # the probe and the path over the common denominator den * pden
+        x0, y0, x1, y1 = (v * den for v in box)
+        xs, ys = [x * pden for x in flat[::2]], [y * pden for y in flat[1::2]]
+        if any(
+            min(ax, bx) <= x1 and x0 <= max(ax, bx) and min(ay, by) <= y1 and y0 <= max(ay, by)
+            for ax, bx, ay, by in zip(xs, xs[1:], ys, ys[1:])
+        ):
+            hit.add(label)
     return frozenset(hit)
 
 

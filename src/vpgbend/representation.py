@@ -349,7 +349,9 @@ def trim_independent_path(
         )
     start, end = hits[lo][1], hits[hi][1]
     if start == end:
-        raise DomainError("degenerate subpath (start equals end)")
+        raise DegenerateTrimError(
+            f"trimmed hit sequence of {label_str(b)} starts and ends at one point"
+        )
     pb = ranked[b]
     first, _ = _first_segment(pb, *start, *start)
     last, _ = _first_segment(pb, *end, *end)

@@ -1,5 +1,6 @@
 """Two clique-hit walks along an independent path, kept only to test the
-single walk `vpgbend.representation.clique_hit_sequence` against.
+single walk `vpgbend.representation.clique_hit_sequence` against, and the
+exposure scan on `Segment`s that `vpgbend.constructors._exposures` replaced.
 
 `hit_details` is the walk behind S_H/S_V and F_h/F_v, and `hit_sequence` the
 one behind the recurring-leaf trim, each in its original form on `Fraction`
@@ -9,6 +10,8 @@ of them, the trim cutting its subpath by arc length (`subpath_between`).
 """
 
 from fractions import Fraction
+from operator import attrgetter
+from typing import Sequence, Tuple
 
 from vpgbend.errors import ConstructionError, DegenerateTrimError, DomainError
 from vpgbend.geometry import (
@@ -16,6 +19,7 @@ from vpgbend.geometry import (
     VERTICAL,
     Point,
     RectPath,
+    Segment,
     path_intersections,
     segment_intersection,
 )
@@ -162,4 +166,43 @@ def trim_independent_path(rep, b, clique_verts):
         raise DegenerateTrimError(
             f"trimmed hit sequence of {label_str(b)} has a single element"
         )
+    if hits[lo][1] == hits[hi][1]:
+        raise DegenerateTrimError(
+            f"trimmed hit sequence of {label_str(b)} starts and ends at one point"
+        )
     return subpath_between(rep.path(b), hits[lo][1], hits[hi][1])
+
+
+def _exposed_interval(paths, target: Segment, along, across) -> Tuple[Fraction, Fraction]:
+    """Maximal [lo, cap) sub-interval of `target`, anchored at its low end,
+    whose open rays towards lower `across` miss every path.  `along` and
+    `across` read a point's coordinates along and across the target, so one
+    scan serves both orientations: each other segment starting below the
+    target and reaching [lo, cap] moves cap down to its low end, not below lo."""
+    c0 = across(target.a)
+    lo, cap = along(target.a), along(target.b)
+    for path in paths:
+        for s in path.segments():
+            if s != target and across(s.a) < c0 and along(s.a) <= cap and along(s.b) >= lo:
+                cap = max(along(s.a), lo)
+    return lo, cap
+
+
+def exposed_below_interval(
+    paths: Sequence[RectPath], target: Segment
+) -> Tuple[Fraction, Fraction]:
+    """Maximal [lo, cap) sub-interval of a horizontal segment, anchored at its
+    left end, whose open downward rays miss every path."""
+    if target.orientation != HORIZONTAL:
+        raise ConstructionError("exposure from below needs a horizontal segment")
+    return _exposed_interval(paths, target, attrgetter("x"), attrgetter("y"))
+
+
+def exposed_left_interval(
+    paths: Sequence[RectPath], target: Segment
+) -> Tuple[Fraction, Fraction]:
+    """Maximal [lo, cap) sub-interval of a vertical segment, anchored at its
+    bottom end, whose open leftward rays miss every path."""
+    if target.orientation != VERTICAL:
+        raise ConstructionError("exposure from the left needs a vertical segment")
+    return _exposed_interval(paths, target, attrgetter("y"), attrgetter("x"))

@@ -3,14 +3,16 @@
 This is the straightforward form of `induced_grid`, `enumerate_good_sets` and
 `strip_small_sets`: every probe position is a `Fraction`, and each one
 rescans every segment of every path.  It is slow but shares no code with the
-rank-compressed sweep in `vpgbend.lowerbound`.
+rank-compressed sweep in `vpgbend.lowerbound`.  `probe_hit_set` is the
+witness re-check on `segment_intersection` that the int-box re-check in
+`vpgbend.lowerbound` replaced.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from vpgbend.errors import DomainError, ParameterError
-from vpgbend.geometry import HORIZONTAL, VERTICAL, Point, Segment
+from vpgbend.geometry import HORIZONTAL, VERTICAL, Point, Segment, segment_intersection
 from vpgbend.lowerbound import GoodKSet, InducedGrid
 from vpgbend.representation import VpgRepresentation
 
@@ -149,3 +151,15 @@ def strip_small_sets(ra: VpgRepresentation, k: int) -> List[frozenset]:
             if 0 < len(members) < k:
                 out.append(frozenset(members))
     return out
+
+
+def probe_hit_set(ra: VpgRepresentation, probe: Segment) -> frozenset:
+    """Labels of paths met by a probe segment (independent witness re-check)."""
+    hit = set()
+    for label, path in ra.assignment.items():
+        for seg in path.segments():
+            pt, ov = segment_intersection(seg, probe)
+            if pt is not None or ov is not None:
+                hit.add(label)
+                break
+    return frozenset(hit)

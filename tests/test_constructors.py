@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -6,16 +7,15 @@ import pytest
 from conftest import subset_split_graph
 from direction_vectors import DOWN, RIGHT, direction_vector
 from vpgbend.errors import ParameterError
-from vpgbend.geometry import bend_count, path_intersections
+from vpgbend.geometry import bend_count, path_intersections, segment_tables
 from vpgbend.graphs import Graph, SplitPartition, all_qedges, build_hnk_member, build_split_knk
 from vpgbend.constructors import (
     SquareRegionLayout,
+    _exposures,
     construct_gtm_stairs,
     construct_k2n_proper,
     construct_k3n_proper,
     construct_split_upper,
-    exposed_below_interval,
-    exposed_left_interval,
     hamiltonian_decomposition,
     sequences_from_cycles,
 )
@@ -223,12 +223,13 @@ def test_stairs_deterministic():
 
 def test_exposure_intervals_on_stairs():
     rep = construct_gtm_stairs(5, 3)
-    ra = [rep.path(i) for i in range(1, 6)]
-    first = rep.path(2).segments()[0]
-    lo, cap = exposed_below_interval(ra, first)
+    den, xs, ys, hs, vs = segment_tables([rep.path(i) for i in range(1, 6)])
+    # path index 1 is clique path 2, whose first horizontal and first
+    # vertical are its segments 0 and 1
+    first, second = rep.path(2).segments()[:2]
+    lo, cap = (Fraction(xs[r], den) for r in _exposures(hs, vs)[1][0])
     assert lo == first.a.x and lo < cap <= first.b.x
-    second = rep.path(2).segments()[1]
-    lo, cap = exposed_left_interval(ra, second)
+    lo, cap = (Fraction(ys[r], den) for r in _exposures(vs, hs)[1][0])
     assert lo == second.a.y and lo < cap <= second.b.y
 
 

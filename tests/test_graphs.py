@@ -93,6 +93,14 @@ def test_hnk_empty_q_matches_split_graph():
     assert g1 == g2
 
 
+@pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (5, 3), (6, 2), (7, 4)])
+def test_split_knk_is_hnk_member_without_q_edges(n, k):
+    g1, _ = build_split_knk(n, k)
+    g2 = build_hnk_member(n, k, ())
+    assert g1 == g2
+    assert g1.vertices == g2.vertices
+
+
 def test_hnk_single_qedge_counts():
     g = build_hnk_member(4, 2, [((1, 2), (3, 4))])
     assert len(g) == 4 + 6

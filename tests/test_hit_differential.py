@@ -1,11 +1,13 @@
-"""The single clique-hit walk and the single exposure scan against their
-original two-copy forms.
+"""The single clique-hit walk and the rank exposure scan against their
+original `Segment` forms in `hit_reference`.
 
-The walk and its three consumers are compared with `hit_reference` on the
+The walk and its three consumers are compared with the reference on the
 random representations of `rep_strategies`, with path 0 as the independent
 path, on random cases with several independent paths that the consumers walk
 against one rank table, and on the k3n and k2n constructions.  The exposure
-scan is checked against its transpose and against a ray test on every corner
+of every segment of those random representations, on integer and `Fraction`
+coordinates, and of the staircases' clique paths is compared with the
+reference, with its transpose, and with a ray test on every corner
 coordinate.
 """
 
@@ -18,13 +20,9 @@ from hypothesis import strategies as st
 
 import hit_reference as reference
 from rep_strategies import grid_path, representation, representations, scales, shifts
-from vpgbend.constructors import (
-    construct_k2n_proper,
-    exposed_below_interval,
-    exposed_left_interval,
-)
-from vpgbend.errors import DomainError
-from vpgbend.geometry import HORIZONTAL, Point, RectPath, Segment
+from vpgbend.constructors import _exposures, construct_gtm_stairs, construct_k2n_proper
+from vpgbend.errors import DegenerateTrimError
+from vpgbend.geometry import HORIZONTAL, VERTICAL, Point, RectPath, segment_tables
 from vpgbend.lowerbound import build_auxiliary_fh_fv, classify_sh_sv
 from vpgbend.representation import (
     VpgRepresentation,
@@ -172,7 +170,7 @@ _TRIM_CASES = {
     ),
     "two survivors at one point": (
         {"b": [(0, 0), (10, 0)], "a1": [(3, -1), (3, 1)], "a2": [(3, 0), (3, -2)]},
-        (DomainError, "degenerate subpath (start equals end)"),
+        (DegenerateTrimError, "trimmed hit sequence of b starts and ends at one point"),
     ),
 }
 
@@ -193,31 +191,70 @@ def test_rank_cut_edge_cases_match_reference(case, scale):
     assert trimmed == _corners(_outcome(reference.trim_independent_path, rep, "b", clique))
 
 
+def _rank_exposures(paths):
+    """`_exposures` of every segment as `Fraction`s, keyed by (path index,
+    orientation): horizontals from below, verticals from the left."""
+    den, xs, ys, hs, vs = segment_tables(paths)
+    out = {}
+    for orientation, values, table, other in ((HORIZONTAL, xs, hs, vs), (VERTICAL, ys, vs, hs)):
+        for li, intervals in _exposures(table, other).items():
+            out[li, orientation] = [tuple(Fraction(values[r], den) for r in iv) for iv in intervals]
+    return out
+
+
+def _reference_exposures(paths):
+    out = {}
+    for li, path in enumerate(paths):
+        for s in path.segments():
+            if s.orientation == HORIZONTAL:
+                interval = reference.exposed_below_interval(paths, s)
+            else:
+                interval = reference.exposed_left_interval(paths, s)
+            out.setdefault((li, s.orientation), []).append(interval)
+    return out
+
+
 def _transposed(pt):
     return Point(pt.y, pt.x)
 
 
-@settings(max_examples=300, deadline=None)
-@given(representations, st.data())
-def test_exposure_scan_is_transpose_symmetric_and_matches_rays(paths, data):
-    paths = list(representation(paths).assignment.values())
-    targets = [s for p in paths for s in p.segments() if s.orientation == HORIZONTAL]
-    assume(targets)
-    target = data.draw(st.sampled_from(targets))
-    lo, cap = exposed_below_interval(paths, target)
-    flipped = [RectPath([_transposed(c) for c in p.corners]) for p in paths]
-    flipped_target = Segment(_transposed(target.a), _transposed(target.b))
-    assert exposed_left_interval(flipped, flipped_target) == (lo, cap)
+def _assert_exposures(paths):
+    exposures = _rank_exposures(paths)
+    assert exposures == _reference_exposures(paths)
+    flipped = _rank_exposures([RectPath([_transposed(c) for c in p.corners]) for p in paths])
+    swap = {HORIZONTAL: VERTICAL, VERTICAL: HORIZONTAL}
+    assert {(li, swap[o]): ivs for (li, o), ivs in flipped.items()} == exposures
 
     # cap is the first corner x from lo on whose open downward ray meets a
     # segment other than the target, or the target's right end if none does
-    def ray_hits(x):
-        return any(
-            s != target and s.a.y < target.a.y and s.a.x <= x <= s.b.x
-            for p in paths
-            for s in p.segments()
-        )
+    segments = [s for p in paths for s in p.segments()]
+    for li, path in enumerate(paths):
+        horizontals = [s for s in path.segments() if s.orientation == HORIZONTAL]
+        for target, interval in zip(horizontals, exposures.get((li, HORIZONTAL), []), strict=True):
 
-    xs = sorted({c.x for p in paths for c in p.corners if target.a.x < c.x <= target.b.x})
-    first = next((x for x in [target.a.x] + xs if ray_hits(x)), target.b.x)
-    assert (lo, cap) == (target.a.x, first)
+            def ray_hits(x):
+                return any(
+                    s != target and s.a.y < target.a.y and s.a.x <= x <= s.b.x for s in segments
+                )
+
+            xs = sorted({c.x for p in paths for c in p.corners if target.a.x < c.x <= target.b.x})
+            first = next((x for x in [target.a.x] + xs if ray_hits(x)), target.b.x)
+            assert interval == (target.a.x, first)
+
+
+@settings(max_examples=300, deadline=None)
+@given(representations)
+def test_exposure_scan_is_transpose_symmetric_and_matches_rays(paths):
+    _assert_exposures(list(representation(paths).assignment.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(representations, scales, shifts)
+def test_exposures_match_reference_on_fraction_coordinates(paths, scale, shift):
+    _assert_exposures(list(representation(paths, lambda c: c * scale + shift).assignment.values()))
+
+
+@pytest.mark.parametrize("nk", [(5, 3), (6, 3), (6, 4), (7, 4), (8, 4), (9, 4)])
+def test_exposures_match_reference_on_staircases(nk):
+    rep = construct_gtm_stairs(*nk)
+    _assert_exposures([rep.path(i) for i in range(1, nk[0] + 1)])

@@ -15,7 +15,7 @@ import vpgbend
 from rep_strategies import grid_path, representation
 
 from vpgbend.errors import DomainError, ParameterError
-from vpgbend.geometry import VERTICAL, RectPath, bend_count
+from vpgbend.geometry import VERTICAL, Point, RectPath, Segment, bend_count
 from vpgbend.graphs import Graph
 from vpgbend.constructors import construct_gtm_stairs, construct_k2n_proper, construct_k3n_proper
 from vpgbend.lowerbound import (
@@ -121,7 +121,6 @@ def _brute_force_probe_sets(ra, k):
     """
     from fractions import Fraction
 
-    from vpgbend.geometry import Point, Segment
     from vpgbend.lowerbound import probe_hit_set
 
     corners = [c for p in ra.assignment.values() for c in p.corners]
@@ -541,6 +540,24 @@ def test_hit_walk_tests_no_fraction_segment_pairs(monkeypatch, k3n_reps):
     )
     assert is_proper(overlapping).violations == ("overlap between a and b along [(2,0)-(4,0)]",)
     assert calls == []
+
+
+def test_stairs_and_probe_recheck_build_no_point_or_segment(monkeypatch):
+    # the staircase exposure and the probe re-check run on ints; the
+    # witnesses are built before the count starts
+    ra = construct_gtm_stairs(6, 3).restricted(range(1, 7))
+    witnesses = [gs.witness for gs in enumerate_good_sets(ra, 3)]
+    built = []
+    for cls in (Point, Segment):
+
+        def counted(self, real=cls.__post_init__):
+            built.append(type(self).__name__)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    construct_gtm_stairs(8, 4)
+    assert all(probe_hit_set(ra, w) for w in witnesses)
+    assert built == []
 
 
 def test_fh_from_k3n_six_planar(k3n_reps):

@@ -1,13 +1,18 @@
 """The integer-rank probe sweep against the Fraction reference in
 `probe_reference`, on the random representations of `rep_strategies` and on
 the clique paths of the constructions.  The certificate candidates of k must
-be the reference's good j-sets for all j <= k."""
+be the reference's good j-sets for all j <= k.  The int-box witness re-check
+`probe_hit_set` is compared with the reference's on random probes."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probe_reference as reference
 from rep_strategies import representation, representations, scales, shifts
+from vpgbend.geometry import Point, Segment
 from vpgbend.lowerbound import (
     certificate_candidates,
     enumerate_good_sets,
@@ -53,3 +58,25 @@ def test_probe_sweep_matches_reference_on_k3n(k3n_reps, n):
 @pytest.mark.parametrize("nk", [(6, 3), (7, 4)])
 def test_probe_sweep_matches_reference_on_staircases(gtm_reps, nk):
     _assert_same(gtm_reps[nk].restricted(range(1, nk[0] + 1)))
+
+
+def _probe_coordinates(ra):
+    """Every corner coordinate, and the points a third, a half and one unit
+    away from each: probes on them touch ends and run along segments."""
+    cs = {c for p in ra.assignment.values() for pt in p.corners for c in (pt.x, pt.y)}
+    return sorted(cs | {c + d for c in cs for d in (Fraction(1, 3), Fraction(-1, 2), 1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(representations, scales, shifts, st.booleans(), st.data())
+def test_probe_hit_set_matches_reference(paths, scale, shift, on_fractions, data):
+    ra = representation(paths, (lambda c: c * scale + shift) if on_fractions else (lambda c: c))
+    coords = st.sampled_from(_probe_coordinates(ra))
+    for _ in range(8):
+        fixed = data.draw(coords)
+        a, b = data.draw(st.lists(coords, min_size=2, max_size=2, unique=True).map(sorted))
+        ends = (Point(fixed, a), Point(fixed, b))
+        if data.draw(st.booleans()):
+            ends = tuple(Point(pt.y, pt.x) for pt in ends)
+        probe = Segment(*ends)
+        assert probe_hit_set(ra, probe) == reference.probe_hit_set(ra, probe)
