@@ -136,10 +136,6 @@ def _parse_label_set(spec: str, what: str) -> List[str]:
     return labels
 
 
-def _rep_with_string_labels(rep: VpgRepresentation) -> VpgRepresentation:
-    return VpgRepresentation({label_str(l): p for l, p in rep.assignment.items()})
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -160,7 +156,6 @@ def _cmd_construct(args) -> int:
         rep = constructors.construct_k2n_proper(args.n)
     else:
         rep = constructors.construct_gtm_stairs(args.n, args.k)
-    rep = _rep_with_string_labels(rep)
     _emit(write_representation_text(rep), args.output)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -272,7 +267,7 @@ def _cmd_oracle(args) -> int:
         kind = "proper representation" if args.proper else "representation"
         print(f"no {kind} on {w}x{h} with at most {args.bends} bends")
         return 1
-    sys.stdout.write(write_representation_text(_rep_with_string_labels(rep)))
+    sys.stdout.write(write_representation_text(rep))
     return 0
 
 
@@ -373,8 +368,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "proper one) whose paths have at most --bends bends, and print it (exit 0). "
         "Otherwise exit 1 with 'not found within budget' when --node-limit ran out, "
         "which proves nothing, or 'no representation on WxH with at most b bends' when "
-        "the whole grid was ruled out; on a grid of side n*(b+2), n the number of "
-        "vertices, that proves the graph needs more than b bends.",
+        "the whole grid was ruled out.  A path with b bends has at most floor(b/2)+1 "
+        "horizontal segments and only they move x, so its corners have at most "
+        "floor(b/2)+2 distinct x (and as many y).  Ranking the corners thus puts a "
+        "representation of a graph on n vertices on a grid of side n*(floor(b/2)+2), "
+        "where 'no representation' proves the graph needs more than b bends.",
     )
     p.add_argument("graph")
     p.add_argument("--grid", required=True, help="WxH")

@@ -19,6 +19,7 @@ fraction so identical inputs give bit-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -96,27 +97,13 @@ class HamiltonianDecomposition:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _step_cycles(n_verts: int, count: int) -> List[Tuple[int, ...]]:
-    # cycle j walks 1-based labels with stride j; needs gcd(j, n_verts) = 1
-    cycles = []
-    for j in range(1, count + 1):
-        seq = [j]
-        cur = j
-        for _ in range(n_verts - 1):
-            cur = (cur - 1 + j) % n_verts + 1
-            seq.append(cur)
-        cycles.append(tuple(seq))
-    return cycles
+    # cycle j walks 1-based labels with stride j from j; needs gcd(j, n_verts) = 1
+    return [tuple((j - 1 + t * j) % n_verts + 1 for t in range(n_verts))
+            for j in range(1, count + 1)]
 
 
 def _walecki_cycles(s: int) -> List[Tuple[int, ...]]:
@@ -128,11 +115,7 @@ def _walecki_cycles(s: int) -> List[Tuple[int, ...]]:
         base.append(t)
         base.append(2 * m - t)
     base.append(m)
-    cycles = []
-    for j in range(m):
-        seq = [n_verts] + [(z + j) % (2 * m) + 1 for z in base]
-        cycles.append(tuple(seq))
-    return cycles
+    return [(n_verts, *((z + j) % (2 * m) + 1 for z in base)) for j in range(m)]
 
 
 def hamiltonian_decomposition(s: int) -> HamiltonianDecomposition:
@@ -145,10 +128,7 @@ def hamiltonian_decomposition(s: int) -> HamiltonianDecomposition:
     if s < 1:
         raise ParameterError("need s >= 1")
     n_verts = 4 * s + 1
-    if _is_prime(n_verts):
-        cycles = _step_cycles(n_verts, 2 * s)
-    else:
-        cycles = _walecki_cycles(s)
+    cycles = _step_cycles(n_verts, 2 * s) if _is_prime(n_verts) else _walecki_cycles(s)
     return HamiltonianDecomposition(vertex_count=n_verts, cycles=tuple(cycles))
 
 

@@ -29,7 +29,7 @@ from .geometry import (
 from .graphs import Graph, Label
 from .representation import (
     VpgRepresentation,
-    _hit_table,
+    _contact_table,
     _hit_walk,
     is_proper,
     leaf_trim_window,
@@ -304,22 +304,13 @@ def validate_counting(n: int, k: int, t: int) -> CountingReport:
     """Evaluate the counting inequalities exactly with arbitrary precision."""
     if not (n > k >= 1) or t < 0:
         raise ParameterError(f"need n > k >= 1 and t >= 0, got n={n}, k={k}, t={t}")
+    f, comb = math.factorial, math.comb
     a = 8 * n * n * (t + 1) ** 2 <= 2 * n * n * k * k
-    if k >= 5:
-        b = math.factorial(k) < (
-            math.factorial(-(-k // 2)) * math.factorial(k // 2) * math.factorial(k - 5)
-        )
-    else:
-        b = None
-    c = 2 * n * n * k * k * math.factorial(k) < n * (n - 1) * (n - 2)
-    if k >= 3:
-        lhs = 2 * n * n * k * k * (k - 3) * math.comb(k, -(-k // 2)) * math.comb(n - k, k - 3)
-        d = lhs < math.comb(n, k)
-    else:
-        d = None
-    return CountingReport(
-        observation_bound=a, factorial_split=b, simplified_growth=c, claim_chain=d
-    )
+    b = f(k) < f(-(-k // 2)) * f(k // 2) * f(k - 5) if k >= 5 else None
+    c = 2 * n * n * k * k * f(k) < n * (n - 1) * (n - 2)
+    d = (2 * n * n * k * k * (k - 3) * comb(k, -(-k // 2)) * comb(n - k, k - 3) < comb(n, k)
+         if k >= 3 else None)
+    return CountingReport(a, b, c, d)
 
 
 def _good_set_bound(ra: VpgRepresentation, t: int) -> int:
@@ -352,10 +343,11 @@ def classify_sh_sv(rep: VpgRepresentation, clique_verts, indep_verts):
     """Partition-cover (S_H, S_V): b lands in S_H when it meets horizontal
     segments of at least two of its three clique neighbors, S_V symmetrically."""
     clique_verts, indep_verts = list(clique_verts), list(indep_verts)
-    *_, ranked, meetings = _hit_table(rep, clique_verts + indep_verts)
+    table = _contact_table(rep)
+    ranked = table.ranked
     s_h, s_v = [], []
     for b in indep_verts:
-        hits = _hit_walk(ranked, meetings, b, clique_verts)
+        hits = _hit_walk(table, b, clique_verts)
         nbrs = {a for a, *_ in hits}
         if len(nbrs) < 3:
             raise DomainError(f"independent vertex {b!r} meets {len(nbrs)} clique paths")
@@ -418,7 +410,8 @@ def build_auxiliary_fh_fv(rep: VpgRepresentation, clique_verts, indep_verts):
         raise DomainError("representation is not proper: " + "; ".join(report.violations[:3]))
     clique_verts, indep_verts = list(clique_verts), list(indep_verts)
     tag = {HORIZONTAL: "h", VERTICAL: "v"}
-    *_, ranked, meetings = _hit_table(rep, clique_verts + indep_verts)
+    table = _contact_table(rep)
+    ranked = table.ranked
     vertices = {HORIZONTAL: [], VERTICAL: []}
     for a in clique_verts:
         for idx in range(len(ranked[a]) - 1):
@@ -426,7 +419,7 @@ def build_auxiliary_fh_fv(rep: VpgRepresentation, clique_verts, indep_verts):
             vertices[orientation].append((tag[orientation], a, idx))
     f = {orientation: Graph(vs) for orientation, vs in vertices.items()}
     for b in indep_verts:
-        hits = _hit_walk(ranked, meetings, b, clique_verts)
+        hits = _hit_walk(table, b, clique_verts)
         lo, hi = leaf_trim_window([a for a, *_ in hits])
         walks = {HORIZONTAL: [], VERTICAL: []}
         for a, _, idx, _ in hits[lo : hi + 1]:

@@ -34,6 +34,7 @@ and bends alone choose between them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParameterError
@@ -70,38 +71,40 @@ class GridSearchBudget:
 def _grid_paths(budget: GridSearchBudget) -> Iterator[Tuple[Tuple[Corner, ...], int]]:
     """All simple rectilinear paths with corners on the grid, each geometric
     path exactly once (canonical corner order), in a fixed enumeration order,
-    as (corners, lattice mask)."""
-    w, h = budget.grid_width, budget.grid_height
-    for y in range(h):
-        for x in range(w):
-            for horizontal_first in (True, False):
-                yield from _extend([(x, y)], 0, horizontal_first, w, h, budget.max_bends + 1)
-
-
-def _extend(corners: List[Corner], mask: int, horizontal_next: bool, w: int, h: int,
-            max_segments: int) -> Iterator[Tuple[Tuple[Corner, ...], int]]:
-    """The paths of `_grid_paths` that continue `corners` (lattice mask
-    `mask`) by a segment along the given axis."""
+    as (corners, lattice mask).  The depth-first search keeps its own stack,
+    so a path may have more segments than Python's recursion limit."""
+    w, h, max_segments = budget.grid_width, budget.grid_height, budget.max_bends + 1
     row = 2 * w - 1
-    x, y = corners[-1]
-    start = 2 * y * row + 2 * x
-    before = mask & ~(1 << start)  # the new segment may meet the path only at its start
-    # along the segment's axis: grid size, current coordinate, bit stride
-    size, at, stride = (w, x, 1) if horizontal_next else (h, y, row)
-    for c in range(size):
-        if c == at:
-            continue
-        lo, hi = sorted((start, start + 2 * (c - at) * stride))
-        # bits lo, lo + stride, ..., hi
-        seg = ((1 << (hi - lo + stride)) - 1) // ((1 << stride) - 1) << lo
-        if seg & before:
-            continue
-        corners.append((c, y) if horizontal_next else (x, c))
-        if corners[0] <= corners[-1]:
-            yield tuple(corners), mask | seg
-        if len(corners) <= max_segments:
-            yield from _extend(corners, mask | seg, not horizontal_next, w, h, max_segments)
-        corners.pop()
+    for y, x, horizontal_first in product(range(h), range(w), (True, False)):
+        corners = [(x, y)]
+        # one frame per segment being chosen: the path's mask before it, the
+        # segment's axis and the end coordinates not yet tried
+        stack = [(0, horizontal_first, iter(range(w if horizontal_first else h)))]
+        while stack:
+            mask, horizontal, ends = stack[-1]
+            cx, cy = corners[-1]
+            start = 2 * cy * row + 2 * cx
+            before = mask & ~(1 << start)  # the new segment may meet the path only at its start
+            at, stride = (cx, 1) if horizontal else (cy, row)
+            for c in ends:
+                if c == at:
+                    continue
+                lo, hi = sorted((start, start + 2 * (c - at) * stride))
+                # bits lo, lo + stride, ..., hi
+                seg = ((1 << (hi - lo + stride)) - 1) // ((1 << stride) - 1) << lo
+                if seg & before:
+                    continue
+                corners.append((c, cy) if horizontal else (cx, c))
+                if corners[0] <= corners[-1]:
+                    yield tuple(corners), mask | seg
+                if len(corners) <= max_segments:
+                    stack.append((mask | seg, not horizontal, iter(range(h if horizontal else w))))
+                    break
+                corners.pop()
+            else:
+                # the frame is done, and so is the corner that opened it
+                stack.pop()
+                corners.pop()
 
 
 def _corner_bits(corners: Sequence[Corner], row: int) -> int:

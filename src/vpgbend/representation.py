@@ -17,7 +17,6 @@ from .geometry import (
     bend_count,
     _ranked_corners,
     _segment_rows,
-    segment_tables,
 )
 from .graphs import Graph, Label, label_str
 
@@ -25,13 +24,15 @@ from .graphs import Graph, Label, label_str
 class VpgRepresentation:
     """Finite map from vertex labels to rectilinear paths."""
 
-    __slots__ = ("assignment",)
+    # `_table` memoises the contact table of `assignment` (`_contact_table`)
+    __slots__ = ("assignment", "_table")
 
     def __init__(self, assignment: Dict[Label, RectPath]):
         for label, path in assignment.items():
             if not isinstance(path, RectPath):
                 raise ValidationError(f"vertex {label!r} is not assigned a RectPath")
         self.assignment = dict(assignment)
+        self._table = None
 
     def labels(self) -> Tuple[Label, ...]:
         return tuple(self.assignment)
@@ -52,31 +53,91 @@ class VpgRepresentation:
 
         Meeting, overlap, crossing and corner contacts depend only on the
         order of coordinates, so the result realizes the same graph, is proper
-        iff this one is and keeps every bend count; n paths with at most b
-        bends then lie on a grid of side n·(b+2), the most corners they have.
+        iff this one is and keeps every bend count.  A path with b bends has
+        b+1 segments, alternating between the axes, so at most ⌊b/2⌋+1 of them
+        are horizontal.  Only a horizontal segment brings a corner with a new
+        x, so the path's corners have at most ⌊b/2⌋+2 distinct x, and by the
+        same count as many distinct y.  n paths with at most b bends therefore
+        lie on a grid of side n·(⌊b/2⌋+2).
         """
         *_, ranked = _ranked_corners(list(self.assignment.values()))
         return VpgRepresentation({l: RectPath(c) for l, c in zip(self.assignment, ranked)})
 
     def __eq__(self, other):
-        return (
-            isinstance(other, VpgRepresentation) and self.assignment == other.assignment
-        )
+        return isinstance(other, VpgRepresentation) and self.assignment == other.assignment
 
 
-def _meeting_codes(rep: VpgRepresentation) -> Set[int]:
-    """The pairs of paths that meet, each as the int code i·n + j of its label
-    indices i < j in `rep.labels()` order, from one contact sweep."""
-    n = len(rep)
-    *_, hs, vs = segment_tables(rep.assignment.values())
-    return {c[0] * n + c[1] for c in _contacts(hs, vs)}
+class _ContactTable:
+    """Every contact of a representation's paths, from one ranking of the
+    corners and one `_contacts` sweep, packed into ints.
+
+    Labels are indexed in `rep.labels()` order and a pair of indices i < j is
+    the code i·n + j.  A point contact at rank point x·len(ys) + y is the key
+    point·n² + pair: a crossing is the only contact of its pair at its point,
+    so the `crossings` keys are distinct and none of them is a touch key.
+    `crossings` is sorted, so the pairs crossing at one point are neighbours.
+    `overlaps` maps a pair to its overlaps as rank boxes (x0, y0, x1, y1);
+    collinear overlaps of two simple paths never touch, so none is merged.
+    `ranked` maps a label to its path's ranked corners, for the walks.
+    """
+
+    __slots__ = ("items", "index", "den", "xs", "ys", "ranked", "crossings", "touches",
+                 "overlaps", "_points")
+
+    def __init__(self, items):
+        self.items = items
+        labels = [l for l, _ in items]
+        self.index = {l: k for k, l in enumerate(labels)}
+        self.den, self.xs, self.ys, ranked = _ranked_corners([p for _, p in items])
+        self.ranked = dict(zip(labels, ranked))
+        n, n_ys = len(labels), len(self.ys)
+        crossings: List[int] = []
+        touches: Set[int] = set()
+        overlaps: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        for i, j, x0, y0, x1, y1, crossing in _contacts(*_segment_rows(ranked)):
+            pair = i * n + j
+            if x0 == x1 and y0 == y1:
+                key = (x0 * n_ys + y0) * n * n + pair
+                if crossing:
+                    crossings.append(key)
+                else:
+                    touches.add(key)
+            else:
+                overlaps.setdefault(pair, []).append((x0, y0, x1, y1))
+        crossings.sort()
+        self.crossings, self.touches, self.overlaps = crossings, touches, overlaps
+        self._points: Optional[Dict[int, List[int]]] = None
+
+    def pair_codes(self) -> Iterable[int]:
+        """The code of the pair of every contact, so each meeting pair at least once."""
+        n_pairs = len(self.index) ** 2
+        return chain(map(n_pairs.__rmod__, chain(self.crossings, self.touches)), self.overlaps)
+
+    def points(self, pair: int) -> List[int]:
+        """The rank points of the point contacts of `pair`, grouped by pair on
+        the first call."""
+        if self._points is None:
+            self._points, n_pairs = {}, len(self.index) ** 2
+            for key in chain(self.crossings, self.touches):
+                point, p = divmod(key, n_pairs)
+                self._points.setdefault(p, []).append(point)
+        return self._points.get(pair, [])
+
+
+def _contact_table(rep: VpgRepresentation) -> _ContactTable:
+    """The contact table of `rep`, kept on it until its assignment changes."""
+    items = tuple(rep.assignment.items())
+    table = rep._table
+    if table is None or table.items != items:
+        table = rep._table = _ContactTable(items)
+    return table
 
 
 def intersection_graph(rep: VpgRepresentation) -> Graph:
     """Graph on the representation's labels; edge iff the paths intersect."""
     labels = rep.labels()
     g = Graph(labels)
-    for code in _meeting_codes(rep):
+    for code in set(_contact_table(rep).pair_codes()):
         i, j = divmod(code, len(labels))
         g.add_edge(labels[i], labels[j])
     return g
@@ -92,18 +153,15 @@ class RealizationReport:
         return self.ok
 
     def lines(self) -> List[str]:
-        out = []
-        for u, v in self.missing_edges:
-            out.append(f"missing edge: {u} {v}")
-        for u, v in self.spurious_edges:
-            out.append(f"spurious edge: {u} {v}")
-        return out
+        return [f"missing edge: {u} {v}" for u, v in self.missing_edges] + [
+            f"spurious edge: {u} {v}" for u, v in self.spurious_edges
+        ]
 
 
 def verify_realizes(rep: VpgRepresentation, g: Graph) -> RealizationReport:
     """Check intersection_graph(rep) == g, reporting each mismatched edge.
 
-    Both edge sets are compared as sets of int pair codes (`_meeting_codes`),
+    Both edge sets are compared as sets of int pair codes (`_ContactTable`),
     so only the mismatched pairs are turned into label strings and sorted.
     No meeting point is examined, not even where one pair crosses: two paths
     are adjacent iff they have any contact, whatever its kind or place.
@@ -112,13 +170,16 @@ def verify_realizes(rep: VpgRepresentation, g: Graph) -> RealizationReport:
     if set(labels) != set(g.vertices):
         raise DomainError("representation and graph have different vertex label sets")
     n = len(labels)
-    index = {l: k for k, l in enumerate(labels)}
+    table = _contact_table(rep)
+    index = table.index
     # read the adjacency unsorted, since the codes only go into a set
     want = set()
     for u in labels:
         i = index[u]
         want.update(i * n + j for j in map(index.__getitem__, g._adj[u]) if i < j)
-    met = _meeting_codes(rep)
+    # only the mismatched codes are kept beside `want`, which drops the met ones
+    spurious = {code for code in table.pair_codes() if code not in want}
+    want.difference_update(table.pair_codes())
 
     def named(codes):
         pairs = (divmod(code, n) for code in codes)
@@ -126,12 +187,8 @@ def verify_realizes(rep: VpgRepresentation, g: Graph) -> RealizationReport:
             tuple(sorted((label_str(labels[i]), label_str(labels[j])))) for i, j in pairs
         ))
 
-    missing, spurious = named(want - met), named(met - want)
-    return RealizationReport(
-        ok=not missing and not spurious,
-        missing_edges=missing,
-        spurious_edges=spurious,
-    )
+    missing, spurious = named(want), named(spurious)
+    return RealizationReport(not missing and not spurious, missing, spurious)
 
 
 @dataclass(frozen=True)
@@ -159,34 +216,15 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
     """
     labels = rep.labels()
     names = [label_str(l) for l in labels]
-    den, xs, ys, hs, vs = segment_tables(rep.assignment.values())
-    n_pairs, n_ys = len(labels) ** 2, len(ys)
-    # one key (point rank * n_pairs + pair) per point contact: a crossing is
-    # the only contact of its pair at its point, so the crossing keys are
-    # distinct and none of them is a touch key
-    crossings: List[int] = []
-    touches: Set[int] = set()
-    # pair -> its overlaps as rank boxes (x0, y0, x1, y1); collinear overlaps
-    # of two simple paths never touch, so no merge is needed
-    overlaps: Dict[int, List[Tuple[int, int, int, int]]] = {}
-    for i, j, x0, y0, x1, y1, crossing in _contacts(hs, vs):
-        pair = i * len(labels) + j
-        if x0 == x1 and y0 == y1:
-            key = (x0 * n_ys + y0) * n_pairs + pair
-            if crossing:
-                crossings.append(key)
-            else:
-                touches.add(key)
-        else:
-            overlaps.setdefault(pair, []).append((x0, y0, x1, y1))
+    table = _contact_table(rep)
+    den, xs, ys, crossings, touches = table.den, table.xs, table.ys, table.crossings, table.touches
+    overlaps, n_pairs, n_ys = table.overlaps, len(labels) ** 2, len(ys)
     violations: List[str] = []
     for pair, ovs in overlaps.items():
         i, j = divmod(pair, len(labels))
         for x0, y0, x1, y1 in ovs:
             ov = f"[{_corner_text(xs[x0], ys[y0], den)}-{_corner_text(xs[x1], ys[y1], den)}]"
             violations.append(f"overlap between {names[i]} and {names[j]} along {ov}")
-    # sorted keys put the pairs at one point side by side
-    crossings.sort()
     point_of = n_pairs.__rfloordiv__
     screened = set(map(point_of, touches))
     screened.update(
@@ -213,34 +251,7 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
 
 def max_bends(rep: VpgRepresentation) -> int:
     """Largest bend count over all paths of the representation."""
-    if not rep.assignment:
-        return 0
-    return max(bend_count(p) for p in rep.assignment.values())
-
-
-def _hit_table(rep: VpgRepresentation, labels: Iterable[Label], around: Optional[Label] = None):
-    """(den, xs, ys, ranked, meetings) for clique-hit walks among the paths
-    of `labels`: `_ranked_corners` with `ranked` by label, and `meetings` an
-    ordered label pair to the pieces of one contact sweep in which their paths
-    meet, each a rank box (x0, y0, x1, y1).  Collinear pieces of two simple
-    paths never touch, so none is merged.  Labels absent from `rep` are left
-    out, so a walk that needs one raises the KeyError that looking its path
-    up would.  Given `around`, only the segments that meet its path's
-    bounding box are swept, which keeps every meeting of that path.
-    """
-    present = [l for l in dict.fromkeys(labels) if l in rep.assignment]
-    den, xs, ys, ranked = _ranked_corners([rep.assignment[l] for l in present])
-    hs, vs = _segment_rows(ranked)
-    if around in present:
-        x_of, y_of = zip(*ranked[present.index(around)])
-        x0, y0, x1, y1 = min(x_of), min(y_of), max(x_of), max(y_of)
-        hs = [s for s in hs if y0 <= s[0] <= y1 and s[1] <= x1 and x0 <= s[2]]
-        vs = [s for s in vs if x0 <= s[0] <= x1 and s[1] <= y1 and y0 <= s[2]]
-    meetings: Dict[Tuple[Label, Label], List[Tuple[int, int, int, int]]] = {}
-    for i, j, x0, y0, x1, y1, _ in _contacts(hs, vs):
-        for pair in ((present[i], present[j]), (present[j], present[i])):
-            meetings.setdefault(pair, []).append((x0, y0, x1, y1))
-    return den, xs, ys, dict(zip(present, ranked)), meetings
+    return max(map(bend_count, rep.assignment.values()), default=0)
 
 
 def _in_box(x, y, box) -> bool:
@@ -259,25 +270,28 @@ def _first_segment(corners, x0, y0, x1, y1) -> Tuple[int, int]:
             return k, abs(x0 - ax) + abs(y0 - ay)
 
 
-def _hit_walk(ranked, meetings, b: Label, clique_verts: List[Label]):
-    """`clique_hit_sequence` on a `_hit_table`, each point as its ranks.
+def _hit_walk(table: _ContactTable, b: Label, clique_verts: List[Label]):
+    """`clique_hit_sequence` on a contact table, each point as its ranks.
 
     A hit is ordered by the first segment of P(b) containing it and its
     rank offset from that segment's first corner: P(b) is simple, so that
     is the order of arc length, and only equal points tie.
     """
-    pb = ranked[b]
+    pb, ib, n = table.ranked[b], table.index[b], len(table.index)
     hits = []
     for a in clique_verts:
         if a == b:
             continue
-        pa = ranked[a]
-        pieces = meetings.get((b, a), ())
+        pa, ia = table.ranked[a], table.index[a]
+        pair = min(ia, ib) * n + max(ia, ib)
         # sorted, since overlaps along both segments at a shared corner tie
-        overlaps = sorted(box for box in pieces if box[:2] != box[2:])
+        overlaps = sorted(table.overlaps.get(pair, ()))
         # an overlap holds its own first end, so only isolated points stay
-        points = {box for box in pieces if not any(_in_box(*box[:2], ov) for ov in overlaps)}
-        for box in overlaps + list(points):
+        points = (divmod(point, len(table.ys)) for point in table.points(pair))
+        boxes = overlaps + [
+            (x, y, x, y) for x, y in points if not any(_in_box(x, y, ov) for ov in overlaps)
+        ]
+        for box in boxes:
             x, y = box[:2]
             idx, _ = _first_segment(pa, *box)
             hits.append((_first_segment(pb, x, y, x, y), a, (x, y), idx, (x, y) != box[2:]))
@@ -296,11 +310,11 @@ def clique_hit_sequence(
     simple, so for a point interior to a segment that is the only one.  Hits
     at equal arc length keep the order of `clique_verts`.
     """
-    clique_verts = list(clique_verts)
-    den, xs, ys, ranked, meetings = _hit_table(rep, [b, *clique_verts], around=b)
+    table = _contact_table(rep)
+    den, xs, ys = table.den, table.xs, table.ys
     return [
         (a, Point(Fraction(xs[x], den), Fraction(ys[y], den)), idx, overlap)
-        for a, (x, y), idx, overlap in _hit_walk(ranked, meetings, b, clique_verts)
+        for a, (x, y), idx, overlap in _hit_walk(table, b, list(clique_verts))
     ]
 
 
@@ -333,9 +347,8 @@ def trim_independent_path(
     path in `clique_verts` order.  The subpath is cut from P(b)'s ranked
     corners between the segments that hold the two surviving hits.
     """
-    clique_verts = list(clique_verts)
-    den, xs, ys, ranked, meetings = _hit_table(rep, [b, *clique_verts], around=b)
-    hits = _hit_walk(ranked, meetings, b, clique_verts)
+    clique_verts, table = list(clique_verts), _contact_table(rep)
+    hits = _hit_walk(table, b, clique_verts)
     overlapping = {a for a, _, _, overlap in hits if overlap}
     for a in clique_verts:
         if a in overlapping:
@@ -344,29 +357,35 @@ def trim_independent_path(
         raise DomainError(f"path of {label_str(b)} hits no clique path")
     lo, hi = leaf_trim_window([h[0] for h in hits])
     if lo == hi:
-        raise DegenerateTrimError(
-            f"trimmed hit sequence of {label_str(b)} has a single element"
-        )
+        raise DegenerateTrimError(f"trimmed hit sequence of {label_str(b)} has a single element")
     start, end = hits[lo][1], hits[hi][1]
     if start == end:
         raise DegenerateTrimError(
-            f"trimmed hit sequence of {label_str(b)} starts and ends at one point"
-        )
-    pb = ranked[b]
+            f"trimmed hit sequence of {label_str(b)} starts and ends at one point")
+    pb = table.ranked[b]
     first, _ = _first_segment(pb, *start, *start)
     last, _ = _first_segment(pb, *end, *end)
     # a start at the far end of its segment repeats the next corner, which is dropped
     corners = [start, *pb[first + 1 : last + 1], end]
+    xs, ys, den = table.xs, table.ys, table.den
     return RectPath._of_ratios([(xs[x], den, ys[y], den) for x, y in corners])
 
 
 def write_representation_text(rep: VpgRepresentation) -> str:
-    """One record per vertex: 'label : (x1,y1) (x2,y2) ...'."""
+    """One record per vertex: 'label : (x1,y1) (x2,y2) ...'.
+
+    A label the reader would not return unchanged is a `ValidationError`:
+    one that is empty, holds a line break or ' : ', ends in ' :' (the
+    reader splits at the first ' : ') or has whitespace at either end.
+    """
     lines = []
     for label in rep.labels():
+        name = label_str(label)
+        if name.splitlines() != [name] or name != name.strip() or " : " in name + " :":
+            raise ValidationError(f"label {name!r} cannot be written to a representation file")
         den, *flat = rep.path(label)._scaled
         pts = " ".join(_corner_text(x, y, den) for x, y in zip(flat[::2], flat[1::2]))
-        lines.append(f"{label_str(label)} : {pts}")
+        lines.append(f"{name} : {pts}")
     return "\n".join(lines) + "\n"
 
 

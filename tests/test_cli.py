@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpgbend import lowerbound
+from vpgbend import lowerbound, representation
 from vpgbend.cli import _decimal, main, render_svg
 from vpgbend.constructors import construct_k2n_proper
 from vpgbend.geometry import Point, Segment
@@ -296,6 +296,14 @@ def test_oracle_exhausted_grid(tmp_path, capsys):
     assert (rc, out) == (1, "no representation on 1x2 with at most 0 bends\n")
 
 
+def test_oracle_with_thousands_of_bends_runs_out_of_budget(tmp_path, capsys):
+    # a candidate path may have more segments than Python's recursion limit
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("2 0\na\nb\n")
+    argv = ["oracle", str(gfile), "--grid", "40x40", "--bends", "3000", "--node-limit", "2000"]
+    assert run(capsys, *argv) == (1, "not found within budget\n", "")
+
+
 def test_oracle_proper_edge_golden(tmp_path, capsys):
     gfile = tmp_path / "g.txt"
     gfile.write_text("2 1\na\nb\na b\n")
@@ -348,6 +356,37 @@ def test_render_styles_split():
     dashed = [l for l in rep.labels() if isinstance(l, tuple)]
     svg = render_svg(rep, dashed_labels=dashed)
     assert svg.count("stroke-dasharray") == len(dashed)
+
+
+def test_label_the_reader_cannot_return_is_usage_error(tmp_path, capsys):
+    gfile, rfile = tmp_path / "g.txt", tmp_path / "r.txt"
+    argv = ["construct", "split-upper", "--graph", str(gfile), "--clique", "b", "-o", str(rfile)]
+    gfile.write_text("2 0\nx : y\nb\n")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "") and not rfile.exists()
+    assert err == "error: label 'x : y' cannot be written to a representation file\n"
+    gfile.write_text("2 0\nx y\nb\n")
+    assert run(capsys, *argv)[0] == 0
+    assert sorted(read_representation_text(rfile.read_text()).labels()) == ["b", "x y"]
+    rc, out, _ = run(capsys, "verify", str(gfile), str(rfile))
+    assert rc == 0 and "realizes: yes" in out
+
+
+def test_verify_proper_sweeps_the_contacts_once(tmp_path, capsys, monkeypatch):
+    gfile, rfile = tmp_path / "g.txt", tmp_path / "r.txt"
+    assert main(["graph", "knk", "--n", "6", "--k", "3", "-o", str(gfile)]) == 0
+    assert main(["construct", "k3n", "--n", "6", "-o", str(rfile)]) == 0
+    sweeps = []
+    real = representation._contacts
+
+    def counted(*args):
+        sweeps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(representation, "_contacts", counted)
+    rc, out, _ = run(capsys, "verify", str(gfile), str(rfile), "--proper")
+    assert (rc, out.splitlines()[-1]) == (0, "proper: yes")
+    assert len(sweeps) == 1
 
 
 def test_representation_round_trip_via_cli_files(tmp_path):

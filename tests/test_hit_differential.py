@@ -26,7 +26,7 @@ from vpgbend.geometry import HORIZONTAL, VERTICAL, Point, RectPath, segment_tabl
 from vpgbend.lowerbound import build_auxiliary_fh_fv, classify_sh_sv
 from vpgbend.representation import (
     VpgRepresentation,
-    _hit_table,
+    _contact_table,
     _hit_walk,
     clique_hit_sequence,
     trim_independent_path,
@@ -120,8 +120,9 @@ def test_walks_on_one_table_match_reference(clique_paths, indep_paths, variant, 
         clique.append(rnd.choice(clique))
     rnd.shuffle(clique)
     _assert_same(rep, clique, indep)
-    # the consumers' table, shared by every walk of the call
-    den, xs, ys, ranked, meetings = _hit_table(rep, clique + indep)
+    # the representation's table, shared by every walk
+    table = _contact_table(rep)
+    den, xs, ys = table.den, table.xs, table.ys
     for b in indep:
         walk = [
             (
@@ -130,7 +131,7 @@ def test_walks_on_one_table_match_reference(clique_paths, indep_paths, variant, 
                 idx,
                 Point(Fraction(xs[x], den), Fraction(ys[y], den)),
             )
-            for a, (x, y), idx, _ in _hit_walk(ranked, meetings, b, clique)
+            for a, (x, y), idx, _ in _hit_walk(table, b, clique)
         ]
         assert walk == reference.hit_details(rep, b, clique)
 

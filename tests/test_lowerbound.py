@@ -542,6 +542,26 @@ def test_hit_walk_tests_no_fraction_segment_pairs(monkeypatch, k3n_reps):
     assert calls == []
 
 
+def test_walks_and_properness_share_one_sweep(monkeypatch, k3n_reps):
+    sweeps = []
+    real = vpgbend.representation._contacts
+
+    def counted(*args):
+        sweeps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vpgbend.representation, "_contacts", counted)
+    # a new representation, since the session's may hold a table already
+    rep = VpgRepresentation(k3n_reps[6].assignment)
+    clique = list(range(1, 7))
+    indep = list(combinations(clique, 3))
+    classify_sh_sv(rep, clique, indep)
+    build_auxiliary_fh_fv(rep, clique, indep)
+    for b in indep:
+        trim_independent_path(rep, b, clique)
+    assert len(sweeps) == 1
+
+
 def test_stairs_and_probe_recheck_build_no_point_or_segment(monkeypatch):
     # the staircase exposure and the probe re-check run on ints; the
     # witnesses are built before the count starts

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from rep_strategies import searches
-from vpgbend import oracle
+from vpgbend import oracle, representation
 from vpgbend.errors import ParameterError
 from vpgbend.graphs import Graph
 from vpgbend.oracle import GridSearchBudget, _LazySearch, _search, _tables_fit, search_representation
@@ -180,3 +180,18 @@ _PAIRS_5 = list(combinations(range(1, 6), 2))
 ], ids=["K3", "edge", "C4", "P4-proper", "K5^2-proper"])
 def test_final_check_never_rejects_on_benchmark_graphs(g, grid, bends, proper):
     _checked_search(g, GridSearchBudget(grid, grid, bends, 20_000), proper)
+
+
+def test_proper_witness_is_checked_on_one_sweep(monkeypatch):
+    sweeps = []
+    real = representation._contacts
+
+    def counted(*args):
+        sweeps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(representation, "_contacts", counted)
+    search = _LazySearch(Graph(["a", "b"], [("a", "b")]), GridSearchBudget(4, 4, 1, 100), True)
+    assert search.order == ["a", "b"]
+    rep = search.verified([((0, 0), (1, 0), (1, 2)), ((0, 1), (2, 1))])
+    assert rep is not None and len(sweeps) == 1

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,9 +8,11 @@ import hit_reference
 import pairwise_reference as reference
 import vpgbend.representation as representation_module
 from rep_strategies import representation, representations, scales, shifts
+from vpgbend.constructors import construct_k3n_proper
 from vpgbend.errors import DegenerateTrimError, DomainError, ValidationError
 from vpgbend.geometry import Point, RectPath, bend_count, rational
 from vpgbend.graphs import Graph
+from vpgbend.lowerbound import build_auxiliary_fh_fv, classify_sh_sv
 from vpgbend.representation import (
     VpgRepresentation,
     clique_hit_sequence,
@@ -210,13 +215,70 @@ def test_compressed_keeps_realization_properness_and_bends(paths, scale, shift):
     assert [bend_count(p) for p in small.assignment.values()] == [
         bend_count(p) for p in rep.assignment.values()
     ]
-    # integer corners on the grid of side n·(b+2)
-    side = len(rep) * (max_bends(rep) + 2)
+    # a path with b bends has at most ⌊b/2⌋+2 distinct x and as many y, so
+    # the integer corners lie on the grid of side n·(⌊b/2⌋+2)
+    for p in small.assignment.values():
+        most = bend_count(p) // 2 + 2
+        assert len({c.x for c in p.corners}) <= most and len({c.y for c in p.corners}) <= most
+    side = len(rep) * (max_bends(rep) // 2 + 2)
     assert all(
         c.x.denominator == c.y.denominator == 1 and 0 <= c.x < side and 0 <= c.y < side
         for p in small.assignment.values()
         for c in p.corners
     )
+
+
+def _comparable(result):
+    if isinstance(result, Graph):
+        return result.vertices, {frozenset(e) for e in result.edges()}
+    return tuple(map(_comparable, result)) if isinstance(result, tuple) else result
+
+
+def _readings(rep, graph, clique, indep):
+    """What every reader of the contact table gives on `rep`, errors included."""
+
+    def outcome(fn, *args):
+        try:
+            return _comparable(fn(*args))
+        except Exception as exc:  # the error itself is part of what is compared
+            return type(exc), str(exc)
+
+    out = [
+        outcome(intersection_graph, rep),
+        outcome(verify_realizes, rep, graph),
+        outcome(is_proper, rep),
+        outcome(classify_sh_sv, rep, clique, indep),
+        outcome(build_auxiliary_fh_fv, rep, clique, indep),
+    ]
+    for b in indep:
+        out.append(outcome(clique_hit_sequence, rep, b, clique))
+        out.append(outcome(trim_independent_path, rep, b, clique))
+    return out
+
+
+def test_contact_table_follows_every_change_of_the_assignment():
+    rep = construct_k3n_proper(4)
+    graph = intersection_graph(rep)
+    clique = [1, 2, 3, 4]
+    indep = list(combinations(clique, 3))
+
+    def mutations():
+        # replace paths: two independent paths swap places
+        a, b = rep.assignment[(1, 2, 3)], rep.assignment[(1, 2, 4)]
+        rep.assignment[(1, 2, 3)], rep.assignment[(1, 2, 4)] = b, a
+        yield
+        rep.assignment["extra"] = rep.path(1).translated(Fraction(1, 3), Fraction(1, 7))
+        yield
+        del rep.assignment[(1, 3, 4)]
+        yield
+
+    before = _readings(rep, graph, clique, indep)
+    assert before == _readings(VpgRepresentation(rep.assignment), graph, clique, indep)
+    for _ in mutations():
+        after = _readings(rep, graph, clique, indep)
+        assert after == _readings(VpgRepresentation(rep.assignment), graph, clique, indep)
+        assert after != before
+        before = after
 
 
 # --- trimming --------------------------------------------------------------------
