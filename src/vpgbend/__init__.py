@@ -13,12 +13,10 @@ from .errors import (
 from .geometry import (
     HORIZONTAL,
     VERTICAL,
-    PathIntersections,
     Point,
     RectPath,
     Segment,
     bend_count,
-    path_intersections,
     rational,
 )
 from .graphs import (

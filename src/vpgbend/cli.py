@@ -14,13 +14,7 @@ from typing import Iterable, List, Optional, Sequence
 from . import constructors, lowerbound, oracle, posets
 from .errors import ValidationError, VpgError
 from .geometry import Segment
-from .graphs import (
-    Graph,
-    SplitPartition,
-    label_str,
-    read_graph_text,
-    write_graph_text,
-)
+from .graphs import SplitPartition, label_str, read_graph_text, write_graph_text
 from .representation import (
     VpgRepresentation,
     is_proper,
@@ -289,10 +283,7 @@ def _cmd_graph(args) -> int:
         g, _ = build_split_knk(args.n, args.k)
     else:
         g = build_hnk_member(args.n, args.k, all_qedges(args.n, args.k))
-    out = Graph([label_str(v) for v in g.vertices])
-    for u, v in g.edges():
-        out.add_edge(label_str(u), label_str(v))
-    _emit(write_graph_text(out), args.output)
+    _emit(write_graph_text(g), args.output)
     return 0
 
 

@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConstructionError, ParameterError
-from .geometry import RectPath, segment_tables
+from .geometry import RectPath
 from .graphs import Graph, SplitPartition, check_split_partition, ksubsets
-from .representation import VpgRepresentation
+from .representation import VpgRepresentation, _contact_table
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -186,7 +186,7 @@ def construct_k2n_proper(n: int) -> VpgRepresentation:
 
 def _exposures(hs, vs) -> Dict[int, List[Tuple[int, int]]]:
     """Per path index, the [lo, cap) rank interval of each of its horizontal
-    segments, in path order, over the tables of `segment_tables`: the maximal
+    segments, in path order, over the segment rows of a rank table: the maximal
     sub-interval anchored at the segment's left end whose open downward rays
     miss every path.  Each segment starting below the target and reaching
     [lo, cap] moves cap down to its left end, not below lo, so cap is the
@@ -232,10 +232,11 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
         a_paths[i] = RectPath(
             [(t, -t), (1 + t, -t), (1 + t, -1 - t), (2 + t, -1 - t), (2 + t, -2 - t)]
         )
-    den, xs, ys, hs, vs = segment_tables(a_paths.values())
+    table = _contact_table(VpgRepresentation(a_paths))
+    den, xs, ys = table.den, table.xs, table.ys
     # path i - 1 holds clique path i; its horizontals are segments 0 and 2,
     # its verticals segments 1 and 3
-    below, left = _exposures(hs, vs), _exposures(vs, hs)
+    below, left = _exposures(table.hs, table.vs), _exposures(table.vs, table.hs)
 
     def check_inside(value, values, interval, what):
         lo, cap = (Fraction(values[r], den) for r in interval)

@@ -4,9 +4,9 @@ Coordinates are exact rationals and floats are rejected outright: the
 layered epsilon offsets used by the constructions only make sense with exact
 arithmetic.  A `RectPath` keeps only ints, its corners times the lcm of their
 denominators, and builds `Fraction` `Point`s on demand.  The hot predicates
-compare those ints, or coordinate ranks over ints (`segment_tables`,
-`_contacts`), which keep the order of coordinates and so stay exact; a
-`Fraction` is made only where a point is reported or returned.
+compare those ints, or coordinate ranks over ints (`_contacts`, over the
+rank table of `representation`), which keep the order of coordinates and so
+stay exact; a `Fraction` is made only where a point is reported or returned.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .errors import GeometryError
 
@@ -323,52 +323,6 @@ class RectPath:
 def bend_count(p: RectPath) -> int:
     """Number of bends: segments minus one, read off the int corners."""
     return len(p._scaled) // 2 - 2
-
-
-def _ranked_corners(paths: Sequence[RectPath]):
-    """(den, xs, ys, ranked): the sorted distinct corner coordinates of
-    `paths` as ints over the lcm `den` of their denominators, so the x of
-    rank r is xs[r] / den, and each path's corners as (x rank, y rank)
-    pairs, in path order.
-    """
-    den = math.lcm(*(p._scaled[0] for p in paths))
-    scaled = []
-    for p in paths:
-        m = den // p._scaled[0]
-        scaled.append([v * m for v in p._scaled[1:]])
-    xs = sorted({x for ints in scaled for x in ints[::2]})
-    ys = sorted({y for ints in scaled for y in ints[1::2]})
-    x_rank = {x: r for r, x in enumerate(xs)}
-    y_rank = {y: r for r, y in enumerate(ys)}
-    return den, xs, ys, [
-        [(x_rank[x], y_rank[y]) for x, y in zip(ints[::2], ints[1::2])] for ints in scaled
-    ]
-
-
-def segment_tables(paths: Sequence[RectPath]):
-    """Rank-compressed segments of `paths`: (den, xs, ys, horizontals, verticals).
-
-    `den`, `xs` and `ys` are those of `_ranked_corners`.  Every predicate of
-    the checkers and the probe analyses depends only on the order of
-    coordinates, so a segment is the int tuple (fixed, lo, hi, path index)
-    over ranks into `xs`/`ys`.  Swapping x and y swaps the two tables, so an
-    algorithm over them is written once and run on (xs, ys, hs, vs) and on
-    the transpose (ys, xs, vs, hs).
-    """
-    den, xs, ys, ranked_paths = _ranked_corners(paths)
-    return (den, xs, ys, *_segment_rows(ranked_paths))
-
-
-def _segment_rows(ranked_paths):
-    """The (horizontals, verticals) of `segment_tables` for ranked corners."""
-    hs, vs = [], []
-    for li, ranked in enumerate(ranked_paths):
-        for (ax, ay), (bx, by) in zip(ranked, ranked[1:]):
-            if ay == by:
-                hs.append((ay, min(ax, bx), max(ax, bx), li))
-            else:
-                vs.append((ax, min(ay, by), max(ay, by), li))
-    return hs, vs
 
 
 @dataclass(frozen=True)

@@ -231,10 +231,27 @@ def label_str(label: Label) -> str:
     return str(label)
 
 
+def _label_texts(labels: Iterable[Label], readable, kind: str, error=GraphError) -> List[str]:
+    """The `label_str` texts of `labels`; one that `readable` rejects or that
+    repeats an earlier text, so its reader would not return it as one
+    distinct label, is an `error` naming it."""
+    names: Dict[str, None] = {}
+    for label in labels:
+        name = label_str(label)
+        if not readable(name) or name in names:
+            raise error(f"label {name!r} cannot be written to a {kind} file")
+        names[name] = None
+    return list(names)
+
+
 def write_graph_text(g: Graph) -> str:
-    """Graph text format: 'n m', vertex labels, then edge lines 'u v'."""
+    """Graph text format: 'n m', vertex labels, then edge lines 'u v'.
+
+    Labels are one word each, as `read_graph_text` splits lines at
+    whitespace, and distinct as text (`_label_texts`).
+    """
     lines = [f"{len(g)} {g.edge_count()}"]
-    lines.extend(label_str(v) for v in g.vertices)
+    lines.extend(_label_texts(g.vertices, lambda name: name.split() == [name], "graph"))
     for u, v in g.edges():
         lines.append(f"{label_str(u)} {label_str(v)}")
     return "\n".join(lines) + "\n"

@@ -18,14 +18,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, DomainError, ParameterError
-from .geometry import (
-    HORIZONTAL,
-    VERTICAL,
-    Point,
-    Segment,
-    bend_count,
-    segment_tables,
-)
+from .geometry import HORIZONTAL, VERTICAL, Point, Segment, bend_count
 from .graphs import Graph, Label
 from .representation import (
     VpgRepresentation,
@@ -49,10 +42,8 @@ class InducedGrid:
 def induced_grid(ra: VpgRepresentation) -> InducedGrid:
     if not ra.assignment:
         raise DomainError("empty representation has no grid")
-    den, xs, ys, _, _ = segment_tables(ra.assignment.values())
-    return InducedGrid(
-        x_lines=tuple(Fraction(x, den) for x in xs), y_lines=tuple(Fraction(y, den) for y in ys)
-    )
+    table = _contact_table(ra)
+    return InducedGrid(*(tuple(Fraction(v, table.den) for v in vs) for vs in (table.xs, table.ys)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +80,7 @@ def _coordinate(values: Sequence[int], den: int, events: Sequence[int], code: in
 def _probe_sets_one_axis(width: int, hs, vs, k: int) -> Dict[int, tuple]:
     """Every nonempty hit-set of at most k paths of probes along the y axis.
 
-    Over the tables of `segment_tables`, whose x ranks run below `width`, a
+    Over the segment rows of a rank table, whose x ranks run below `width`, a
     probe at x meets the horizontals spanning x in points and the verticals
     on x in intervals (the atoms).  Called on the transposed tables (vs, hs)
     and the count of y ranks it gives the probes along the x axis.  Keys are
@@ -144,9 +135,10 @@ def _probe_sweep(ra: VpgRepresentation, k: int):
     """(den, xs, ys, vertical, horizontal): `_probe_sets_one_axis` on both axes."""
     if k < 1:
         raise ParameterError("need k >= 1")
-    den, xs, ys, hs, vs = segment_tables(ra.assignment.values())
+    table = _contact_table(ra)
+    xs, ys, hs, vs = table.xs, table.ys, table.hs, table.vs
     vertical = _probe_sets_one_axis(len(xs), hs, vs, k)
-    return den, xs, ys, vertical, _probe_sets_one_axis(len(ys), vs, hs, k)
+    return table.den, xs, ys, vertical, _probe_sets_one_axis(len(ys), vs, hs, k)
 
 
 def _members(labels: Sequence[Label], mask: int) -> List[Label]:
@@ -219,9 +211,9 @@ def strip_small_sets(ra: VpgRepresentation, k: int) -> List[frozenset]:
     if not ra.assignment:
         raise DomainError("empty representation has no grid")
     labels = ra.labels()
-    _, xs, ys, hs, vs = segment_tables(ra.assignment.values())
+    table = _contact_table(ra)
     out: List[frozenset] = []
-    for lines, across in ((xs, hs), (ys, vs)):
+    for lines, across in ((table.xs, table.hs), (table.ys, table.vs)):
         strips = [set() for _ in lines[1:]]
         for _, lo, hi, li in across:
             for r in range(lo, hi):

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError, ParameterError, ValidationError
-from .graphs import Graph, ksubsets, label_str
+from .graphs import Graph, _label_texts, ksubsets, label_str
 
 Element = Hashable
 
@@ -268,8 +268,14 @@ def find_realizer(p: Poset, t: int) -> Optional[Realizer]:
 
 
 def write_poset_text(p: Poset) -> str:
-    """Poset text format: ground elements, then 'u < v' lines."""
-    lines = [label_str(x) for x in p.ground]
+    """Poset text format: ground elements, then 'u < v' lines.
+
+    Elements are one word without a '<' each, so that no element line reads
+    as a relation, and distinct as text (`_label_texts`).
+    """
+    lines = _label_texts(
+        p.ground, lambda name: name.split() == [name] and "<" not in name, "poset", ValidationError
+    )
     rel = sorted((label_str(x), label_str(y)) for x, y in p.less)
     lines.extend(f"{x} < {y}" for x, y in rel)
     return "\n".join(lines) + "\n"

@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import DegenerateTrimError, DomainError, ValidationError
-from .geometry import (
-    Point,
-    RectPath,
-    _contacts,
-    _corner_text,
-    _parse_ratio,
-    bend_count,
-    _ranked_corners,
-    _segment_rows,
-)
-from .graphs import Graph, Label, label_str
+from .geometry import Point, RectPath, _contacts, _corner_text, _parse_ratio, bend_count
+from .graphs import Graph, Label, _label_texts, label_str
 
 
 class VpgRepresentation:
@@ -60,16 +52,24 @@ class VpgRepresentation:
         same count as many distinct y.  n paths with at most b bends therefore
         lie on a grid of side n·(⌊b/2⌋+2).
         """
-        *_, ranked = _ranked_corners(list(self.assignment.values()))
-        return VpgRepresentation({l: RectPath(c) for l, c in zip(self.assignment, ranked)})
+        ranked = _contact_table(self).ranked
+        return VpgRepresentation({l: RectPath(c) for l, c in ranked.items()})
 
     def __eq__(self, other):
         return isinstance(other, VpgRepresentation) and self.assignment == other.assignment
 
 
 class _ContactTable:
-    """Every contact of a representation's paths, from one ranking of the
-    corners and one `_contacts` sweep, packed into ints.
+    """The rank table of a representation's paths, packed into ints: one
+    ranking of the corners, the segment rows over it and every contact from
+    one `_contacts` sweep of those rows.
+
+    `xs` and `ys` are the sorted distinct corner coordinates as ints over the
+    lcm `den` of the paths' denominators, and `ranked` maps a label to its
+    path's corners as (x rank, y rank) pairs.  A segment is the row (fixed,
+    lo, hi, path index) over ranks, in `hs` or `vs` by its axis, in label and
+    then path order.  Transposing swaps the two, so an algorithm over them is
+    written once and run on (xs, ys, hs, vs) and on (ys, xs, vs, hs).
 
     Labels are indexed in `rep.labels()` order and a pair of indices i < j is
     the code i·n + j.  A point contact at rank point x·len(ys) + y is the key
@@ -78,23 +78,39 @@ class _ContactTable:
     `crossings` is sorted, so the pairs crossing at one point are neighbours.
     `overlaps` maps a pair to its overlaps as rank boxes (x0, y0, x1, y1);
     collinear overlaps of two simple paths never touch, so none is merged.
-    `ranked` maps a label to its path's ranked corners, for the walks.
     """
 
-    __slots__ = ("items", "index", "den", "xs", "ys", "ranked", "crossings", "touches",
-                 "overlaps", "_points")
+    __slots__ = ("items", "index", "den", "xs", "ys", "ranked", "hs", "vs", "crossings",
+                 "touches", "overlaps", "_points")
 
     def __init__(self, items):
         self.items = items
         labels = [l for l, _ in items]
         self.index = {l: k for k, l in enumerate(labels)}
-        self.den, self.xs, self.ys, ranked = _ranked_corners([p for _, p in items])
+        self.den = den = math.lcm(*(p._scaled[0] for _, p in items))
+        scaled = []
+        for _, p in items:
+            m = den // p._scaled[0]
+            scaled.append([v * m for v in p._scaled[1:]])
+        self.xs = sorted({x for ints in scaled for x in ints[::2]})
+        self.ys = sorted({y for ints in scaled for y in ints[1::2]})
+        x_rank = {x: r for r, x in enumerate(self.xs)}
+        y_rank = {y: r for r, y in enumerate(self.ys)}
+        ranked = [[(x_rank[x], y_rank[y]) for x, y in zip(ints[::2], ints[1::2])]
+                  for ints in scaled]
         self.ranked = dict(zip(labels, ranked))
+        self.hs, self.vs = hs, vs = [], []
+        for li, corners in enumerate(ranked):
+            for (ax, ay), (bx, by) in zip(corners, corners[1:]):
+                if ay == by:
+                    hs.append((ay, min(ax, bx), max(ax, bx), li))
+                else:
+                    vs.append((ax, min(ay, by), max(ay, by), li))
         n, n_ys = len(labels), len(self.ys)
         crossings: List[int] = []
         touches: Set[int] = set()
         overlaps: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        for i, j, x0, y0, x1, y1, crossing in _contacts(*_segment_rows(ranked)):
+        for i, j, x0, y0, x1, y1, crossing in _contacts(hs, vs):
             pair = i * n + j
             if x0 == x1 and y0 == y1:
                 key = (x0 * n_ys + y0) * n * n + pair
@@ -376,14 +392,18 @@ def write_representation_text(rep: VpgRepresentation) -> str:
 
     A label the reader would not return unchanged is a `ValidationError`:
     one that is empty, holds a line break or ' : ', ends in ' :' (the
-    reader splits at the first ' : ') or has whitespace at either end.
+    reader splits at the first ' : '), has whitespace at either end or
+    shares its text with another label.
     """
+    names = _label_texts(
+        rep.labels(),
+        lambda name: name.splitlines() == [name] == [name.strip()] and " : " not in name + " :",
+        "representation",
+        ValidationError,
+    )
     lines = []
-    for label in rep.labels():
-        name = label_str(label)
-        if name.splitlines() != [name] or name != name.strip() or " : " in name + " :":
-            raise ValidationError(f"label {name!r} cannot be written to a representation file")
-        den, *flat = rep.path(label)._scaled
+    for name, path in zip(names, rep.assignment.values()):
+        den, *flat = path._scaled
         pts = " ".join(_corner_text(x, y, den) for x, y in zip(flat[::2], flat[1::2]))
         lines.append(f"{name} : {pts}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Fraction coordinate parsing, path validation and corner ranking, kept
 only to test the int core of `geometry.RectPath`, `geometry._parse_ratio`
-and `geometry._ranked_corners` against.
+and the corner ranking of `representation._contact_table` against.
 
 This is the straightforward form: a coordinate is the grammar's regex and
 then `Fraction`, corners are merged and checked on `Fraction`s, the path is

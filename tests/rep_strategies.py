@@ -15,7 +15,7 @@ from vpgbend.errors import GeometryError
 from vpgbend.geometry import RectPath
 from vpgbend.graphs import Graph
 from vpgbend.oracle import GridSearchBudget
-from vpgbend.representation import VpgRepresentation
+from vpgbend.representation import VpgRepresentation, _contact_table
 
 COORD = st.integers(min_value=0, max_value=5)
 
@@ -53,6 +53,12 @@ def representation(paths, scale=lambda c: c):
             except GeometryError:
                 corners = corners[:-1]
     return VpgRepresentation(assignment)
+
+
+def rank_table(paths):
+    """The rank table of `paths` (`representation._contact_table`), whose
+    path index i is paths[i]."""
+    return _contact_table(VpgRepresentation(dict(enumerate(paths))))
 
 
 scales = st.fractions(min_value=Fraction(1, 9), max_value=3, max_denominator=9)

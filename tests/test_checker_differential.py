@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairwise_reference as reference
-from rep_strategies import representation, representations, scales, shifts
+from rep_strategies import rank_table, representation, representations, scales, shifts
 from vpgbend.geometry import (
     Point,
     RectPath,
     Segment,
     _contacts,
     path_intersections,
-    segment_tables,
 )
 from vpgbend.graphs import Graph, label_str
 from vpgbend.representation import (
@@ -97,13 +96,14 @@ def test_contact_overlaps_are_the_merged_overlaps(paths):
     paths = list(representation(paths).assignment.values())
     for p in paths:
         for q in paths:
-            den, xs, ys, hs, vs = segment_tables([p, q])
+            table = rank_table([p, q])
+            den, xs, ys = table.den, table.xs, table.ys
             pieces = [
                 Segment(
                     Point(Fraction(xs[x0], den), Fraction(ys[y0], den)),
                     Point(Fraction(xs[x1], den), Fraction(ys[y1], den)),
                 )
-                for _, _, x0, y0, x1, y1, _ in _contacts(hs, vs)
+                for _, _, x0, y0, x1, y1, _ in _contacts(table.hs, table.vs)
                 if (x0, y0) != (x1, y1)
             ]
             pieces.sort(key=lambda s: (s.a, s.b))

@@ -6,8 +6,9 @@ import pytest
 
 from conftest import subset_split_graph
 from direction_vectors import DOWN, RIGHT, direction_vector
+from rep_strategies import rank_table
 from vpgbend.errors import ParameterError
-from vpgbend.geometry import bend_count, path_intersections, segment_tables
+from vpgbend.geometry import bend_count, path_intersections
 from vpgbend.graphs import Graph, SplitPartition, all_qedges, build_hnk_member, build_split_knk
 from vpgbend.constructors import (
     SquareRegionLayout,
@@ -223,7 +224,8 @@ def test_stairs_deterministic():
 
 def test_exposure_intervals_on_stairs():
     rep = construct_gtm_stairs(5, 3)
-    den, xs, ys, hs, vs = segment_tables([rep.path(i) for i in range(1, 6)])
+    table = rank_table([rep.path(i) for i in range(1, 6)])
+    den, xs, ys, hs, vs = table.den, table.xs, table.ys, table.hs, table.vs
     # path index 1 is clique path 2, whose first horizontal and first
     # vertical are its segments 0 and 1
     first, second = rep.path(2).segments()[:2]

@@ -207,6 +207,16 @@ def test_graph_text_round_trip():
     assert len(h) == len(g) and h.edge_count() == g.edge_count()
 
 
+@pytest.mark.parametrize(
+    "vertices", [[1, "1"], [(1, 2), "1,2"], ["a b", "c"], ["", "c"], ["a\nb"], ["a\x1cb"]]
+)
+def test_graph_writer_rejects_labels_its_reader_cannot_return(vertices):
+    # labels with one text, or a text that is empty or holds whitespace,
+    # would come back merged, split or miscounted
+    with pytest.raises(GraphError, match="cannot be written to a graph file"):
+        write_graph_text(Graph(vertices))
+
+
 def test_graph_text_rejects_malformed():
     with pytest.raises(GraphError):
         read_graph_text("nonsense\n")

@@ -19,10 +19,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hit_reference as reference
-from rep_strategies import grid_path, representation, representations, scales, shifts
+from rep_strategies import grid_path, rank_table, representation, representations, scales, shifts
 from vpgbend.constructors import _exposures, construct_gtm_stairs, construct_k2n_proper
 from vpgbend.errors import DegenerateTrimError
-from vpgbend.geometry import HORIZONTAL, VERTICAL, Point, RectPath, segment_tables
+from vpgbend.geometry import HORIZONTAL, VERTICAL, Point, RectPath
 from vpgbend.lowerbound import build_auxiliary_fh_fv, classify_sh_sv
 from vpgbend.representation import (
     VpgRepresentation,
@@ -195,7 +195,8 @@ def test_rank_cut_edge_cases_match_reference(case, scale):
 def _rank_exposures(paths):
     """`_exposures` of every segment as `Fraction`s, keyed by (path index,
     orientation): horizontals from below, verticals from the left."""
-    den, xs, ys, hs, vs = segment_tables(paths)
+    table = rank_table(paths)
+    den, xs, ys, hs, vs = table.den, table.xs, table.ys, table.hs, table.vs
     out = {}
     for orientation, values, table, other in ((HORIZONTAL, xs, hs, vs), (VERTICAL, ys, vs, hs)):
         for li, intervals in _exposures(table, other).items():

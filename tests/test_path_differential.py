@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import path_reference as reference
 import vpgbend.geometry
-from rep_strategies import representation, representations, scales, shifts
+from rep_strategies import rank_table, representation, representations, scales, shifts
 from vpgbend.constructors import construct_gtm_stairs, construct_k3n_proper
-from vpgbend.geometry import Point, RectPath, _parse_ratio, _ranked_corners, rational, segment_tables
+from vpgbend.geometry import Point, RectPath, _parse_ratio, rational
 from vpgbend.representation import read_representation_text, write_representation_text
 
 GRID = st.integers(min_value=0, max_value=4)
@@ -80,11 +80,11 @@ def _assert_same_ranks(paths):
     # the ranking hands out ints over den; as Fractions they are the
     # reference's sorted distinct coordinates
     xs, ys, ranked = reference.ranked_corners(paths)
-    den, x_ints, y_ints, ranks = _ranked_corners(paths)
+    table = rank_table(paths)
+    den, x_ints, y_ints = table.den, table.xs, table.ys
     assert all(type(v) is int for v in (den, *x_ints, *y_ints))
     assert ([Fraction(x, den) for x in x_ints], [Fraction(y, den) for y in y_ints]) == (xs, ys)
-    assert ranks == ranked
-    assert segment_tables(paths)[:3] == (den, x_ints, y_ints)
+    assert list(table.ranked.values()) == ranked
 
 
 @settings(max_examples=300, deadline=None)

@@ -255,3 +255,13 @@ def test_poset_text_round_trip():
     q = read_poset_text(text)
     assert write_poset_text(q) == text
     assert len(q.ground) == len(p.ground) and len(q.less) == len(p.less)
+
+
+@pytest.mark.parametrize(
+    "ground", [[1, "1"], [(1, 2), "1,2"], ["a < b"], ["a<b"], ["a b"], ["", "c"], ["a\tb"]]
+)
+def test_poset_writer_rejects_elements_its_reader_cannot_return(ground):
+    # an element line holding ' < ' reads as a relation; one text for two
+    # elements, or one that is empty or holds whitespace, reads back wrong
+    with pytest.raises(ValidationError, match="cannot be written to a poset file"):
+        write_poset_text(make_poset(ground, []))

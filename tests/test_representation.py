@@ -12,7 +12,14 @@ from vpgbend.constructors import construct_k3n_proper
 from vpgbend.errors import DegenerateTrimError, DomainError, ValidationError
 from vpgbend.geometry import Point, RectPath, bend_count, rational
 from vpgbend.graphs import Graph
-from vpgbend.lowerbound import build_auxiliary_fh_fv, classify_sh_sv
+from vpgbend.lowerbound import (
+    build_auxiliary_fh_fv,
+    certificate_candidates,
+    classify_sh_sv,
+    enumerate_good_sets,
+    induced_grid,
+    strip_small_sets,
+)
 from vpgbend.representation import (
     VpgRepresentation,
     clique_hit_sequence,
@@ -249,6 +256,11 @@ def _readings(rep, graph, clique, indep):
         outcome(is_proper, rep),
         outcome(classify_sh_sv, rep, clique, indep),
         outcome(build_auxiliary_fh_fv, rep, clique, indep),
+        outcome(enumerate_good_sets, rep, 3),
+        outcome(certificate_candidates, rep, 3),
+        outcome(induced_grid, rep),
+        outcome(strip_small_sets, rep, 3),
+        outcome(rep.compressed),
     ]
     for b in indep:
         out.append(outcome(clique_hit_sequence, rep, b, clique))
@@ -390,6 +402,17 @@ def test_representation_text_round_trip():
     back = read_representation_text(text)
     assert write_representation_text(back) == text
     assert back.path("a").corners == rep.path("a").corners
+
+
+def test_representation_writer_rejects_labels_with_one_text():
+    path = RectPath([(0, 0), (1, 0)])
+    for labels in ([1, "1"], [(1, 2), "1,2"]):
+        rep = VpgRepresentation({label: path for label in labels})
+        with pytest.raises(ValidationError, match="cannot be written to a representation file"):
+            write_representation_text(rep)
+    # inner whitespace stays readable in this format
+    text = write_representation_text(VpgRepresentation({"x y": path, "x  y": path}))
+    assert write_representation_text(read_representation_text(text)) == text
 
 
 def test_representation_text_rejects_malformed():
