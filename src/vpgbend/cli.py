@@ -130,6 +130,15 @@ def _parse_label_set(spec: str, what: str) -> List[str]:
     return labels
 
 
+def _parse_rep_labels(rep, spec: str, what: str) -> List[str]:
+    """Labels of a comma-separated set option, each one a label of `rep`."""
+    labels = _parse_label_set(spec, what)
+    missing = [t for t in labels if t not in rep.assignment]
+    if missing:
+        raise VpgError(f"{what} labels not in representation: {missing}")
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -195,10 +204,7 @@ def _cmd_goodsets(args) -> int:
 
 def _cmd_certificate(args) -> int:
     rep = read_representation_text(_read(args.rep))
-    target = _parse_label_set(args.target, "target")
-    missing = [t for t in target if t not in rep.assignment]
-    if missing:
-        raise VpgError(f"target labels not in representation: {missing}")
+    target = _parse_rep_labels(rep, args.target, "target")
     cert = lowerbound.bend_lb_certificate(rep, target)
     if cert is None:
         print("unrealizable")
@@ -267,7 +273,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_render(args) -> int:
     rep = read_representation_text(_read(args.rep))
-    dashed = set(_parse_labels(args.dashed)) if args.dashed else set()
+    dashed = _parse_rep_labels(rep, args.dashed, "dashed") if args.dashed else []
     probes: List[Segment] = []
     if args.annotate_goodsets is not None:
         probes = [g.witness for g in lowerbound.enumerate_good_sets(rep, args.annotate_goodsets)]

@@ -2,16 +2,16 @@
 and the auxiliary planar graphs built from proper representations.
 
 Probe enumeration is event-driven: the set of paths met by an axis-parallel
-probe can only change when one of its coordinates crosses a segment endpoint
-or a segment line, so sweeping a refined position set (every event coordinate
-plus two interior points per open cell plus one value beyond each extreme) is
+probe can only change where one of its coordinates crosses a segment endpoint
+or line.  Probes on each line and a third into each cell, started below the
+first event or a third into a gap and grown to each event above, are
 exhaustive, and every realizable hit-set gets a positive-length witness.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -53,21 +53,11 @@ class GoodKSet:
     witness: Segment
 
 
-def _positions(events: Sequence[int]) -> List[int]:
-    """Probe positions around sorted event codes 3 * rank, as codes that order
-    like the coordinates: one below the first event, each event e with the
-    1/3 and 2/3 points e + 1 and e + 2 of the gap above it, one above the last."""
-    out = [events[0] - 1]
-    for e in events[:-1]:
-        out.extend((e, e + 1, e + 2))
-    out.extend((events[-1], events[-1] + 1))
-    return out
-
-
 def _coordinate(values: Sequence[int], den: int, events: Sequence[int], code: int) -> Fraction:
-    """The coordinate of position `code` of `_positions(events)`, where event
-    3 * r lies at values[r] / den: a - 1 below the first event a, a + 1 above
-    the last, else a + (code - event) * gap / 3 from the event a at or below."""
+    """The coordinate of a probe code around sorted event codes 3 * rank, where
+    event 3 * r lies at values[r] / den: a - 1 below the first event a, a + 1
+    above the last, else a + (code - event) * gap / 3 from the event a at or
+    below, so the codes e + 1 and e + 2 are the 1/3 and 2/3 points of a gap."""
     at = bisect_right(events, code) - 1
     if at < 0:
         return Fraction(values[events[0] // 3] - den, den)
@@ -86,48 +76,58 @@ def _probe_sets_one_axis(width: int, hs, vs, k: int) -> Dict[int, tuple]:
     and the count of y ranks it gives the probes along the x axis.  Keys are
     int masks over path indices (bit li for path li); each maps to the int
     codes (x, events, ya, yb) of its first probe, which `_coordinate` maps
-    back to exact coordinates.  The x positions are those of `_positions`
-    except the two beyond the ends, which meet nothing, and the 2/3 point of
-    each cell, which meets what its 1/3 point meets.
+    back to exact coordinates.
+
+    x runs over each line 3 * rank and the 1/3 point of each cell (its 2/3
+    point meets the same).  In each column a probe starts below the first atom
+    end (event) and at the 1/3 point e + 1 of each gap, then grows up one row
+    of atoms at a time.  Any other start repeats a subsequence of an earlier
+    run: at a gap's 2/3 point or closing event it sees the intervals across
+    it and the atoms above it that the gap's 1/3 point sees, at the first
+    event those that the start below it sees.
     """
     opening: Dict[int, list] = {}
     for y, lo, hi, li in hs:
-        opening.setdefault(lo, []).append((hi, 3 * y, 1 << li))
+        opening.setdefault(lo, []).append((3 * y, hi, 1 << li))
     on_line: Dict[int, list] = {}
     for x, lo, hi, li in vs:
         on_line.setdefault(x, []).append((3 * lo, 3 * hi, 1 << li))
     found: Dict[int, tuple] = {}
-    spanning: list = []  # (hi, 3 * y, path bit) of the horizontals at the current x
+    spanning: list = []  # (3 * y, hi, path bit) of the horizontals at the current x
     for r in range(width):
         spanning += opening.get(r, ())
         intervals = on_line.get(r, [])
-        columns = [(3 * r, intervals, intervals + [(y, y, bit) for _, y, bit in spanning])]
-        spanning = [h for h in spanning if h[0] > r]
+        columns = [(3 * r, intervals, spanning)]
+        spanning = [h for h in spanning if h[1] > r]
         if spanning:
-            columns.append((3 * r + 1, [], [(y, y, bit) for _, y, bit in spanning]))
-        for x, intervals, atoms in columns:
-            atoms.sort()
-            events = sorted({e for lo, hi, _ in atoms for e in (lo, hi)})
-            pos = _positions(events)
-            for ya, yb in zip(pos, pos[1:]):
-                # [ya, yb] meets the intervals across ya and the atoms from ya
-                # to yb; growing yb changes that only where it reaches an atom
+            columns.append((3 * r + 1, [], spanning))
+        for x, intervals, points in columns:
+            rows = {}  # y code -> the paths of the atoms starting there
+            for lo, _, bit in (*intervals, *points):
+                rows[lo] = rows.get(lo, 0) | bit
+            events = sorted({*rows, *(hi for _, hi, _ in intervals)})
+            rows = sorted(rows.items())
+            at = 0
+            for ya in (events[0] - 1, *(e + 1 for e in events[:-1])):
+                while at < len(rows) and rows[at][0] < ya:
+                    at += 1
+                # the probe [ya, ya + 1] meets the intervals across ya
                 hit = 0
                 for lo, hi, bit in intervals:
-                    if lo < ya <= hi:
+                    if lo < ya < hi:
                         hit |= bit
-                at = bisect_left(atoms, (ya,))
-                while True:
-                    while at < len(atoms) and atoms[at][0] <= yb:
-                        hit |= atoms[at][2]
-                        at += 1
+                if hit.bit_count() > k:
+                    continue
+                if hit and hit not in found:
+                    found[hit] = (x, events, ya, ya + 1)
+                for yb, bits in rows[at:]:
+                    if hit | bits == hit:
+                        continue
+                    hit |= bits
                     if hit.bit_count() > k:
                         break
-                    if hit and hit not in found:
+                    if hit not in found:
                         found[hit] = (x, events, ya, yb)
-                    if at == len(atoms):
-                        break
-                    yb = atoms[at][0]
     return found
 
 

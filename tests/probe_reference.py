@@ -6,8 +6,15 @@ rescans every segment of every path.  It is slow but shares no code with the
 rank-compressed sweep in `vpgbend.lowerbound`.  `probe_hit_set` is the
 witness re-check on `segment_intersection` that the int-box re-check in
 `vpgbend.lowerbound` replaced.
+
+`all_starts_sweep` is the integer sweep over the rank table with a probe
+started at every position of each column, not only below the first event and
+at the 1/3 point of each gap: the first probe it records for each hit-set,
+and the order it records them in, pin those of the sweep in
+`vpgbend.lowerbound`.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -163,3 +170,59 @@ def probe_hit_set(ra: VpgRepresentation, probe: Segment) -> frozenset:
                 hit.add(label)
                 break
     return frozenset(hit)
+
+
+def _int_positions(events: Sequence[int]) -> List[int]:
+    """Probe positions around sorted event codes 3 * rank, as codes that order
+    like the coordinates: one below the first event, each event e with the
+    1/3 and 2/3 points e + 1 and e + 2 of the gap above it, one above the last."""
+    out = [events[0] - 1]
+    for e in events[:-1]:
+        out.extend((e, e + 1, e + 2))
+    out.extend((events[-1], events[-1] + 1))
+    return out
+
+
+def all_starts_sweep(width: int, hs, vs, k: int) -> Dict[int, tuple]:
+    """`vpgbend.lowerbound._probe_sets_one_axis` with a probe started at every
+    position of `_int_positions` in every column: the same (hs, vs) rank
+    table rows, the same int mask keys and (x, events, ya, yb) codes."""
+    opening: Dict[int, list] = {}
+    for y, lo, hi, li in hs:
+        opening.setdefault(lo, []).append((hi, 3 * y, 1 << li))
+    on_line: Dict[int, list] = {}
+    for x, lo, hi, li in vs:
+        on_line.setdefault(x, []).append((3 * lo, 3 * hi, 1 << li))
+    found: Dict[int, tuple] = {}
+    spanning: list = []  # (hi, 3 * y, path bit) of the horizontals at the current x
+    for r in range(width):
+        spanning += opening.get(r, ())
+        intervals = on_line.get(r, [])
+        columns = [(3 * r, intervals, intervals + [(y, y, bit) for _, y, bit in spanning])]
+        spanning = [h for h in spanning if h[0] > r]
+        if spanning:
+            columns.append((3 * r + 1, [], [(y, y, bit) for _, y, bit in spanning]))
+        for x, intervals, atoms in columns:
+            atoms.sort()
+            events = sorted({e for lo, hi, _ in atoms for e in (lo, hi)})
+            pos = _int_positions(events)
+            for ya, yb in zip(pos, pos[1:]):
+                # [ya, yb] meets the intervals across ya and the atoms from ya
+                # to yb; growing yb changes that only where it reaches an atom
+                hit = 0
+                for lo, hi, bit in intervals:
+                    if lo < ya <= hi:
+                        hit |= bit
+                at = bisect_left(atoms, (ya,))
+                while True:
+                    while at < len(atoms) and atoms[at][0] <= yb:
+                        hit |= atoms[at][2]
+                        at += 1
+                    if hit.bit_count() > k:
+                        break
+                    if hit and hit not in found:
+                        found[hit] = (x, events, ya, yb)
+                    if at == len(atoms):
+                        break
+                    yb = atoms[at][0]
+    return found

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -321,6 +323,30 @@ def test_render_subcommand(tmp_path):
     assert content.startswith("<?xml") and "<polyline" in content
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["certificate", "{rep}", "--target", "a,99"], "target"),
+        (["render", "{rep}", "-o", "{rep}.svg", "--dashed", "a,99"], "dashed"),
+    ],
+)
+def test_set_label_outside_representation_is_usage_error(tmp_path, capsys, argv, what):
+    rfile = tmp_path / "r.txt"
+    rfile.write_text("a : (0,0) (1,0)\n")
+    rc, out, err = run(capsys, *(arg.format(rep=rfile) for arg in argv))
+    assert (rc, out, err) == (2, "", f"error: {what} labels not in representation: ['99']\n")
+    assert not (tmp_path / "r.txt.svg").exists()
+
+
+def test_python_m_vpgbend_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "vpgbend", "--help"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: vpgbend")
+
+
 # --- render internals ---------------------------------------------------------
 
 
@@ -405,6 +431,7 @@ def test_representation_round_trip_via_cli_files(tmp_path):
         ["certificate", "{rep}", "--target", "a,a"],
         ["certificate", "{rep}", "--target", "a,b,a"],
         ["construct", "split-upper", "--graph", "{graph}", "--clique", "a,a"],
+        ["render", "{rep}", "-o", "{rep}.svg", "--dashed", "a,a"],
     ],
 )
 def test_repeated_set_label_is_usage_error(tmp_path, capsys, argv):

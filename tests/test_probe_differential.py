@@ -1,8 +1,10 @@
 """The integer-rank probe sweep against the Fraction reference in
 `probe_reference`, on the random representations of `rep_strategies` and on
 the clique paths of the constructions.  The certificate candidates of k must
-be the reference's good j-sets for all j <= k.  The int-box witness re-check
-`probe_hit_set` is compared with the reference's on random probes."""
+be the reference's good j-sets for all j <= k.  The sweep's first probe of
+every hit-set, and the order it records them in, must be those of the
+reference sweep that starts a probe at every position.  The int-box witness
+re-check `probe_hit_set` is compared with the reference's on random probes."""
 
 from fractions import Fraction
 
@@ -14,12 +16,14 @@ import probe_reference as reference
 from rep_strategies import representation, representations, scales, shifts
 from vpgbend.geometry import Point, Segment
 from vpgbend.lowerbound import (
+    _probe_sets_one_axis,
     certificate_candidates,
     enumerate_good_sets,
     induced_grid,
     probe_hit_set,
     strip_small_sets,
 )
+from vpgbend.representation import _contact_table
 
 
 def _assert_same(ra):
@@ -58,6 +62,34 @@ def test_probe_sweep_matches_reference_on_k3n(k3n_reps, n):
 @pytest.mark.parametrize("nk", [(6, 3), (7, 4)])
 def test_probe_sweep_matches_reference_on_staircases(gtm_reps, nk):
     _assert_same(gtm_reps[nk].restricted(range(1, nk[0] + 1)))
+
+
+def _assert_same_first_probes(ra):
+    """Both axes, on the rank table (hs, vs) and on its transpose (vs, hs):
+    the same hit-sets with the same first probes, recorded in the same order."""
+    table = _contact_table(ra)
+    for k in range(1, 6):
+        for args in ((len(table.xs), table.hs, table.vs, k), (len(table.ys), table.vs, table.hs, k)):
+            found = _probe_sets_one_axis(*args)
+            assert list(found.items()) == list(reference.all_starts_sweep(*args).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(representations, scales, shifts, st.booleans())
+def test_first_probes_match_all_starts_sweep(paths, scale, shift, on_fractions):
+    _assert_same_first_probes(
+        representation(paths, (lambda c: c * scale + shift) if on_fractions else (lambda c: c))
+    )
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_first_probes_match_all_starts_sweep_on_k3n(k3n_reps, n):
+    _assert_same_first_probes(k3n_reps[n].restricted(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("nk", [(6, 3), (7, 4)])
+def test_first_probes_match_all_starts_sweep_on_staircases(gtm_reps, nk):
+    _assert_same_first_probes(gtm_reps[nk].restricted(range(1, nk[0] + 1)))
 
 
 def _probe_coordinates(ra):

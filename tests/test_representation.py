@@ -8,10 +8,10 @@ import hit_reference
 import pairwise_reference as reference
 import vpgbend.representation as representation_module
 from rep_strategies import representation, representations, scales, shifts
-from vpgbend.constructors import construct_k3n_proper
+from vpgbend.constructors import construct_k2n_proper, construct_k3n_proper, construct_split_upper
 from vpgbend.errors import DegenerateTrimError, DomainError, ValidationError
 from vpgbend.geometry import Point, RectPath, bend_count, rational
-from vpgbend.graphs import Graph
+from vpgbend.graphs import Graph, build_split_knk
 from vpgbend.lowerbound import (
     build_auxiliary_fh_fv,
     certificate_candidates,
@@ -211,10 +211,7 @@ def test_max_bends():
     assert max_bends(VpgRepresentation({})) == 0
 
 
-@settings(max_examples=300, deadline=None)
-@given(representations, scales, shifts)
-def test_compressed_keeps_realization_properness_and_bends(paths, scale, shift):
-    rep = representation(paths, lambda c: c * scale + shift)
+def _assert_compressed_keeps_realization_properness_and_bends(rep):
     small = rep.compressed()
     assert small.labels() == rep.labels()
     assert verify_realizes(small, intersection_graph(rep)).ok
@@ -233,6 +230,36 @@ def test_compressed_keeps_realization_properness_and_bends(paths, scale, shift):
         for p in small.assignment.values()
         for c in p.corners
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(representations, scales, shifts)
+def test_compressed_keeps_realization_properness_and_bends(paths, scale, shift):
+    _assert_compressed_keeps_realization_properness_and_bends(
+        representation(paths, lambda c: c * scale + shift)
+    )
+
+
+@pytest.mark.parametrize(
+    "family, args",
+    [
+        *(("k3n", n) for n in range(4, 9)),
+        *(("k2n", n) for n in range(3, 7)),
+        *(("gtm", nk) for nk in [(5, 3), (6, 3), (6, 4), (7, 4)]),
+        ("split-upper", (4, 2)),
+    ],
+    ids=lambda value: str(value).replace(" ", ""),
+)
+def test_compressed_keeps_constructor_outputs(k3n_reps, gtm_reps, family, args):
+    if family == "k3n":
+        rep = k3n_reps[args]
+    elif family == "gtm":
+        rep = gtm_reps[args]
+    elif family == "k2n":
+        rep = construct_k2n_proper(args)
+    else:
+        rep = construct_split_upper(*build_split_knk(*args))
+    _assert_compressed_keeps_realization_properness_and_bends(rep)
 
 
 def _comparable(result):
