@@ -174,31 +174,28 @@ def has_long_induced_cycle(g: Graph, L: int) -> bool:
     if L < 3:
         raise ParameterError("cycle length threshold must be >= 3")
     order = {v: i for i, v in enumerate(g.vertices)}
-
-    def extend(path, on_path):
-        v0, last = path[0], path[-1]
-        for w in g.neighbors(last):
-            if order[w] <= order[v0] or w in on_path:
-                continue
-            if len(path) == 1:
-                if extend(path + [w], on_path | {w}):
-                    return True
-                continue
-            # keep the path induced: w may touch only `last`, except v0 when closing
-            chord = any(g.has_edge(w, u) for u in path[1:-1])
-            if chord:
-                continue
-            if g.has_edge(w, v0):
-                if len(path) + 1 >= L:
-                    return True
-                continue  # closing early; extending past w would leave a chord to v0
-            if extend(path + [w], on_path | {w}):
-                return True
-        return False
-
-    for v in g.vertices:
-        if extend([v], {v}):
-            return True
+    for v0 in g.vertices:
+        # depth-first on an explicit stack: one neighbour iterator per path vertex
+        path, on_path, frontier = [v0], {v0}, [iter(g.neighbors(v0))]
+        while frontier:
+            for w in frontier[-1]:
+                if order[w] <= order[v0] or w in on_path:
+                    continue
+                if len(path) > 1:
+                    # keep the path induced: w may touch only the last vertex, and v0 to close
+                    if any(g.has_edge(w, u) for u in path[1:-1]):
+                        continue
+                    if g.has_edge(w, v0):
+                        if len(path) + 1 >= L:
+                            return True
+                        continue  # closing early; extending past w would leave a chord to v0
+                path.append(w)
+                on_path.add(w)
+                frontier.append(iter(g.neighbors(w)))
+                break
+            else:
+                frontier.pop()
+                on_path.discard(path.pop())
     return False
 
 

@@ -1,9 +1,10 @@
 """Posets, linear extensions, realizers, and exact dimension at desk scale.
 
-The dimension search assigns, for every ordered incomparable pair (x, y), a
-coordinate whose linear order must put y above x; each coordinate maintains a
-transitively-closed partial order and conflicting assignments are pruned.
-Any realizer found is re-verified with `is_realizer` before being trusted.
+Orders are int masks: `up[i]`/`down[i]` hold the elements above/below element
+i.  One closure step, `_close`, serves `make_poset` and the dimension search.
+The search gives each critical pair a coordinate that reverses it, on an
+explicit stack; extensions reversing every critical pair form a realizer
+(Trotter), and each realizer found is re-verified with `is_realizer`.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ class Poset:
                 raise ValidationError(f"reflexive pair ({x!r},{x!r})")
             if (y, x) in self.less:
                 raise ValidationError(f"antisymmetry violated on ({x!r},{y!r})")
+        idx, up, _ = _masks(self.ground, self.less)
         for x, y in self.less:
-            for z, w in self.less:
-                if y == z and (x, w) not in self.less:
-                    raise ValidationError(f"transitivity violated: {x!r}<{y!r}<{w!r}")
+            missing = up[idx[y]] & ~up[idx[x]]  # y < w but not x < w
+            if missing:
+                w = self.ground[(missing & -missing).bit_length() - 1]
+                raise ValidationError(f"transitivity violated: {x!r}<{y!r}<{w!r}")
 
     def is_less(self, x: Element, y: Element) -> bool:
         return (x, y) in self.less
@@ -56,19 +59,43 @@ class Poset:
         ]
 
 
+def _masks(ground, less) -> Tuple[Dict[Element, int], List[int], List[int]]:
+    """Ground indices, and per element the int masks of those above and below it."""
+    idx = {x: i for i, x in enumerate(ground)}
+    up, down = [0] * len(idx), [0] * len(idx)
+    for x, y in less:
+        up[idx[x]] |= 1 << idx[y]
+        down[idx[y]] |= 1 << idx[x]
+    return idx, up, down
+
+
+def _close(up: List[int], down: List[int], lo: int, hi: int) -> Tuple[List[int], List[int]]:
+    """Add lo < hi to a closed order: all at or below lo go below all at or
+    above hi (a cycle shows as a reflexive bit).  Returns the old masks."""
+    log = up[:], down[:]
+    lows, highs = down[lo] | 1 << lo, up[hi] | 1 << hi
+    for masks, members, extra in ((up, lows, highs), (down, highs, lows)):
+        while members:
+            bit = members & -members
+            members ^= bit
+            masks[bit.bit_length() - 1] |= extra
+    return log
+
+
 def make_poset(ground: Iterable[Element], relations: Iterable[Tuple[Element, Element]]) -> Poset:
-    """Build a poset from generating relations, taking the transitive closure."""
+    """Build a poset from generating relations, taking the transitive closure.
+
+    Relation elements are indexed with the ground, so `Poset` still names an
+    unknown element, and a cycle leaves a reflexive pair for it to reject.
+    """
     ground = tuple(ground)
-    less = set(tuple(r) for r in relations)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(less):
-            for z, w in list(less):
-                if y == z and (x, w) not in less:
-                    less.add((x, w))
-                    changed = True
-    return Poset(ground=ground, less=frozenset(less))
+    relations = [tuple(r) for r in relations]
+    elems = tuple(dict.fromkeys(ground + tuple(x for r in relations for x in r)))
+    idx, up, down = _masks(elems, ())
+    for lo, hi in relations:
+        _close(up, down, idx[lo], idx[hi])
+    less = frozenset((x, y) for x, m in zip(elems, up) for j, y in enumerate(elems) if m >> j & 1)
+    return Poset(ground=ground, less=less)
 
 
 @dataclass(frozen=True)
@@ -147,101 +174,40 @@ def cocomparability_graph(p: Poset) -> Graph:
     return g
 
 
-class _PartialOrder:
-    """Transitively-closed DAG over element indexes, supporting undo."""
-
-    __slots__ = ("n", "above",)
-
-    def __init__(self, n: int, base_pairs):
-        self.n = n
-        self.above = [set() for _ in range(n)]  # above[i] = {j : i < j}
-        for i, j in base_pairs:
-            self.add(i, j)
-
-    def add(self, i: int, j: int) -> Optional[List[Tuple[int, int]]]:
-        """Add i<j plus closure; returns added pairs for undo, or None on cycle."""
-        if i == j or i in self.above[j]:
-            return None
-        if j in self.above[i]:
-            return []
-        added = []
-        lows = [k for k in range(self.n) if i in self.above[k]] + [i]
-        highs = list(self.above[j]) + [j]
-        for a in lows:
-            for b in highs:
-                if a == b:
-                    for x, y in added:
-                        self.above[x].discard(y)
-                    return None
-                if b not in self.above[a]:
-                    self.above[a].add(b)
-                    added.append((a, b))
-        return added
-
-    def undo(self, added: List[Tuple[int, int]]) -> None:
-        for x, y in added:
-            self.above[x].discard(y)
-
-    def topological(self) -> List[int]:
-        remaining = set(range(self.n))
-        out = []
-        while remaining:
-            # smallest-index minimal element, for determinism
-            pick = min(
-                k for k in remaining if not any(k in self.above[m] for m in remaining)
-            )
-            out.append(pick)
-            remaining.discard(pick)
-        return out
-
-
-def _is_critical(p: Poset, x: Element, y: Element) -> bool:
-    down_x = {z for z in p.ground if p.is_less(z, x)}
-    down_y = {z for z in p.ground if p.is_less(z, y)}
-    up_x = {z for z in p.ground if p.is_less(x, z)}
-    up_y = {z for z in p.ground if p.is_less(y, z)}
-    return down_x <= down_y and up_y <= up_x
-
-
 def _search_realizer(p: Poset, t: int) -> Optional[Realizer]:
-    idx = {x: i for i, x in enumerate(p.ground)}
-    n = len(p.ground)
-    base = [(idx[x], idx[y]) for x, y in p.less]
-    coords = [_PartialOrder(n, base) for _ in range(t)]
-
-    # Ordered incomparable pairs (x, y): some coordinate must put y before x.
-    # Critical pairs go first; they conflict most, so dead ends surface early.
-    pairs = []
-    for x, y in p.incomparable_pairs():
-        for a, b in ((x, y), (y, x)):
-            pairs.append((not _is_critical(p, a, b), idx[a], idx[b]))
-    pairs.sort()
-    pairs = [(a, b) for _, a, b in pairs]
-
-    def assign(k: int, used: int) -> bool:
-        if k == len(pairs):
-            return True
+    _, up0, down0 = _masks(p.ground, p.less)
+    # critical pairs (x, y): x || y, D(x) <= D(y) and U(y) <= U(x); some
+    # coordinate must put y below x, and reversing all of them suffices
+    ids = range(len(up0))
+    pairs = [(x, y) for x in ids for y in ids if x != y and not (up0[x] | down0[x]) >> y & 1
+             and not down0[x] & ~down0[y] and not up0[y] & ~up0[x]]
+    coords = [(up0[:], down0[:]) for _ in range(t)]
+    stack = []  # frames (pair index, coordinate taken, undo log, coordinates in use)
+    k = used = first = 0
+    while k < len(pairs):
         x, y = pairs[k]
-        # the required reversal may already hold in some coordinate
-        for c in coords:
-            if x in c.above[y]:
-                return assign(k + 1, used)
-        limit = min(t, used + 1)  # untouched coordinates are interchangeable
-        for ci in range(limit):
-            added = coords[ci].add(y, x)
-            if added is None:
-                continue
-            if assign(k + 1, max(used, ci + 1)):
-                return True
-            coords[ci].undo(added)
-        return False
-
-    if not assign(0, 0):
-        return None
-    orders = tuple(
-        LinearOrder(tuple(p.ground[i] for i in c.topological())) for c in coords
-    )
-    realizer = Realizer(orders=orders)
+        if any(up[y] >> x & 1 for up, _ in coords):  # some coordinate already reverses it
+            k += 1
+            continue
+        for c in range(first, min(t, used + 1)):  # untouched coordinates are alike
+            if not coords[c][0][x] >> y & 1:
+                stack.append((k, c, _close(*coords[c], y, x), used))
+                k, used, first = k + 1, max(used, c + 1), 0
+                break
+        else:
+            if not stack:
+                return None
+            k, c, log, used = stack.pop()
+            coords[c], first = log, c + 1  # the undo log is the old coordinate
+    orders = []
+    for _, down in coords:  # take the smallest-index minimal element each time
+        seq, left = [], (1 << len(down)) - 1
+        while left:
+            i = next(i for i in ids if left >> i & 1 and not down[i] & left)
+            seq.append(p.ground[i])
+            left ^= 1 << i
+        orders.append(LinearOrder(tuple(seq)))
+    realizer = Realizer(orders=tuple(orders))
     if not is_realizer(p, realizer):  # pragma: no cover - search guarantees this
         raise AssertionError("dimension search produced a non-realizer")
     return realizer
@@ -261,7 +227,12 @@ def brute_force_dimension(p: Poset, max_dim: int) -> Optional[int]:
 
 
 def find_realizer(p: Poset, t: int) -> Optional[Realizer]:
-    """A verified realizer of size exactly t, or None if none exists."""
+    """A verified realizer of size exactly t, or None if none exists.
+
+    Only critical pairs are placed before each coordinate is completed to its
+    smallest-index linear extension, so the orders may differ from those of a
+    search that places every incomparable pair.  There is no depth limit.
+    """
     if t < 1:
         raise ParameterError("realizer size must be positive")
     return _search_realizer(p, t)

@@ -255,6 +255,13 @@ def test_posets_subcommands(tmp_path, capsys):
     assert rc == 1 and "realizer: no" in out
 
 
+def test_posets_dim_on_a_large_antichain(tmp_path, capsys):
+    # 2,450 critical pairs: more than the recursion limit allows as nested calls
+    pfile = tmp_path / "anti.txt"
+    pfile.write_text("".join(f"a{i}\n" for i in range(50)))
+    assert run(capsys, "posets", "dim", "--poset", str(pfile)) == (0, "dimension: 2\n", "")
+
+
 def test_realizer_chains_hold_labels_with_commas(tmp_path, capsys):
     # `posets build` labels such as `1,2` contain the comma separator, so each
     # order is written as a chain `a < b < c`

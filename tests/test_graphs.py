@@ -123,6 +123,11 @@ def test_c5_has_long_induced_cycle():
     assert has_long_induced_cycle(cycle_graph(5), 5)
 
 
+def test_long_induced_cycle_search_has_no_depth_limit():
+    # the induced path grows to 1,199 vertices, past Python's recursion limit
+    assert has_long_induced_cycle(cycle_graph(1200), 5)
+
+
 def test_complete_graph_has_no_long_induced_cycle():
     assert not has_long_induced_cycle(complete_graph(4), 4)
 

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -255,6 +256,18 @@ def test_poset_text_round_trip():
     q = read_poset_text(text)
     assert write_poset_text(q) == text
     assert len(q.ground) == len(p.ground) and len(q.less) == len(p.less)
+
+
+def test_reading_a_long_chain_is_fast(tmp_path):
+    # 4,950 pairs in the closure: a pairwise transitivity check takes seconds
+    names = [f"e{i}" for i in range(100)]
+    pfile = tmp_path / "chain.txt"
+    pfile.write_text("".join(f"{x}\n" for x in names) + "".join(
+        f"{x} < {y}\n" for x, y in zip(names, names[1:])))
+    start = time.perf_counter()
+    p = read_poset_text(pfile.read_text())
+    assert time.perf_counter() - start < 1.0
+    assert len(p.less) == 100 * 99 // 2 and p.is_less("e0", "e99")
 
 
 @pytest.mark.parametrize(
