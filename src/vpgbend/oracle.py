@@ -26,16 +26,18 @@ and bends alone choose between them:
   *Artificial Intelligence* 14, 1980).  A node is one candidate taken from a
   domain.
 * elsewhere, where those tables would be large, `_LazySearch` places the
-  vertices in a fixed order (highest degree first), enumerates the
-  candidates lazily at every depth and skips every one that cannot join the
-  placed paths.  A node is one enumerated candidate.
+  vertices in a fixed order (highest degree first) and enumerates the
+  candidates lazily at every depth.  The enumerator itself counts each
+  candidate as a node and tests it against the placed paths, and yields only
+  those that can join them; the search tests their corners.  A node is one
+  enumerated candidate, kept or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParameterError
 from .geometry import RectPath
@@ -68,39 +70,77 @@ class GridSearchBudget:
             raise ParameterError("max_bends must be nonnegative")
 
 
-def _grid_paths(budget: GridSearchBudget) -> Iterator[Tuple[Tuple[Corner, ...], int]]:
+def _grid_paths(
+    budget: GridSearchBudget,
+    forbid: int = 0,
+    needs: Sequence[int] = (),
+    take: Optional[Callable[[], None]] = None,
+) -> Iterator[Tuple[Tuple[Corner, ...], int]]:
     """All simple rectilinear paths with corners on the grid, each geometric
     path exactly once (canonical corner order), in a fixed enumeration order,
-    as (corners, lattice mask).  The depth-first search keeps its own stack,
-    so a path may have more segments than Python's recursion limit."""
+    as (corners, lattice mask), less those whose mask meets `forbid` or
+    misses some mask in `needs`.  `take`, if given, is called once per
+    enumerated path, kept or not, before the path is tested.  The
+    depth-first search keeps its own stack, so a path may have more segments
+    than Python's recursion limit."""
     w, h, max_segments = budget.grid_width, budget.grid_height, budget.max_bends + 1
     row = 2 * w - 1
+    top = 2 * h - 2
+    # bits 0, row, ..., top·row; shifted right by (top − 2k)·row, the
+    # vertical run of k units up from bit 0
+    column = int("1" + ("0" * (row - 1) + "1") * top, 2)
+
+    def ends(first: Corner, x: int, y: int, horizontal: bool, last: bool) -> Iterator[int]:
+        # the end coordinates to try for a segment from (x, y); on the last
+        # segment only those that leave the path canonical (its end not
+        # before `first`), since no longer path grows from it
+        if not last:
+            return iter(range(w if horizontal else h))
+        x0, y0 = first
+        if horizontal:
+            return iter(range(x0 + (y0 > y), w))
+        return iter(range(0 if x0 < x else y0 if x0 == x else h, h))
+
     for y, x, horizontal_first in product(range(h), range(w), (True, False)):
         corners = [(x, y)]
         # one frame per segment being chosen: the path's mask before it, the
         # segment's axis and the end coordinates not yet tried
-        stack = [(0, horizontal_first, iter(range(w if horizontal_first else h)))]
+        stack = [(0, horizontal_first, ends((x, y), x, y, horizontal_first, max_segments == 1))]
         while stack:
-            mask, horizontal, ends = stack[-1]
+            mask, horizontal, untried = stack[-1]
             cx, cy = corners[-1]
             start = 2 * cy * row + 2 * cx
             before = mask & ~(1 << start)  # the new segment may meet the path only at its start
             at, stride = (cx, 1) if horizontal else (cy, row)
-            for c in ends:
+            last = len(corners) == max_segments
+            # what the path so far settles: whether it already meets `forbid`,
+            # and which masks in `needs` the new segment must meet itself
+            dead = mask & forbid
+            unmet = [need for need in needs if not mask & need]
+            for c in untried:
                 if c == at:
                     continue
-                lo, hi = sorted((start, start + 2 * (c - at) * stride))
-                # bits lo, lo + stride, ..., hi
-                seg = ((1 << (hi - lo + stride)) - 1) // ((1 << stride) - 1) << lo
+                d = c - at
+                # the segment's 2|d| + 1 bits, from its lower end up
+                run = (2 << 2 * abs(d)) - 1 if horizontal else column >> (top - 2 * abs(d)) * row
+                seg = run << (start if d > 0 else start + 2 * d * stride)
                 if seg & before:
                     continue
-                corners.append((c, cy) if horizontal else (cx, c))
-                if corners[0] <= corners[-1]:
-                    yield tuple(corners), mask | seg
-                if len(corners) <= max_segments:
-                    stack.append((mask | seg, not horizontal, iter(range(h if horizontal else w))))
+                end = (c, cy) if horizontal else (cx, c)
+                if corners[0] <= end:
+                    if take is not None:
+                        take()
+                    if not (dead or seg & forbid):
+                        for need in unmet:
+                            if not seg & need:
+                                break
+                        else:
+                            yield (*corners, end), mask | seg
+                if not last:
+                    corners.append(end)
+                    stack.append((mask | seg, not horizontal,
+                                  ends(corners[0], *end, not horizontal, len(corners) == max_segments)))
                     break
-                corners.pop()
             else:
                 # the frame is done, and so is the corner that opened it
                 stack.pop()
@@ -149,7 +189,7 @@ class _Search:
 
 class _LazySearch(_Search):
     """Vertices in the fixed order; candidates enumerated lazily at every
-    depth, each kept iff it can join the placed paths."""
+    depth, each counted and kept iff it can join the placed paths."""
 
     def __init__(self, g: Graph, budget: GridSearchBudget, require_proper: bool):
         super().__init__(g, budget, require_proper)
@@ -172,14 +212,12 @@ class _LazySearch(_Search):
                 neighbours.append(other)
             else:
                 apart |= other
-        # a candidate must miss every placed non-neighbour and, to stay
-        # proper, overlap no placed path, meet none at a corner of either and
-        # miss every point already on two paths
+        # a candidate must meet every placed neighbour, miss every placed
+        # non-neighbour and, to stay proper, overlap no placed path, meet none
+        # at a corner of either and miss every point already on two paths;
+        # the enumerator counts it and tests all but its own corners
         forbid = apart | (union & self.odd_bits) | ends_union | met
-        for corners, mask in _grid_paths(self.budget):
-            self.take()
-            if mask & forbid or not all(mask & other for other in neighbours):
-                continue
+        for corners, mask in _grid_paths(self.budget, forbid, neighbours, self.take):
             if self.require_proper:
                 ends = _corner_bits(corners, self.row)
                 if ends & union:

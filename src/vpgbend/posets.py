@@ -27,18 +27,22 @@ class Poset:
     less: frozenset
 
     def __post_init__(self):
-        gset = set(self.ground)
-        if len(gset) != len(self.ground):
+        idx = {x: i for i, x in enumerate(self.ground)}
+        if len(idx) != len(self.ground):
             raise ValidationError("duplicate ground elements")
-        for x, y in self.less:
-            if x not in gset or y not in gset:
+        # pairs in ground-index order, so the same poset always fails on the
+        # same pair (unknown elements last, by repr)
+        n = len(idx)
+        pairs = sorted(self.less, key=lambda pair: (idx.get(pair[0], n), idx.get(pair[1], n), repr(pair)))
+        for x, y in pairs:
+            if x not in idx or y not in idx:
                 raise ValidationError(f"relation uses unknown element in ({x!r},{y!r})")
             if x == y:
                 raise ValidationError(f"reflexive pair ({x!r},{x!r})")
             if (y, x) in self.less:
                 raise ValidationError(f"antisymmetry violated on ({x!r},{y!r})")
-        idx, up, _ = _masks(self.ground, self.less)
-        for x, y in self.less:
+        _, up, _ = _masks(self.ground, self.less)
+        for x, y in pairs:
             missing = up[idx[y]] & ~up[idx[x]]  # y < w but not x < w
             if missing:
                 w = self.ground[(missing & -missing).bit_length() - 1]
@@ -85,8 +89,9 @@ def _close(up: List[int], down: List[int], lo: int, hi: int) -> Tuple[List[int],
 def make_poset(ground: Iterable[Element], relations: Iterable[Tuple[Element, Element]]) -> Poset:
     """Build a poset from generating relations, taking the transitive closure.
 
-    Relation elements are indexed with the ground, so `Poset` still names an
-    unknown element, and a cycle leaves a reflexive pair for it to reject.
+    Relation elements are indexed after the ground, so `Poset` still names an
+    unknown element.  Relations that form a cycle are rejected here, naming
+    the element of lowest index on one.
     """
     ground = tuple(ground)
     relations = [tuple(r) for r in relations]
@@ -94,6 +99,10 @@ def make_poset(ground: Iterable[Element], relations: Iterable[Tuple[Element, Ele
     idx, up, down = _masks(elems, ())
     for lo, hi in relations:
         _close(up, down, idx[lo], idx[hi])
+    # an element lies on a cycle iff the closure puts it above itself
+    cyclic = next((x for i, (x, m) in enumerate(zip(elems, up)) if m >> i & 1), None)
+    if cyclic is not None:
+        raise ValidationError(f"relations form a cycle through {cyclic!r}")
     less = frozenset((x, y) for x, m in zip(elems, up) for j, y in enumerate(elems) if m >> j & 1)
     return Poset(ground=ground, less=less)
 

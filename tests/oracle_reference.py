@@ -1,20 +1,27 @@
-"""The Fraction-geometry grid oracle, kept only to test the lattice-mask
-oracle `vpgbend.oracle` against.
+"""Reference grid oracles, kept only to test the lattice-mask oracle
+`vpgbend.oracle` against.
 
 `grid_paths` and `search_representation` are the original search: each
 candidate path is built from `Point`/`Segment` objects, checked for
 simplicity by `segment_intersection`, and compared with every placed path
 through `path_intersections`.  It is slow but shares no geometry with the
 mask search.
+
+`lazy_grid_paths` and `LazySearch` are the lattice-mask enumerator and lazy
+search as they were before the enumerator took over the keep test and the
+node count: the enumerator yields every candidate, building each segment's
+bits with a sort and a division, and the search counts and tests each one.
+They pin the outcome, node count and witness of `vpgbend.oracle._LazySearch`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from itertools import product
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from vpgbend.geometry import Point, RectPath, Segment, path_intersections, segment_intersection
 from vpgbend.graphs import Graph
-from vpgbend.oracle import GridSearchBudget
+from vpgbend.oracle import Corner, GridSearchBudget, _corner_bits, _Search
 from vpgbend.representation import VpgRepresentation, is_proper, verify_realizes
 
 
@@ -101,4 +108,91 @@ def search_representation(
     try:
         return place(0)
     except _BudgetExhausted:
+        return None
+
+
+def lazy_grid_paths(budget: GridSearchBudget) -> Iterator[Tuple[Tuple[Corner, ...], int]]:
+    """All simple rectilinear paths with corners on the grid, each geometric
+    path exactly once (canonical corner order), in a fixed enumeration order,
+    as (corners, lattice mask).  The depth-first search keeps its own stack,
+    so a path may have more segments than Python's recursion limit."""
+    w, h, max_segments = budget.grid_width, budget.grid_height, budget.max_bends + 1
+    row = 2 * w - 1
+    for y, x, horizontal_first in product(range(h), range(w), (True, False)):
+        corners = [(x, y)]
+        # one frame per segment being chosen: the path's mask before it, the
+        # segment's axis and the end coordinates not yet tried
+        stack = [(0, horizontal_first, iter(range(w if horizontal_first else h)))]
+        while stack:
+            mask, horizontal, ends = stack[-1]
+            cx, cy = corners[-1]
+            start = 2 * cy * row + 2 * cx
+            before = mask & ~(1 << start)  # the new segment may meet the path only at its start
+            at, stride = (cx, 1) if horizontal else (cy, row)
+            for c in ends:
+                if c == at:
+                    continue
+                lo, hi = sorted((start, start + 2 * (c - at) * stride))
+                # bits lo, lo + stride, ..., hi
+                seg = ((1 << (hi - lo + stride)) - 1) // ((1 << stride) - 1) << lo
+                if seg & before:
+                    continue
+                corners.append((c, cy) if horizontal else (cx, c))
+                if corners[0] <= corners[-1]:
+                    yield tuple(corners), mask | seg
+                if len(corners) <= max_segments:
+                    stack.append((mask | seg, not horizontal, iter(range(h if horizontal else w))))
+                    break
+                corners.pop()
+            else:
+                # the frame is done, and so is the corner that opened it
+                stack.pop()
+                corners.pop()
+
+
+class LazySearch(_Search):
+    """Vertices in the fixed order; candidates enumerated lazily at every
+    depth, each kept iff it can join the placed paths."""
+
+    def __init__(self, g: Graph, budget: GridSearchBudget, require_proper: bool):
+        super().__init__(g, budget, require_proper)
+        self.adjacent = [[g.has_edge(u, v) for u in self.order[:i]] for i, v in enumerate(self.order)]
+        self.odd_bits = (int("10" * self.row * (2 * budget.grid_height - 1), 2)
+                         if require_proper else 0)
+        self.placed: List[Tuple[Tuple[Corner, ...], int]] = []
+
+    def start(self) -> Optional[VpgRepresentation]:
+        return self.place(0, 0, 0, 0)
+
+    def place(self, idx: int, union: int, ends_union: int, met: int) -> Optional[VpgRepresentation]:
+        # the masks of every placed path, of their corners and of the points
+        # two of them share (all three are kept only under require_proper)
+        if idx == len(self.order):
+            return self.verified([corners for corners, _ in self.placed])
+        apart, neighbours = 0, []
+        for (_, other), adj in zip(self.placed, self.adjacent[idx]):
+            if adj:
+                neighbours.append(other)
+            else:
+                apart |= other
+        # a candidate must miss every placed non-neighbour and, to stay
+        # proper, overlap no placed path, meet none at a corner of either and
+        # miss every point already on two paths
+        forbid = apart | (union & self.odd_bits) | ends_union | met
+        for corners, mask in lazy_grid_paths(self.budget):
+            self.take()
+            if mask & forbid or not all(mask & other for other in neighbours):
+                continue
+            if self.require_proper:
+                ends = _corner_bits(corners, self.row)
+                if ends & union:
+                    continue
+                down = (union | mask, ends_union | ends, met | mask & union)
+            else:
+                down = (0, 0, 0)
+            self.placed.append((corners, mask))
+            result = self.place(idx + 1, *down)
+            if result is not None:
+                return result
+            self.placed.pop()
         return None

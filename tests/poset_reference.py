@@ -32,10 +32,13 @@ def make_poset(ground: Iterable[Element], relations: Iterable[Tuple[Element, Ele
 
 
 def validate(ground, less) -> None:
-    """The checks `Poset.__post_init__` made, with the pairwise transitivity test."""
+    """The checks `Poset.__post_init__` makes, with the pairwise transitivity
+    test, visiting the pairs in ground-index order as it does."""
     gset = set(ground)
     if len(gset) != len(ground):
         raise ValidationError("duplicate ground elements")
+    index = {x: i for i, x in enumerate(ground)}
+    less = sorted(less, key=lambda pair: (index.get(pair[0], len(ground)), index.get(pair[1], len(ground)), repr(pair)))
     for x, y in less:
         if x not in gset or y not in gset:
             raise ValidationError(f"relation uses unknown element in ({x!r},{y!r})")

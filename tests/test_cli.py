@@ -144,6 +144,21 @@ def test_malformed_poset_relation_is_usage_error(tmp_path, capsys, command):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_cyclic_poset_fails_with_one_message_under_every_hash_seed(tmp_path):
+    # the relations' closure puts every element above itself; the error
+    # names the first element on the cycle, whatever order sets iterate in
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("a\nb\nc\na < b\nb < c\nc < a\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for seed in range(4):
+        done = subprocess.run([sys.executable, "-m", "vpgbend", "posets", "dim", "--poset", str(pfile)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)})
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: relations form a cycle through 'a'\n"), seed
+
+
 @pytest.mark.parametrize("max_dim", ["0", "-3"])
 def test_posets_dim_bound_below_one_is_usage_error(tmp_path, capsys, max_dim):
     pfile = tmp_path / "p.txt"

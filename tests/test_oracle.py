@@ -4,12 +4,13 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rep_strategies import searches
 from vpgbend import oracle, representation
 from vpgbend.errors import ParameterError
 from vpgbend.graphs import Graph
-from vpgbend.oracle import GridSearchBudget, _LazySearch, _search, _tables_fit, search_representation
+from vpgbend.oracle import GridSearchBudget, _grid_paths, _LazySearch, _search, _tables_fit, search_representation
 from vpgbend.representation import is_proper, max_bends, verify_realizes
 
 
@@ -92,17 +93,64 @@ def test_k2_zero_bend_line_grid_proper_needs_a_crossing():
 
 
 P4 = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
+_PAIRS_5 = list(combinations(range(1, 6), 2))
+# the split graph K_5^2: a 5-clique and, for each pair of it, an independent
+# vertex adjacent to the pair
+K52 = Graph(list(range(1, 6)) + _PAIRS_5, _PAIRS_5 + [(s, v) for s in _PAIRS_5 for v in s])
 
 
 def test_p4_proper_one_bend_found_on_5x5():
-    # a proper 1-bend witness exists on 5x5; the lazy search needs 59,736
-    # nodes for it, forward checking finds it within the benchmark's 20k
+    # a proper 1-bend witness exists on 5x5; forward checking finds it within
+    # the benchmark's 20k nodes, the lazy search at exactly its 59,736th
     g = P4
     rep = search_representation(g, GridSearchBudget(5, 5, 1, 20_000), require_proper=True)
     assert rep is not None
     assert verify_realizes(rep, g).ok
     assert is_proper(rep).ok
     assert max_bends(rep) <= 1
+    found = _LazySearch(g, GridSearchBudget(5, 5, 1, 59_736), True)
+    assert found.outcome()[0] == "found" and found.nodes == 59_736
+    assert _LazySearch(g, GridSearchBudget(5, 5, 1, 59_735), True).outcome() == ("budget", None)
+
+
+def test_k52_proper_one_bend_runs_out_at_the_benchmark_limit():
+    # the oracle benchmark's slowest search: every node of it is counted, the
+    # one past the limit included
+    search = _LazySearch(K52, GridSearchBudget(12, 12, 1, 30_000), True)
+    assert search.outcome() == ("budget", None)
+    assert search.nodes == 30_001
+
+
+@st.composite
+def filters(draw):
+    """(budget, forbid, needs): a grid of side at most 5 with at most 3 bends,
+    and lattice masks of a few bits each to filter its candidates with."""
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    bits = st.integers(0, (2 * w - 1) * (2 * h - 1) - 1)
+
+    def mask(size):
+        return sum(1 << b for b in draw(st.sets(bits, max_size=size)))
+
+    needs = [mask(3) for _ in range(draw(st.integers(0, 2)))]
+    return GridSearchBudget(w, h, draw(st.integers(0, 3)), 1), mask(2), needs
+
+
+@settings(max_examples=200, deadline=None)
+@given(filters())
+def test_filtered_candidates_are_the_unfiltered_ones_that_pass(case):
+    budget, forbid, needs = case
+    everything = list(_grid_paths(budget))
+    passing = [i for i, (_, mask) in enumerate(everything)
+               if not mask & forbid and all(mask & need for need in needs)]
+    taken = Counter()
+
+    def take():
+        taken["nodes"] += 1
+
+    kept = [(taken["nodes"], path) for path in _grid_paths(budget, forbid, needs, take)]
+    # each kept path comes right after its own `take`, in the unfiltered order
+    assert kept == [(i + 1, everything[i]) for i in passing]
+    assert taken["nodes"] == len(everything)
 
 
 @pytest.mark.parametrize("side", range(3, 7))
@@ -167,16 +215,12 @@ def test_final_check_never_rejects(case):
     _checked_search(*case, search=lambda *args: _LazySearch(*args).outcome()[1])
 
 
-_PAIRS_5 = list(combinations(range(1, 6), 2))
-
-
 @pytest.mark.parametrize("g,grid,bends,proper", [
     (complete(3), 12, 0, False),
     (Graph(["a", "b"], [("a", "b")]), 4, 1, True),
     (Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)]), 3, 1, False),
     (Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)]), 5, 1, True),
-    (Graph(list(range(1, 6)) + _PAIRS_5, _PAIRS_5 + [(s, v) for s in _PAIRS_5 for v in s]),
-     12, 1, True),
+    (K52, 12, 1, True),
 ], ids=["K3", "edge", "C4", "P4-proper", "K5^2-proper"])
 def test_final_check_never_rejects_on_benchmark_graphs(g, grid, bends, proper):
     _checked_search(g, GridSearchBudget(grid, grid, bends, 20_000), proper)

@@ -1,8 +1,10 @@
 """The lattice-mask oracle against the Fraction-geometry reference in
 `tests/oracle_reference.py`: the same candidates in the same order, and the
 same first witness from the lazy search, which every grid here would
-otherwise send to the table search; and the table search against the lazy
-one, which never reach opposite decisions.
+otherwise send to the table search; the table search against the lazy
+one, which never reach opposite decisions; and the lazy search against its
+copy in the reference module from before the enumerator applied the keep test
+and the node count, with which it shares outcome, node count and witness.
 
 Without `require_proper` both searches prune only on adjacency, so they take
 the same node count up to the first witness.  With it the reference prunes
@@ -12,8 +14,11 @@ It reaches the reference's first witness in no more nodes, and within a
 budget it may find a witness where the reference runs out.
 """
 
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle_reference as ref
 from rep_strategies import searches
@@ -114,3 +119,35 @@ def test_first_witness_takes_the_same_node_count(g, grid, bends, proper):
     assert expected is not None
     assert same_result(search_representation(g, budget(lo), proper), expected)
     assert ref.search_representation(g, budget(lo - 1), proper) is None
+
+
+# --- the lazy search against its copy from before the enumerator filtered ---
+
+_PAIRS_5 = list(combinations(range(1, 6), 2))
+K52 = Graph(list(range(1, 6)) + _PAIRS_5, _PAIRS_5 + [(s, v) for s in _PAIRS_5 for v in s])
+
+
+def finished(search):
+    """(outcome, node count, witness corners per vertex) of a search run to its end."""
+    outcome, rep = search.outcome()
+    corners = None if rep is None else [(v, [(c.x, c.y) for c in p.corners]) for v, p in rep.assignment.items()]
+    return outcome, search.nodes, corners
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(searches(), searches(max_side=7)))
+def test_lazy_search_matches_its_unfiltered_copy(case):
+    assert finished(_LazySearch(*case)) == finished(ref.LazySearch(*case))
+
+
+# the oracle benchmark's five searches at its node limits, on the lazy search
+@pytest.mark.parametrize("g,grid,bends,limit,proper", [
+    (Graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]), 12, 0, 200_000, False),
+    (Graph(["a", "b"], [("a", "b")]), 4, 1, 100_000, True),
+    (C4, 3, 1, 400_000, False),
+    (P4, 5, 1, 20_000, True),
+    (K52, 12, 1, 30_000, True),
+], ids=["K3", "edge", "C4", "P4-proper", "K5^2-proper"])
+def test_lazy_search_matches_its_unfiltered_copy_on_benchmark_cases(g, grid, bends, limit, proper):
+    budget = GridSearchBudget(grid, grid, bends, limit)
+    assert finished(_LazySearch(g, budget, proper)) == finished(ref.LazySearch(g, budget, proper))
