@@ -13,8 +13,9 @@ clique layout of `construct_k3n_proper` is built on:
   with at most 2n+4 bends per path, via square regions labeled by
   edge-disjoint Hamiltonian cycle sequences.
 
-All coordinates are exact rationals; every epsilon offset is an explicit
-fraction so identical inputs give bit-identical output.
+Every corner is an int over one denominator D per construction that covers
+all of its epsilon offsets, so identical inputs give bit-identical output;
+`RectPath` still validates every path.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ from .geometry import RectPath
 from .graphs import Graph, SplitPartition, check_split_partition, ksubsets
 from .representation import VpgRepresentation, _contact_table
 
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
+
+
+def _scaled_path(corners, den: int) -> RectPath:
+    """The path through the int corners (x, y), each standing for (x/den, y/den)."""
+    return RectPath._of_ratios([(x, den, y, den) for x, y in corners])
 
 
 # ---------------------------------------------------------------------------
@@ -49,35 +53,37 @@ def construct_split_upper(g: Graph, part: SplitPartition) -> VpgRepresentation:
     c_verts = list(part.clique)
     i_verts = list(part.independent)
     assignment: Dict = {}
+    # D covers the half units of the verticals and the offsets 1/(c+1)
+    c = len(c_verts)
+    D = 2 * (c + 1)
 
     for j, u in enumerate(i_verts, start=1):
-        x = 2 * j + HALF
-        assignment[u] = RectPath([(x, 2 * j - HALF), (x, 2 * j + HALF)])
+        x = (4 * j + 1) * (c + 1)  # 2j + 1/2, and the segment spans 2j ± 1/2
+        assignment[u] = _scaled_path([(x, (4 * j - 1) * (c + 1)), (x, x)], D)
 
     jindex = {u: j for j, u in enumerate(i_verts, start=1)}
     rows = {v: sorted(jindex[u] for u in g.neighbors(v) if u in jindex) for v in c_verts}
 
     # smaller first-row vertices get smaller start offsets so that every
     # clique pair crosses near the origin
-    c = len(c_verts)
     by_first_row = sorted(range(c), key=lambda t: (rows[c_verts[t]][0] if rows[c_verts[t]] else 0, t))
     offset = {}
     for rank, t in enumerate(by_first_row, start=1):
-        offset[c_verts[t]] = Fraction(rank, c + 1)
+        offset[c_verts[t]] = 2 * rank
 
     for v in c_verts:
         js = rows[v]
         if not js:
             # no independent neighbor: a flat segment through every start point
-            assignment[v] = RectPath([(0, 0), (1, 0)])
+            assignment[v] = _scaled_path([(0, 0), (1, 0)], 1)
             continue
         o = offset[v]
-        corners = [(o, Fraction(0)), (o, Fraction(2 * js[0]))]
+        corners = [(o, 0), (o, 2 * js[0] * D)]
         for idx, j in enumerate(js):
-            corners.append((Fraction(2 * j + 1), Fraction(2 * j)))
+            corners.append(((2 * j + 1) * D, 2 * j * D))
             if idx + 1 < len(js):
-                corners.append((Fraction(2 * j + 1), Fraction(2 * js[idx + 1])))
-        assignment[v] = RectPath(corners)
+                corners.append(((2 * j + 1) * D, 2 * js[idx + 1] * D))
+        assignment[v] = _scaled_path(corners, D)
 
     ordered = {v: assignment[v] for v in list(c_verts) + list(i_verts)}
     return VpgRepresentation(ordered)
@@ -161,22 +167,22 @@ def construct_k2n_proper(n: int) -> VpgRepresentation:
     hook nestled at each pairwise crossing."""
     if n < 2:
         raise ParameterError("need n >= 2")
-    top = HALF
-    x_max = Fraction(n, 2)
+    # every corner over D = 20: the half, quarter, fifth and tenth offsets
+    top, x_max = 10, 10 * n
     assignment: Dict = {}
     xs = {}
     ys = {}
     for i in range(1, n + 1):
-        xs[i] = Fraction(i - 1, 2)
-        ys[i] = -Fraction(i - 1, 2)
-        assignment[i] = RectPath([(xs[i], top), (xs[i], ys[i]), (x_max, ys[i])])
+        xs[i] = 10 * (i - 1)
+        ys[i] = -10 * (i - 1)
+        assignment[i] = _scaled_path([(xs[i], top), (xs[i], ys[i]), (x_max, ys[i])], 20)
     for i, j in ksubsets(n, 2):
         corners = [
-            (xs[j] - QUARTER, ys[i] + QUARTER),
-            (xs[j] - QUARTER, ys[i] - Fraction(1, 5)),
-            (xs[j] + Fraction(1, 10), ys[i] - Fraction(1, 5)),
+            (xs[j] - 5, ys[i] + 5),
+            (xs[j] - 5, ys[i] - 4),
+            (xs[j] + 2, ys[i] - 4),
         ]
-        assignment[(i, j)] = RectPath(corners)
+        assignment[(i, j)] = _scaled_path(corners, 20)
     return VpgRepresentation(assignment)
 
 
@@ -223,15 +229,18 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
         raise ParameterError("staircase construction needs k >= 3")
     if n <= k:
         raise ParameterError("need n > k")
-    eps0 = Fraction(1, n + 1)
+    subsets = ksubsets(n, k)
+    # every corner over D: the shift unit eps0 = 1/(n+1) is m+1, and the
+    # epsilon of subset rank r, eps0·r/(m+1), is r
+    eps0 = len(subsets) + 1
+    D = (n + 1) * eps0
     a_paths: Dict[int, RectPath] = {}
     shift = {}
     for i in range(1, n + 1):
         t = (i - 1) * eps0
         shift[i] = t
-        a_paths[i] = RectPath(
-            [(t, -t), (1 + t, -t), (1 + t, -1 - t), (2 + t, -1 - t), (2 + t, -2 - t)]
-        )
+        a_paths[i] = _scaled_path([(t, -t), (D + t, -t), (D + t, -D - t),
+                                   (2 * D + t, -D - t), (2 * D + t, -2 * D - t)], D)
     table = _contact_table(VpgRepresentation(a_paths))
     den, xs, ys = table.den, table.xs, table.ys
     # path i - 1 holds clique path i; its horizontals are segments 0 and 2,
@@ -239,51 +248,38 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
     below, left = _exposures(table.hs, table.vs), _exposures(table.vs, table.hs)
 
     def check_inside(value, values, interval, what):
-        lo, cap = (Fraction(values[r], den) for r in interval)
-        if not (lo < value < cap):
+        # value/D against the table's ints over den
+        lo, cap = (values[r] * D for r in interval)
+        if not (lo < value * den < cap):
+            lo, cap = (Fraction(values[r], den) for r in interval)
             raise ConstructionError(
-                f"{what}: {value} outside computed exposed interval ({lo}, {cap})"
+                f"{what}: {Fraction(value, D)} outside computed exposed interval ({lo}, {cap})"
             )
 
-    subsets = ksubsets(n, k)
-    m_total = len(subsets)
     assignment: Dict = {i: a_paths[i] for i in range(1, n + 1)}
-    for rank, subset in enumerate(subsets, start=1):
-        eps = eps0 * Fraction(rank, m_total + 1)
+    for eps, subset in enumerate(subsets, start=1):
         i1, i2 = subset[0], subset[1]
         x_start = shift[i1] + eps
-        check_inside(
-            x_start,
-            xs,
-            below[i1 - 1][0],
-            f"start of {subset} on first segment of path {i1}",
-        )
-        y_run1 = -1 - shift[i2] + eps0 - eps
-        check_inside(
-            y_run1,
-            ys,
-            left[i2 - 1][0],
-            f"first run of {subset} in exposed zone of path {i2}",
-        )
-        corners: List[Tuple[Fraction, Fraction]] = [
+        check_inside(x_start, xs, below[i1 - 1][0],
+                     f"start of {subset} on first segment of path {i1}")
+        y_run1 = -D - shift[i2] + eps0 - eps
+        check_inside(y_run1, ys, left[i2 - 1][0],
+                     f"first run of {subset} in exposed zone of path {i2}")
+        corners: List[Tuple[int, int]] = [
             (x_start, -shift[i1] + eps),
             (x_start, y_run1),
         ]
-        cur_x = 1 + shift[i2] + eps
+        cur_x = D + shift[i2] + eps
         corners.append((cur_x, y_run1))
         for r in range(3, k + 1):
             ir = subset[r - 1]
-            y_run = -2 - shift[ir] + eps0 - eps
-            check_inside(
-                y_run,
-                ys,
-                left[ir - 1][1],
-                f"run {r} of {subset} in exposed zone of path {ir}",
-            )
+            y_run = -2 * D - shift[ir] + eps0 - eps
+            check_inside(y_run, ys, left[ir - 1][1],
+                         f"run {r} of {subset} in exposed zone of path {ir}")
             corners.append((cur_x, y_run))
-            cur_x = 2 + shift[ir] + eps
+            cur_x = 2 * D + shift[ir] + eps
             corners.append((cur_x, y_run))
-        assignment[subset] = RectPath(corners)
+        assignment[subset] = _scaled_path(corners, D)
     return VpgRepresentation(assignment)
 
 
@@ -321,57 +317,56 @@ class SquareRegionLayout:
 
 
 def _square_origin(n: int, i: int) -> Tuple[Fraction, Fraction]:
-    x = Fraction(2 * n * i)
-    y = Fraction(0) if i % 2 == 1 else HALF
-    return x, y
+    return Fraction(2 * n * i), Fraction(1 - i % 2, 2)
 
 
-_DELTA = QUARTER
+# the merge operations work on ints over D with unit u = D; a detour lies u/4 off its line
 
 
-def _op1_corners(X, Y, W, yh):
+def _op1_corners(X, Y, W, yh, u):
     """Label owning the leftmost and rightmost verticals of the square."""
-    xl, xr = X + 1, X + W - 1
+    xl, xr, d = X + u, X + W - u, u // 4
     top, bot = Y + W, Y
     return [
         (X, top),
         (xl, top),
         (xl, bot),
-        (xl + _DELTA, bot),
-        (xl + _DELTA, yh),
-        (xr - _DELTA, yh),
-        (xr - _DELTA, top),
+        (xl + d, bot),
+        (xl + d, yh),
+        (xr - d, yh),
+        (xr - d, top),
         (xr, top),
         (xr, bot),
         (X + W, bot),
     ]
 
 
-def _op2_corners(X, Y, W, xv):
+def _op2_corners(X, Y, W, xv, u):
     """Label owning the bottom and top horizontals of the square."""
-    ybot, ytop = Y + 1, Y + W - 1
+    ybot, ytop, d = Y + u, Y + W - u, u // 4
     return [
         (X, ytop),
-        (X + W - _DELTA, ytop),
-        (X + W - _DELTA, ytop - _DELTA),
-        (xv, ytop - _DELTA),
-        (xv, ybot + _DELTA),
-        (X + _DELTA, ybot + _DELTA),
-        (X + _DELTA, ybot),
+        (X + W - d, ytop),
+        (X + W - d, ytop - d),
+        (xv, ytop - d),
+        (xv, ybot + d),
+        (X + d, ybot + d),
+        (X + d, ybot),
         (X + W, ybot),
     ]
 
 
-def _op3_corners(X, Y, W, xv, yh):
+def _op3_corners(X, Y, W, xv, yh, u):
     """Generic label: one vertical, one horizontal, merged with a top detour."""
+    d = u // 4
     return [
         (X, yh),
-        (xv - _DELTA, yh),
-        (xv - _DELTA, Y + W),
+        (xv - d, yh),
+        (xv - d, Y + W),
         (xv, Y + W),
         (xv, Y),
-        (xv + _DELTA, Y),
-        (xv + _DELTA, yh),
+        (xv + d, Y),
+        (xv + d, yh),
         (X + W, yh),
     ]
 
@@ -394,6 +389,10 @@ def construct_k3n_proper(n: int) -> VpgRepresentation:
     decomp = hamiltonian_decomposition(s)
     seqs = sequences_from_cycles(decomp, n)
     w = n + 2
+    # every corner over D: D/2 and D/4 place the even squares and the
+    # detours, D/(8w) and D/(16w) the corner pieces, D/(n+1) the connectors
+    D = 16 * w * (n + 1)
+    W = w * D  # the side of a square
     squares = [
         SquareRegionLayout(
             index=i,
@@ -403,42 +402,40 @@ def construct_k3n_proper(n: int) -> VpgRepresentation:
         )
         for i in range(1, s + 1)
     ]
+    origins = [tuple(v.numerator * (D // v.denominator) for v in sq.origin) for sq in squares]
 
     assignment: Dict = {}
-    exit_level: Dict[int, List[Fraction]] = {l: [] for l in range(1, n + 1)}
-    entry_level: Dict[int, List[Fraction]] = {l: [] for l in range(1, n + 1)}
-    square_pieces: Dict[int, List[List[Tuple[Fraction, Fraction]]]] = {
-        l: [] for l in range(1, n + 1)
-    }
+    exit_level: Dict[int, List[int]] = {l: [] for l in range(1, n + 1)}
+    entry_level: Dict[int, List[int]] = {l: [] for l in range(1, n + 1)}
+    square_pieces: Dict[int, List[list]] = {l: [] for l in range(1, n + 1)}
 
-    for sq in squares:
-        X, Y = sq.origin
+    for sq, (X, Y) in zip(squares, origins):
         for l in range(1, n + 1):
             if l == sq.index:
-                yh = Y + sq.row(l)
-                piece = _op1_corners(X, Y, w, yh)
-                entry, exit_ = Y + w, Y
+                yh = Y + sq.row(l) * D
+                piece = _op1_corners(X, Y, W, yh, D)
+                entry, exit_ = Y + W, Y
             elif l == s + sq.index:
-                xv = X + sq.column(l)
-                piece = _op2_corners(X, Y, w, xv)
-                entry, exit_ = Y + w - 1, Y + 1
+                xv = X + sq.column(l) * D
+                piece = _op2_corners(X, Y, W, xv, D)
+                entry, exit_ = Y + W - D, Y + D
             else:
-                piece = _op3_corners(X, Y, w, X + sq.column(l), Y + sq.row(l))
-                entry = exit_ = Y + sq.row(l)
+                piece = _op3_corners(X, Y, W, X + sq.column(l) * D, Y + sq.row(l) * D, D)
+                entry = exit_ = Y + sq.row(l) * D
             square_pieces[l].append(piece)
             entry_level[l].append(entry)
             exit_level[l].append(exit_)
 
     for l in range(1, n + 1):
-        corners: List[Tuple[Fraction, Fraction]] = []
+        corners: List[Tuple[int, int]] = []
         for i in range(1, s + 1):
             if i > 1:
-                x_prev_edge = _square_origin(n, i - 1)[0] + w
-                xc = x_prev_edge + Fraction((2 * n - w) * l, n + 1)
+                x_prev_edge = origins[i - 2][0] + W
+                xc = x_prev_edge + (2 * n - w) * l * (D // (n + 1))
                 corners.append((xc, exit_level[l][i - 2]))
                 corners.append((xc, entry_level[l][i - 1]))
             corners.extend(square_pieces[l][i - 1])
-        assignment[l] = RectPath(corners)
+        assignment[l] = _scaled_path(corners, D)
 
     # one 1-bend corner piece per 3-subset
     for subset in ksubsets(n, 3):
@@ -459,26 +456,26 @@ def construct_k3n_proper(n: int) -> VpgRepresentation:
             # p, q on consecutive verticals of square l0; r's horizontal
             # crosses both, and the piece hugs those two crossings
             sq = squares[l0 - 1]
-            X, Y = sq.origin
-            h = sq.row(r)
-            alpha = Fraction(n + 2 - j, 8 * (n + 2))
+            X, Y = origins[l0 - 1]
+            h = sq.row(r) * D
+            alpha = (w - j) * (D // (8 * w))  # (n+2-j)/(8(n+2))
             corners = [
-                (X + j - alpha, Y + h - alpha),
-                (X + j - alpha, Y + h + alpha),
-                (X + j + 1 + alpha, Y + h + alpha),
+                (X + j * D - alpha, Y + h - alpha),
+                (X + j * D - alpha, Y + h + alpha),
+                (X + (j + 1) * D + alpha, Y + h + alpha),
             ]
         else:
             # p, q on consecutive horizontals of square l0 - s; r's vertical
             # crosses both
             sq = squares[l0 - s - 1]
-            X, Y = sq.origin
-            jr = sq.column(r)
-            beta = Fraction(2 * (n + 2 - j) - 1, 16 * (n + 2))
+            X, Y = origins[l0 - s - 1]
+            jr = sq.column(r) * D
+            beta = (2 * (w - j) - 1) * (D // (16 * w))  # (2(n+2-j)-1)/(16(n+2))
             corners = [
-                (X + jr - beta, Y + j + 1 + beta),
-                (X + jr - beta, Y + j - beta),
-                (X + jr + beta, Y + j - beta),
+                (X + jr - beta, Y + (j + 1) * D + beta),
+                (X + jr - beta, Y + j * D - beta),
+                (X + jr + beta, Y + j * D - beta),
             ]
-        assignment[subset] = RectPath(corners)
+        assignment[subset] = _scaled_path(corners, D)
 
     return VpgRepresentation(assignment)

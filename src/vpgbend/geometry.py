@@ -4,9 +4,10 @@ Coordinates are exact rationals and floats are rejected outright: the
 layered epsilon offsets used by the constructions only make sense with exact
 arithmetic.  A `RectPath` keeps only ints, its corners times the lcm of their
 denominators, and builds `Fraction` `Point`s on demand.  The hot predicates
-compare those ints, or coordinate ranks over ints (`_contacts`, over the
-rank table of `representation`), which keep the order of coordinates and so
-stay exact; a `Fraction` is made only where a point is reported or returned.
+compare those ints, or coordinate ranks over ints (the contact sweeps, over
+the rank table of `representation`), which keep the order of coordinates and
+so stay exact; a `Fraction` is made only where a point is reported or
+returned.
 """
 
 from __future__ import annotations
@@ -191,22 +192,6 @@ def _crossing_contacts(hs, vs):
                     yield h, v, h[1] < x < h[2] and y_lo < y < y_hi
 
 
-def _contacts(hs, vs):
-    """Every meeting of two segments of different paths, streamed.
-
-    Yields (i, j, x0, y0, x1, y1, crossing) in ranks with label indices
-    i < j.  The meeting is the segment (x0,y0)-(x1,y1), a single point when
-    the ends coincide; `crossing` is true only for a transversal crossing.
-    """
-    for i, j, y, lo, hi in _collinear_contacts(hs):
-        yield i, j, lo, y, hi, y, False
-    for i, j, x, lo, hi in _collinear_contacts(vs):
-        yield i, j, x, lo, x, hi, False
-    for h, v, crossing in _crossing_contacts(hs, vs):
-        i, j = (h[3], v[3]) if h[3] < v[3] else (v[3], h[3])
-        yield i, j, v[0], h[0], v[0], h[0], crossing
-
-
 def _corner_text(x: int, y: int, den: int) -> str:
     """`str(Point(Fraction(x, den), Fraction(y, den)))`, formatted on ints."""
     out = []
@@ -266,23 +251,30 @@ class RectPath:
             ints.append((x, y))
         if len(ints) < 2:
             raise GeometryError("a path needs at least two distinct corners")
-        # (fixed, lo, hi, segment index) per axis, the checkers' table layout
-        hs, vs, horizontal = [], [], []
-        for k, ((ax, ay), (bx, by)) in enumerate(zip(ints, ints[1:])):
-            if ay == by:
-                hs.append((ay, min(ax, bx), max(ax, bx), k))
-            elif ax == bx:
-                vs.append((ax, min(ay, by), max(ay, by), k))
-            else:
+        horizontal = []
+        for (ax, ay), (bx, by) in zip(ints, ints[1:]):
+            if ax != bx and ay != by:
                 a, b = _corner_text(ax, ay, den), _corner_text(bx, by, den)
                 raise GeometryError(f"diagonal move {a} -> {b}")
             horizontal.append(ay == by)
         if any(h1 == h2 for h1, h2 in zip(horizontal, horizontal[1:])):
             raise GeometryError("consecutive segments on the same axis (backtracking)")
         # consecutive segments are perpendicular, so they meet only at their
-        # shared corner; any other meeting makes the path non-simple
-        if any(j > i + 1 for i, j, *_ in _contacts(hs, vs)):
-            raise GeometryError("path is not simple")
+        # shared corner, and segments i and i+2 lie on distinct parallel
+        # lines, since segment i+1 has nonzero length: a path of at most three
+        # segments is simple.  In a longer one, two segments on one axis are
+        # never consecutive, so any collinear meeting makes it non-simple.
+        if len(ints) > 4:
+            # (fixed, lo, hi, segment index) per axis, the checkers' table layout
+            hs, vs = [], []
+            for k, ((ax, ay), (bx, by)) in enumerate(zip(ints, ints[1:])):
+                if ay == by:
+                    hs.append((ay, min(ax, bx), max(ax, bx), k))
+                else:
+                    vs.append((ax, min(ay, by), max(ay, by), k))
+            if (next(_collinear_contacts(hs), None) or next(_collinear_contacts(vs), None)
+                    or any(abs(h[3] - v[3]) > 1 for h, v, _ in _crossing_contacts(hs, vs))):
+                raise GeometryError("path is not simple")
         # merged-away corners may have left den larger than the kept ones need
         g = math.gcd(den, *(v for xy in ints for v in xy))
         self._scaled = (den // g, *(v // g for xy in ints for v in xy))

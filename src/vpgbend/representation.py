@@ -9,7 +9,8 @@ from itertools import chain, groupby
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import DegenerateTrimError, DomainError, ValidationError
-from .geometry import Point, RectPath, _contacts, _corner_text, _parse_ratio, bend_count
+from .geometry import (Point, RectPath, _collinear_contacts, _corner_text, _crossing_contacts,
+                       _parse_ratio, bend_count)
 from .graphs import Graph, Label, _label_texts, label_str
 
 
@@ -62,7 +63,8 @@ class VpgRepresentation:
 class _ContactTable:
     """The rank table of a representation's paths, packed into ints: one
     ranking of the corners, the segment rows over it and every contact from
-    one `_contacts` sweep of those rows.
+    one sweep of those rows: the collinear sweeps of `hs` and of `vs` and the
+    crossing sweep of the two.
 
     `xs` and `ys` are the sorted distinct corner coordinates as ints over the
     lcm `den` of the paths' denominators, and `ranked` maps a label to its
@@ -110,16 +112,21 @@ class _ContactTable:
         crossings: List[int] = []
         touches: Set[int] = set()
         overlaps: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        for i, j, x0, y0, x1, y1, crossing in _contacts(hs, vs):
-            pair = i * n + j
-            if x0 == x1 and y0 == y1:
-                key = (x0 * n_ys + y0) * n * n + pair
-                if crossing:
-                    crossings.append(key)
+        # a point (x, y) of pair p is the key (x·n_ys + y)·n² + p
+        for rows, vertical in ((hs, False), (vs, True)):
+            for i, j, fixed, lo, hi in _collinear_contacts(rows):
+                x0, y0, x1, y1 = (fixed, lo, fixed, hi) if vertical else (lo, fixed, hi, fixed)
+                if lo == hi:
+                    touches.add((x0 * n_ys + y0) * n * n + i * n + j)
                 else:
-                    touches.add(key)
+                    overlaps.setdefault(i * n + j, []).append((x0, y0, x1, y1))
+        for h, v, crossing in _crossing_contacts(hs, vs):
+            i, j = (h[3], v[3]) if h[3] < v[3] else (v[3], h[3])
+            key = (v[0] * n_ys + h[0]) * n * n + i * n + j
+            if crossing:
+                crossings.append(key)
             else:
-                overlaps.setdefault(pair, []).append((x0, y0, x1, y1))
+                touches.add(key)
         crossings.sort()
         self.crossings, self.touches, self.overlaps = crossings, touches, overlaps
         self._points: Optional[Dict[int, List[int]]] = None

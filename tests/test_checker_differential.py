@@ -15,7 +15,6 @@ from vpgbend.geometry import (
     Point,
     RectPath,
     Segment,
-    _contacts,
     path_intersections,
 )
 from vpgbend.graphs import Graph, label_str
@@ -92,7 +91,8 @@ def test_verify_realizes_matches_reference_with_one_pair_toggled(paths, data):
 @given(representations)
 def test_contact_overlaps_are_the_merged_overlaps(paths):
     # the overlaps of two simple paths need no merge: the positive-length
-    # pieces of one contact sweep, sorted, are the maximal overlaps
+    # pieces of one contact sweep, the table's overlap boxes, sorted, are the
+    # maximal overlaps
     paths = list(representation(paths).assignment.values())
     for p in paths:
         for q in paths:
@@ -103,8 +103,7 @@ def test_contact_overlaps_are_the_merged_overlaps(paths):
                     Point(Fraction(xs[x0], den), Fraction(ys[y0], den)),
                     Point(Fraction(xs[x1], den), Fraction(ys[y1], den)),
                 )
-                for _, _, x0, y0, x1, y1, _ in _contacts(table.hs, table.vs)
-                if (x0, y0) != (x1, y1)
+                for x0, y0, x1, y1 in table.overlaps.get(1, ())  # the pair (0, 1)
             ]
             pieces.sort(key=lambda s: (s.a, s.b))
             assert tuple(pieces) == path_intersections(p, q).overlaps

@@ -425,13 +425,13 @@ def test_verify_proper_sweeps_the_contacts_once(tmp_path, capsys, monkeypatch):
     assert main(["graph", "knk", "--n", "6", "--k", "3", "-o", str(gfile)]) == 0
     assert main(["construct", "k3n", "--n", "6", "-o", str(rfile)]) == 0
     sweeps = []
-    real = representation._contacts
+    real = representation._crossing_contacts
 
     def counted(*args):
         sweeps.append(args)
         return real(*args)
 
-    monkeypatch.setattr(representation, "_contacts", counted)
+    monkeypatch.setattr(representation, "_crossing_contacts", counted)
     rc, out, _ = run(capsys, "verify", str(gfile), str(rfile), "--proper")
     assert (rc, out.splitlines()[-1]) == (0, "proper: yes")
     assert len(sweeps) == 1

@@ -4,6 +4,8 @@ from math import comb
 
 import pytest
 
+import constructor_reference as reference
+import vpgbend.constructors
 from conftest import subset_split_graph
 from direction_vectors import DOWN, RIGHT, direction_vector
 from rep_strategies import rank_table
@@ -21,7 +23,7 @@ from vpgbend.constructors import (
     sequences_from_cycles,
 )
 from vpgbend.errors import ConstructionError
-from vpgbend.representation import is_proper, max_bends, verify_realizes
+from vpgbend.representation import is_proper, max_bends, verify_realizes, write_representation_text
 
 
 # --- split upper bound -------------------------------------------------------
@@ -331,3 +333,42 @@ def test_square_region_layout_invariants():
 def test_split_upper_deterministic():
     g, part = build_split_knk(4, 2)
     assert construct_split_upper(g, part).assignment == construct_split_upper(g, part).assignment
+
+
+# --- int-scaled constructors against the Fraction reference --------------------
+
+FRACTION_REFERENCE_CASES = (
+    [("construct_k3n_proper", (n,)) for n in range(3, 15)]
+    + [("construct_gtm_stairs", (n, k)) for n in range(4, 10) for k in range(3, n)]
+    + [("construct_k2n_proper", (n,)) for n in range(3, 11)]
+    + [("construct_split_upper", nk) for nk in ((4, 2), (5, 3), (6, 3))]
+)
+
+
+@pytest.mark.parametrize(
+    "name,params", FRACTION_REFERENCE_CASES, ids=[f"{n}{p}" for n, p in FRACTION_REFERENCE_CASES]
+)
+def test_constructors_write_the_bytes_of_the_fraction_reference(name, params):
+    # construct_split_upper takes the split graph build_split_knk(n, k)
+    args = build_split_knk(*params) if name == "construct_split_upper" else params
+    text = write_representation_text(getattr(vpgbend.constructors, name)(*args))
+    assert text == write_representation_text(getattr(reference, name)(*args))
+
+
+@pytest.mark.parametrize(
+    "shrink", [lambda lo, cap: (lo, lo), lambda lo, cap: (cap, cap)], ids=["lo", "cap"]
+)
+def test_staircase_exposure_errors_match_the_fraction_reference(monkeypatch, shrink):
+    # an empty exposed interval fails the first check on each side, whose
+    # message is then formatted from ints over two denominators
+    def shrunk(hs, vs):
+        return {li: [shrink(*iv) for iv in ivs] for li, ivs in _exposures(hs, vs).items()}
+
+    messages = []
+    for module in (vpgbend.constructors, reference):
+        monkeypatch.setattr(module, "_exposures", shrunk)
+        with pytest.raises(ConstructionError) as err:
+            module.construct_gtm_stairs(6, 4)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "outside computed exposed interval" in messages[0]

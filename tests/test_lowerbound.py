@@ -544,13 +544,13 @@ def test_hit_walk_tests_no_fraction_segment_pairs(monkeypatch, k3n_reps):
 
 def test_walks_and_properness_share_one_sweep(monkeypatch, k3n_reps):
     sweeps = []
-    real = vpgbend.representation._contacts
+    real = vpgbend.representation._crossing_contacts
 
     def counted(*args):
         sweeps.append(args)
         return real(*args)
 
-    monkeypatch.setattr(vpgbend.representation, "_contacts", counted)
+    monkeypatch.setattr(vpgbend.representation, "_crossing_contacts", counted)
     # a new representation, since the session's may hold a table already
     rep = VpgRepresentation(k3n_reps[6].assignment)
     clique = list(range(1, 7))

@@ -228,13 +228,13 @@ def test_final_check_never_rejects_on_benchmark_graphs(g, grid, bends, proper):
 
 def test_proper_witness_is_checked_on_one_sweep(monkeypatch):
     sweeps = []
-    real = representation._contacts
+    real = representation._crossing_contacts
 
     def counted(*args):
         sweeps.append(args)
         return real(*args)
 
-    monkeypatch.setattr(representation, "_contacts", counted)
+    monkeypatch.setattr(representation, "_crossing_contacts", counted)
     search = _LazySearch(Graph(["a", "b"], [("a", "b")]), GridSearchBudget(4, 4, 1, 100), True)
     assert search.order == ["a", "b"]
     rep = search.verified([((0, 0), (1, 0), (1, 2)), ((0, 1), (2, 1))])

@@ -65,7 +65,13 @@ def _outcome(build, arg):
 @given(corner_walks(), scales, scales, shifts, shifts, st.booleans())
 @example([(0, 0), (2, 0), (2, 2), (0, 2), (0, 0)], 1, 1, 0, 0, False)  # closed loop
 @example([(0, 1), (3, 1), (3, 0), (1, 0), (1, 2)], 1, 1, 0, 0, False)  # self-crossing
+# the smallest non-simple paths have four segments, and RectPath sweeps only
+# those: each of these three is rejected, and the U and Z of three are kept
+@example([(0, 0), (2, 0), (2, 1), (1, 1), (1, -1)], 1, 1, 0, 0, False)  # crosses itself
 @example([(0, 0), (2, 0), (2, 1), (1, 1), (1, 0)], 1, 1, 0, 0, False)  # self-touch
+@example([(0, 0), (2, 0), (2, 1), (0, 1), (0, 0)], 1, 1, 0, 0, False)  # closes on its start
+@example([(0, 0), (2, 0), (2, 1), (0, 1)], 1, 1, 0, 0, False)  # U
+@example([(0, 0), (2, 0), (2, 1), (4, 1)], 1, 1, 0, 0, False)  # Z
 @example([(0, 0), (3, 0), (3, 1), (1, 1), (1, 0), (2, 0)], 1, 1, 0, 0, True)  # overlap
 @example([(0, 0), (1, 0), (1, 0), (3, 0), (3, 2), (3, 4)], 1, 1, 0, 0, True)  # merges
 @example([(0, 0), (3, 0), (1, 0), (1, 2)], 1, 1, 0, 0, False)  # backtracking
