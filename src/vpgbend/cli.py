@@ -7,6 +7,7 @@ reported violation, 2 for usage errors and malformed input files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence
@@ -285,6 +286,9 @@ def _cmd_render(args) -> int:
 def _cmd_graph(args) -> int:
     from .graphs import all_qedges, build_hnk_member, build_split_knk
 
+    if args.k == 1:
+        raise VpgError("k = 1 cannot be written to a graph file: each 1-subset "
+                       "label would be written as the clique label it contains")
     if args.family == "knk":
         g, _ = build_split_knk(args.n, args.k)
     else:
@@ -297,6 +301,11 @@ def _cmd_graph(args) -> int:
 # parser
 
 
+# Built on the first `main` call, not at import, and reused: a parse fills a
+# fresh Namespace and formats help when it is printed (reading COLUMNS and
+# the current sys.stdout/sys.stderr then), so a parser carries no state
+# from one call to the next.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="vpgbend",

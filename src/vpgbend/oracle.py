@@ -51,6 +51,11 @@ Corner = Tuple[int, int]
 # grid and bends alone, is at most this; a larger grid runs `_LazySearch`.
 _TABLE_LIMIT = 1 << 17
 
+# A grid has at most this many lattice points w·h.  Each candidate's mask has
+# about 4·w·h bits, and the enumerator and the lazy search build masks of
+# that size up front, so a larger grid is refused before anything is built.
+_GRID_LIMIT = 1 << 16
+
 
 class _BudgetExhausted(Exception):
     pass
@@ -66,6 +71,11 @@ class GridSearchBudget:
     def __post_init__(self):
         if self.grid_width < 1 or self.grid_height < 1 or self.node_limit < 1:
             raise ParameterError("grid dimensions and node limit must be positive")
+        if self.grid_width * self.grid_height > _GRID_LIMIT:
+            raise ParameterError(
+                f"grid {self.grid_width}x{self.grid_height} has more than "
+                f"{_GRID_LIMIT} lattice points"
+            )
         if self.max_bends < 0:
             raise ParameterError("max_bends must be nonnegative")
 

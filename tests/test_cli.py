@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpgbend import lowerbound, representation
+from vpgbend import cli, lowerbound, representation
 from vpgbend.cli import _decimal, main, render_svg
 from vpgbend.constructors import construct_k2n_proper
 from vpgbend.geometry import Point, Segment
@@ -21,6 +21,12 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def _subprocess_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def test_construct_and_verify_k2n(tmp_path, capsys):
@@ -64,6 +70,16 @@ def test_graph_hnk_complete_emit(tmp_path):
 
     g = read_graph_text(gfile.read_text())
     assert len(g) == 10
+
+
+@pytest.mark.parametrize("family", ["knk", "hnk-complete"])
+def test_graph_with_one_subsets_is_usage_error(tmp_path, capsys, family):
+    # the 1-subset label (i,) would be written `i`, the clique label i
+    gfile = tmp_path / "g.txt"
+    rc, out, err = run(capsys, "graph", family, "--n", "3", "--k", "1", "-o", str(gfile))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: k = 1 ") and err.count("\n") == 1
+    assert not gfile.exists()
 
 
 def test_verify_reports_missing_edge(tmp_path, capsys):
@@ -149,12 +165,10 @@ def test_cyclic_poset_fails_with_one_message_under_every_hash_seed(tmp_path):
     # names the first element on the cycle, whatever order sets iterate in
     pfile = tmp_path / "p.txt"
     pfile.write_text("a\nb\nc\na < b\nb < c\nc < a\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for seed in range(4):
         done = subprocess.run([sys.executable, "-m", "vpgbend", "posets", "dim", "--poset", str(pfile)],
                               capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)})
+                              env={**_subprocess_env(), "PYTHONHASHSEED": str(seed)})
         assert (done.returncode, done.stdout, done.stderr) == (
             2, "", "error: relations form a cycle through 'a'\n"), seed
 
@@ -183,6 +197,68 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of one `main` call; argparse's exits too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
+    gfile, rfile, efile = tmp_path / "g.txt", tmp_path / "r.txt", tmp_path / "e.txt"
+    assert main(["graph", "knk", "--n", "3", "--k", "2", "-o", str(gfile)]) == 0
+    assert main(["construct", "k2n", "--n", "3", "-o", str(rfile)]) == 0
+    efile.write_text("2 1\na\nb\na b\n")
+    oracle = ["oracle", str(efile), "--grid", "4x4", "--bends", "1"]
+    sequence = [
+        (["verify", str(gfile), str(rfile), "--proper"], None),
+        (["verify", str(gfile), str(rfile)], None),
+        (oracle + ["--proper"], None),
+        (oracle, None),
+        (["no-such-command"], None),
+        (["oracle", "--help"], "40"),
+    ]
+
+    def outcomes():
+        seen = []
+        for argv, columns in sequence:
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            seen.append(_outcome(argv))
+        return seen
+
+    cached = outcomes()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cached == outcomes()
+    assert [rc for rc, _, _ in cached] == [0, 0, 0, 0, 2, 0]
+    assert "--proper" not in cached[1][1] and "proper: yes" in cached[0][1]
+    assert cached[2][1] != cached[3][1]
+    # the usage is wrapped at COLUMNS=40, read when the help is printed
+    assert cached[5][1].startswith("usage: vpgbend oracle [-h] --grid GRID\n")
+
+
+def test_parser_is_built_on_the_first_main_call_only():
+    code = (
+        "import contextlib, io\n"
+        "from vpgbend import cli\n"
+        "print(cli._build_parser.cache_info().misses)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['counting', '--n', '5', '--k', '2', '--t', '0'])\n"
+        "    cli.main(['posets', 'dim', '--r', '1', '--s', '2', '--n', '4'])\n"
+        "info = cli._build_parser.cache_info()\n"
+        "print(info.misses, info.hits)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_subprocess_env())
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n1 1\n", "")
 
 
 def test_split_upper_subcommand(tmp_path, capsys):
@@ -328,6 +404,16 @@ def test_oracle_with_thousands_of_bends_runs_out_of_budget(tmp_path, capsys):
     assert run(capsys, *argv) == (1, "not found within budget\n", "")
 
 
+def test_oracle_grid_above_the_cap_is_usage_error(tmp_path, capsys):
+    # refused before any mask of about 4·w·h bits is built
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("3 3\n1\n2\n3\n1 2\n2 3\n1 3\n")
+    rc, out, err = run(capsys, "oracle", str(gfile), "--grid", "99999999999x3", "--bends", "0",
+                       "--node-limit", "5")
+    assert (rc, out) == (2, "")
+    assert err == "error: grid 99999999999x3 has more than 65536 lattice points\n"
+
+
 def test_oracle_proper_edge_golden(tmp_path, capsys):
     gfile = tmp_path / "g.txt"
     gfile.write_text("2 1\na\nb\na b\n")
@@ -361,10 +447,8 @@ def test_set_label_outside_representation_is_usage_error(tmp_path, capsys, argv,
 
 
 def test_python_m_vpgbend_runs_the_cli():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-m", "vpgbend", "--help"], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env=_subprocess_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: vpgbend")
 

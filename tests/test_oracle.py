@@ -29,6 +29,12 @@ def test_budget_validation():
         GridSearchBudget(5, 5, -1, 10)
     with pytest.raises(ParameterError):
         GridSearchBudget(5, 5, 1, 0)
+    with pytest.raises(ParameterError, match="more than 65536 lattice points"):
+        GridSearchBudget(99999999999, 3, 0, 5)
+    with pytest.raises(ParameterError):
+        GridSearchBudget(257, 256, 0, 5)
+    GridSearchBudget(256, 256, 0, 5)
+    GridSearchBudget(oracle._GRID_LIMIT, 1, 0, 5)
 
 
 def test_k3_zero_bend_witness():
