@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence
@@ -33,6 +34,9 @@ MARGIN = Fraction(1)
 CLIQUE_STROKE = Fraction(2)
 INDEPENDENT_STROKE = Fraction(3, 2)
 PROBE_STROKE = Fraction(4)
+
+# the most edges the graph of a `graph` or `construct` request may have
+_EDGE_CAP = 1 << 20
 
 
 def _decimal(value: Fraction) -> str:
@@ -144,6 +148,17 @@ def _parse_rep_labels(rep, spec: str, what: str) -> List[str]:
 # subcommand handlers
 
 
+def _check_size(n: int, k: int, complete: bool = False) -> None:
+    """Refuse a clique [n] plus one vertex per k-subset (pairwise adjacent if
+    `complete`) of more than _EDGE_CAP edges; the builders check n > k >= 1."""
+    if not n > k >= 1:
+        return
+    pairs = math.comb(n, 2)
+    subsets = math.comb(n, k) if pairs <= _EDGE_CAP else 0  # a huge n is out already
+    if pairs + k * subsets + (math.comb(subsets, 2) if complete else 0) > _EDGE_CAP:
+        raise VpgError(f"n={n}, k={k} would build more than {_EDGE_CAP} edges")
+
+
 def _cmd_construct(args) -> int:
     if args.family == "split-upper":
         g = read_graph_text(_read(args.graph))
@@ -155,10 +170,13 @@ def _cmd_construct(args) -> int:
         part = SplitPartition(clique=tuple(clique), independent=tuple(independent))
         rep = constructors.construct_split_upper(g, part)
     elif args.family == "k3n":
+        _check_size(args.n, 3)
         rep = constructors.construct_k3n_proper(args.n)
     elif args.family == "k2n":
+        _check_size(args.n, 2)
         rep = constructors.construct_k2n_proper(args.n)
     else:
+        _check_size(args.n, args.k, complete=True)
         rep = constructors.construct_gtm_stairs(args.n, args.k)
     _emit(write_representation_text(rep), args.output)
     if args.svg:
@@ -289,6 +307,7 @@ def _cmd_graph(args) -> int:
     if args.k == 1:
         raise VpgError("k = 1 cannot be written to a graph file: each 1-subset "
                        "label would be written as the clique label it contains")
+    _check_size(args.n, args.k, complete=args.family == "hnk-complete")
     if args.family == "knk":
         g, _ = build_split_knk(args.n, args.k)
     else:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import ConstructionError, ParameterError
 from .geometry import RectPath
@@ -66,10 +66,8 @@ def construct_split_upper(g: Graph, part: SplitPartition) -> VpgRepresentation:
 
     # smaller first-row vertices get smaller start offsets so that every
     # clique pair crosses near the origin
-    by_first_row = sorted(range(c), key=lambda t: (rows[c_verts[t]][0] if rows[c_verts[t]] else 0, t))
-    offset = {}
-    for rank, t in enumerate(by_first_row, start=1):
-        offset[c_verts[t]] = 2 * rank
+    by_first_row = sorted(c_verts, key=lambda v: rows[v][:1])
+    offset = {v: 2 * rank for rank, v in enumerate(by_first_row, start=1)}
 
     for v in c_verts:
         js = rows[v]
@@ -386,77 +384,55 @@ def construct_k3n_proper(n: int) -> VpgRepresentation:
     if n < 3:
         raise ParameterError("need n >= 3")
     s = max(1, -((1 - n) // 4))  # ceil((n-1)/4)
-    decomp = hamiltonian_decomposition(s)
-    seqs = sequences_from_cycles(decomp, n)
+    seqs = sequences_from_cycles(hamiltonian_decomposition(s), n)
     w = n + 2
     # every corner over D: D/2 and D/4 place the even squares and the
     # detours, D/(8w) and D/(16w) the corner pieces, D/(n+1) the connectors
     D = 16 * w * (n + 1)
     W = w * D  # the side of a square
-    squares = [
-        SquareRegionLayout(
-            index=i,
-            origin=_square_origin(n, i),
-            vertical_labels=seqs[i - 1],
-            horizontal_labels=seqs[s + i - 1],
-        )
-        for i in range(1, s + 1)
-    ]
+    # square i: verticals labeled by S_i, horizontals by S_{s+i}
+    squares = [SquareRegionLayout(i, _square_origin(n, i), seqs[i - 1], seqs[s + i - 1])
+               for i in range(1, s + 1)]
     origins = [tuple(v.numerator * (D // v.denominator) for v in sq.origin) for sq in squares]
 
     assignment: Dict = {}
-    exit_level: Dict[int, List[int]] = {l: [] for l in range(1, n + 1)}
-    entry_level: Dict[int, List[int]] = {l: [] for l in range(1, n + 1)}
-    square_pieces: Dict[int, List[list]] = {l: [] for l in range(1, n + 1)}
-
-    for sq, (X, Y) in zip(squares, origins):
-        for l in range(1, n + 1):
+    for l in range(1, n + 1):
+        corners: List[Tuple[int, int]] = []
+        for sq, (X, Y) in zip(squares, origins):
             if l == sq.index:
-                yh = Y + sq.row(l) * D
-                piece = _op1_corners(X, Y, W, yh, D)
+                piece = _op1_corners(X, Y, W, Y + sq.row(l) * D, D)
                 entry, exit_ = Y + W, Y
             elif l == s + sq.index:
-                xv = X + sq.column(l) * D
-                piece = _op2_corners(X, Y, W, xv, D)
+                piece = _op2_corners(X, Y, W, X + sq.column(l) * D, D)
                 entry, exit_ = Y + W - D, Y + D
             else:
                 piece = _op3_corners(X, Y, W, X + sq.column(l) * D, Y + sq.row(l) * D, D)
                 entry = exit_ = Y + sq.row(l) * D
-            square_pieces[l].append(piece)
-            entry_level[l].append(entry)
-            exit_level[l].append(exit_)
-
-    for l in range(1, n + 1):
-        corners: List[Tuple[int, int]] = []
-        for i in range(1, s + 1):
-            if i > 1:
-                x_prev_edge = origins[i - 2][0] + W
-                xc = x_prev_edge + (2 * n - w) * l * (D // (n + 1))
-                corners.append((xc, exit_level[l][i - 2]))
-                corners.append((xc, entry_level[l][i - 1]))
-            corners.extend(square_pieces[l][i - 1])
+            if corners:
+                # 2-bend connector from the previous square's right edge
+                xc = prev_edge + (2 * n - w) * l * (D // (n + 1))
+                corners += [(xc, prev_exit), (xc, entry)]
+            corners += piece
+            prev_edge, prev_exit = X + W, exit_
         assignment[l] = _scaled_path(corners, D)
+
+    # the first (sequence, position) at which each unordered pair is consecutive
+    line_pair: Dict[frozenset, Tuple[int, int]] = {}
+    for l0, seq in enumerate(seqs, start=1):
+        for j in range(1, n + 1):
+            line_pair.setdefault(frozenset(seq[j - 1:j + 1]), (l0, j))
 
     # one 1-bend corner piece per 3-subset
     for subset in ksubsets(n, 3):
         p, q, r = subset
-        found: Optional[Tuple[int, int]] = None
-        for l0 in range(1, 2 * s + 1):
-            seq = seqs[l0 - 1]
-            for j in range(1, n + 1):
-                if {seq[j - 1], seq[j]} == {p, q}:
-                    found = (l0, j)
-                    break
-            if found:
-                break
+        found = line_pair.get(frozenset((p, q)))
         if found is None:
             raise ConstructionError(f"pair {p},{q} adjacent in no sequence")
         l0, j = found
+        sq, (X, Y) = squares[(l0 - 1) % s], origins[(l0 - 1) % s]
         if l0 <= s:
             # p, q on consecutive verticals of square l0; r's horizontal
             # crosses both, and the piece hugs those two crossings
-            sq = squares[l0 - 1]
-            X, Y = origins[l0 - 1]
             h = sq.row(r) * D
             alpha = (w - j) * (D // (8 * w))  # (n+2-j)/(8(n+2))
             corners = [
@@ -467,8 +443,6 @@ def construct_k3n_proper(n: int) -> VpgRepresentation:
         else:
             # p, q on consecutive horizontals of square l0 - s; r's vertical
             # crosses both
-            sq = squares[l0 - s - 1]
-            X, Y = origins[l0 - s - 1]
             jr = sq.column(r) * D
             beta = (2 * (w - j) - 1) * (D // (16 * w))  # (2(n+2-j)-1)/(16(n+2))
             corners = [

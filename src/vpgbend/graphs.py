@@ -247,11 +247,10 @@ def write_graph_text(g: Graph) -> str:
     Labels are one word each, as `read_graph_text` splits lines at
     whitespace, and distinct as text (`_label_texts`).
     """
-    lines = [f"{len(g)} {g.edge_count()}"]
-    lines.extend(_label_texts(g.vertices, lambda name: name.split() == [name], "graph"))
-    for u, v in g.edges():
-        lines.append(f"{label_str(u)} {label_str(v)}")
-    return "\n".join(lines) + "\n"
+    names = _label_texts(g.vertices, lambda name: name.split() == [name], "graph")
+    text = dict(zip(g.vertices, names))
+    edges = [f"{text[u]} {text[v]}" for u, v in g.edges()]
+    return "\n".join([f"{len(g)} {g.edge_count()}", *names, *edges]) + "\n"
 
 
 def read_graph_text(text: str) -> Graph:

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError, ParameterError, ValidationError
-from .graphs import Graph, _label_texts, ksubsets, label_str
+from .graphs import Graph, _label_texts, ksubsets
 
 Element = Hashable
 
@@ -256,7 +256,8 @@ def write_poset_text(p: Poset) -> str:
     lines = _label_texts(
         p.ground, lambda name: name.split() == [name] and "<" not in name, "poset", ValidationError
     )
-    rel = sorted((label_str(x), label_str(y)) for x, y in p.less)
+    text = dict(zip(p.ground, lines))
+    rel = sorted((text[x], text[y]) for x, y in p.less)
     lines.extend(f"{x} < {y}" for x, y in rel)
     return "\n".join(lines) + "\n"
 

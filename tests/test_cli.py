@@ -82,6 +82,26 @@ def test_graph_with_one_subsets_is_usage_error(tmp_path, capsys, family):
     assert not gfile.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "knk", "--n", "40", "--k", "20"],
+    ["graph", "hnk-complete", "--n", "30", "--k", "3"],
+    ["construct", "k3n", "--n", "200"],
+    ["construct", "gtm", "--n", "20", "--k", "10"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_oversized_graph_or_construct_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # refused from the edge count alone: no builder runs
+    for name in ("build_split_knk", "build_hnk_member"):
+        monkeypatch.setattr(f"vpgbend.graphs.{name}", None)
+    for name in ("construct_k3n_proper", "construct_gtm_stairs"):
+        monkeypatch.setattr(cli.constructors, name, None)
+    out_file = tmp_path / "out.txt"
+    rc, out, err = run(capsys, *argv, "-o", str(out_file))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(" more than 1048576 edges\n")
+    assert err.count("\n") == 1
+    assert not out_file.exists()
+
+
 def test_verify_reports_missing_edge(tmp_path, capsys):
     gfile = tmp_path / "g.txt"
     rfile = tmp_path / "r.txt"

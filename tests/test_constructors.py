@@ -372,3 +372,21 @@ def test_staircase_exposure_errors_match_the_fraction_reference(monkeypatch, shr
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert "outside computed exposed interval" in messages[0]
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_k3n_pair_adjacent_in_no_sequence_matches_the_fraction_reference(monkeypatch, n):
+    # with the last sequence a copy of the first, the pairs only the last
+    # one made consecutive are adjacent in no sequence
+    def repeat_first(d, n):
+        seqs = sequences_from_cycles(d, n)
+        return seqs[:-1] + seqs[:1]
+
+    messages = []
+    for module in (vpgbend.constructors, reference):
+        monkeypatch.setattr(module, "sequences_from_cycles", repeat_first)
+        with pytest.raises(ConstructionError) as err:
+            module.construct_k3n_proper(n)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("adjacent in no sequence")

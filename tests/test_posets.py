@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
+import vpgbend.graphs
+import vpgbend.posets
 from vpgbend.errors import DomainError, ParameterError, ValidationError
-from vpgbend.graphs import all_qedges, build_hnk_member
+from vpgbend.graphs import all_qedges, build_hnk_member, build_split_knk, label_str, write_graph_text
 from vpgbend.posets import (
     LinearOrder,
     Poset,
@@ -256,6 +258,34 @@ def test_poset_text_round_trip():
     q = read_poset_text(text)
     assert write_poset_text(q) == text
     assert len(q.ground) == len(p.ground) and len(q.less) == len(p.less)
+
+
+def test_writers_format_each_label_once(monkeypatch):
+    # the edge and relation lines reuse each label's text; the bytes are
+    # those of formatting both ends of every line again
+    g, _ = build_split_knk(6, 3)
+    p = build_p_rsn(1, 2, 5)
+    edges = [f"{label_str(u)} {label_str(v)}" for u, v in g.edges()]
+    graph_text = "\n".join(
+        [f"{len(g)} {g.edge_count()}", *map(label_str, g.vertices), *edges]) + "\n"
+    relations = sorted((label_str(x), label_str(y)) for x, y in p.less)
+    poset_text = "\n".join(
+        [*map(label_str, p.ground), *(f"{x} < {y}" for x, y in relations)]) + "\n"
+
+    calls = []
+
+    def counted(label):
+        calls.append(label)
+        return label_str(label)
+
+    # write_poset_text formats its elements through vpgbend.graphs
+    assert not hasattr(vpgbend.posets, "label_str")
+    monkeypatch.setattr(vpgbend.graphs, "label_str", counted)
+    assert write_graph_text(g) == graph_text
+    assert calls == list(g.vertices)
+    calls.clear()
+    assert write_poset_text(p) == poset_text
+    assert calls == list(p.ground)
 
 
 def test_reading_a_long_chain_is_fast(tmp_path):
