@@ -162,11 +162,12 @@ def _collinear_contacts(table):
 
 
 def _crossing_contacts(hs, vs):
-    """Meetings of a horizontal and a vertical segment of different paths.
+    """Meetings of a horizontal and a vertical segment, one run per vertical.
 
     Sweeps x over the verticals, keeping the horizontals that span the
-    current x sorted by y.  Yields (h, v, crossing): the two segments and
-    whether the meeting point is interior to both, a transversal crossing.
+    current x sorted by y.  Yields (v, run) per vertical v that meets one:
+    run is the slice of (y, horizontal index) rows in v's closed y range, v's
+    own path included; a meeting interior to both segments is a crossing.
     """
     # at equal x a horizontal opens (0) before and closes (2) after the
     # verticals there (1) are queried: segments are closed
@@ -182,14 +183,11 @@ def _crossing_contacts(hs, vs):
             del active[bisect_left(active, (hs[k][0], k))]
         else:
             v = vs[k]
-            _, y_lo, y_hi, lv = v
-            at = bisect_left(active, (y_lo,))
-            while at < len(active) and active[at][0] <= y_hi:
-                y, hk = active[at]
-                at += 1
-                h = hs[hk]
-                if h[3] != lv:
-                    yield h, v, h[1] < x < h[2] and y_lo < y < y_hi
+            # ints, so every row at y_hi sorts before (y_hi + 1,)
+            at = bisect_left(active, (v[1],))
+            end = bisect_left(active, (v[2] + 1,), at)
+            if at < end:
+                yield v, active[at:end]
 
 
 def _corner_text(x: int, y: int, den: int) -> str:
@@ -273,7 +271,8 @@ class RectPath:
                 else:
                     vs.append((ax, min(ay, by), max(ay, by), k))
             if (next(_collinear_contacts(hs), None) or next(_collinear_contacts(vs), None)
-                    or any(abs(h[3] - v[3]) > 1 for h, v, _ in _crossing_contacts(hs, vs))):
+                    or any(abs(hs[hk][3] - v[3]) > 1
+                           for v, run in _crossing_contacts(hs, vs) for _, hk in run)):
                 raise GeometryError("path is not simple")
         # merged-away corners may have left den larger than the kept ones need
         g = math.gcd(den, *(v for xy in ints for v in xy))

@@ -77,7 +77,7 @@ class _ContactTable:
     the code i·n + j.  A point contact at rank point x·len(ys) + y is the key
     point·n² + pair: a crossing is the only contact of its pair at its point,
     so the `crossings` keys are distinct and none of them is a touch key.
-    `crossings` is sorted, so the pairs crossing at one point are neighbours.
+    `crossings` is unsorted, in the order of the sweep's runs per vertical.
     `overlaps` maps a pair to its overlaps as rank boxes (x0, y0, x1, y1);
     collinear overlaps of two simple paths never touch, so none is merged.
     """
@@ -120,25 +120,28 @@ class _ContactTable:
                     touches.add((x0 * n_ys + y0) * n * n + i * n + j)
                 else:
                     overlaps.setdefault(i * n + j, []).append((x0, y0, x1, y1))
-        for h, v, crossing in _crossing_contacts(hs, vs):
-            i, j = (h[3], v[3]) if h[3] < v[3] else (v[3], h[3])
-            key = (v[0] * n_ys + h[0]) * n * n + i * n + j
-            if crossing:
-                crossings.append(key)
-            else:
-                touches.add(key)
-        crossings.sort()
+        for (x, y_lo, y_hi, lv), run in _crossing_contacts(hs, vs):
+            column = x * n_ys
+            for y, hk in run:
+                _, x_lo, x_hi, lh = hs[hk]
+                if lh == lv:
+                    continue
+                key = (column + y) * n * n + (lh * n + lv if lh < lv else lv * n + lh)
+                if x_lo < x < x_hi and y_lo < y < y_hi:
+                    crossings.append(key)
+                else:
+                    touches.add(key)
         self.crossings, self.touches, self.overlaps = crossings, touches, overlaps
         self._points: Optional[Dict[int, List[int]]] = None
 
     def pair_codes(self) -> Iterable[int]:
-        """The code of the pair of every contact, so each meeting pair at least once."""
+        """The pair code of every contact, so of each meeting pair, as a fresh stream in no order."""
         n_pairs = len(self.index) ** 2
         return chain(map(n_pairs.__rmod__, chain(self.crossings, self.touches)), self.overlaps)
 
     def points(self, pair: int) -> List[int]:
-        """The rank points of the point contacts of `pair`, grouped by pair on
-        the first call."""
+        """The rank points of the point contacts of `pair`, in sweep order,
+        grouped by pair on the first call."""
         if self._points is None:
             self._points, n_pairs = {}, len(self.index) ** 2
             for key in chain(self.crossings, self.touches):
@@ -184,8 +187,8 @@ class RealizationReport:
 def verify_realizes(rep: VpgRepresentation, g: Graph) -> RealizationReport:
     """Check intersection_graph(rep) == g, reporting each mismatched edge.
 
-    Both edge sets are compared as sets of int pair codes (`_ContactTable`),
-    so only the mismatched pairs are turned into label strings and sorted.
+    The contacts' pair codes (`_ContactTable`) stream twice past the graph's
+    edges as a set of codes, so only the mismatched pairs are named and sorted.
     No meeting point is examined, not even where one pair crosses: two paths
     are adjacent iff they have any contact, whatever its kind or place.
     """
@@ -231,17 +234,22 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
     transversal crossing (interior of a horizontal segment of one path and of
     a vertical segment of the other).
 
-    Only the points that have a non-crossing touch or lie on two or more
-    pairs are examined one by one.  Skipping the others is exact: a point met
-    by a single pair through one crossing contact has two owners and is
-    crossed, and it lies in none of that pair's overlaps, since each simple
-    path has only one segment through a point interior to one of its segments.
+    With no overlap and no touch it is proper: a third path through a
+    crossing point p of A and B would be collinear at p with A or B, whose
+    segment has p inside, and so overlap it.  Otherwise only points with a
+    touch or on two or more pairs are examined, which is exact: a point met by
+    a single pair through one crossing contact has two owners and is crossed,
+    and lies in none of that pair's overlaps, since each simple path has only
+    one segment through a point interior to one of its segments.
     """
+    table = _contact_table(rep)
+    if not table.overlaps and not table.touches:
+        return PropernessReport(ok=True, violations=())
     labels = rep.labels()
     names = [label_str(l) for l in labels]
-    table = _contact_table(rep)
-    den, xs, ys, crossings, touches = table.den, table.xs, table.ys, table.crossings, table.touches
-    overlaps, n_pairs, n_ys = table.overlaps, len(labels) ** 2, len(ys)
+    # sorted, so the pairs crossing at one point are neighbours
+    den, xs, ys, crossings = table.den, table.xs, table.ys, sorted(table.crossings)
+    overlaps, touches, n_pairs, n_ys = table.overlaps, table.touches, len(labels) ** 2, len(ys)
     violations: List[str] = []
     for pair, ovs in overlaps.items():
         i, j = divmod(pair, len(labels))

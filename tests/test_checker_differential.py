@@ -76,6 +76,16 @@ def test_checkers_match_reference_on_fraction_coordinates(paths, scale, shift):
     _assert_same(representation(paths, lambda c: c * scale + shift))
 
 
+@settings(max_examples=400, deadline=None)
+@given(representations)
+def test_proper_iff_the_table_has_no_overlap_and_no_touch(paths):
+    # `is_proper` answers from this alone on a table with neither: a third
+    # path through a crossing point of two others overlaps one of them
+    rep = representation(paths)
+    table = rank_table(list(rep.assignment.values()))
+    assert reference.is_proper(rep).ok == (not table.overlaps and not table.touches)
+
+
 @settings(max_examples=300, deadline=None)
 @given(representations, st.data())
 def test_verify_realizes_matches_reference_with_one_pair_toggled(paths, data):

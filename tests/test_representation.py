@@ -8,7 +8,8 @@ import hit_reference
 import pairwise_reference as reference
 import vpgbend.representation as representation_module
 from rep_strategies import representation, representations, scales, shifts
-from vpgbend.constructors import construct_k2n_proper, construct_k3n_proper, construct_split_upper
+from vpgbend.constructors import (construct_gtm_stairs, construct_k2n_proper, construct_k3n_proper,
+                                  construct_split_upper)
 from vpgbend.errors import DegenerateTrimError, DomainError, ValidationError
 from vpgbend.geometry import Point, RectPath, bend_count, rational
 from vpgbend.graphs import Graph, build_split_knk
@@ -21,6 +22,7 @@ from vpgbend.lowerbound import (
     strip_small_sets,
 )
 from vpgbend.representation import (
+    PropernessReport,
     VpgRepresentation,
     clique_hit_sequence,
     intersection_graph,
@@ -163,15 +165,20 @@ def test_is_proper_crossing_point_with_a_touch_on_three_paths():
     )
 
 
-def test_is_proper_two_crossings_at_one_point():
+@pytest.mark.parametrize("paths, violations", [
     # b and c overlap on a vertical line, and a crosses both at the origin
-    violations = _proper_report(
-        {"a": [(-2, 0), (2, 0)], "b": [(0, -2), (0, 2)], "c": [(0, -1), (0, 1)]}
-    )
-    assert violations == (
-        "overlap between b and c along [(0,-1)-(0,1)]",
-        "point (0,0) lies on 3 paths (a,b,c)",
-    )
+    ({"a": [(-2, 0), (2, 0)], "b": [(0, -2), (0, 2)], "c": [(0, -1), (0, 1)]},
+     ("overlap between b and c along [(0,-1)-(0,1)]", "point (0,0) lies on 3 paths (a,b,c)")),
+    # b crosses a and c at (3,1), inside the overlap of a and c
+    ({"a": [(0, 1), (4, 1)], "b": [(3, 0), (3, 2)], "c": [(2, 1), (6, 1)]},
+     ("overlap between a and c along [(2,1)-(4,1)]", "point (3,1) lies on 3 paths (a,b,c)")),
+], ids=["vertical", "horizontal"])
+def test_is_proper_two_crossings_at_one_point(paths, violations):
+    # the third path meets the crossing point through an overlap only, so the
+    # table has no touch and the crossings are screened to find the point
+    assert _proper_report(paths) == violations
+    rep = VpgRepresentation({l: RectPath(corners) for l, corners in paths.items()})
+    assert not representation_module._contact_table(rep).touches
 
 
 def test_is_proper_touch_only_point_of_one_pair():
@@ -201,6 +208,23 @@ def test_is_proper_examines_no_point_of_a_proper_representation(monkeypatch):
     rep = VpgRepresentation({l: RectPath(corners) for l, corners in paths.items()})
     monkeypatch.setattr(representation_module, "Point", no_point)
     assert is_proper(rep).ok
+
+
+class _Unread:
+    def __iter__(self):
+        raise AssertionError("the crossings were read")
+
+
+@pytest.mark.parametrize("build", [lambda: construct_k3n_proper(12),
+                                   lambda: construct_gtm_stairs(8, 4)], ids=["k3n12", "gtm84"])
+def test_is_proper_reads_no_crossing_without_overlaps_or_touches(build):
+    # a table with no overlap and no touch is proper without a look at its
+    # crossings, so a stand-in that fails when iterated is never read
+    rep = build()
+    table = representation_module._contact_table(rep)
+    assert table.crossings and not table.overlaps and not table.touches
+    table.crossings = _Unread()
+    assert is_proper(rep) == PropernessReport(ok=True, violations=())
 
 
 def test_max_bends():
