@@ -31,12 +31,6 @@ from .graphs import Graph, SplitPartition, check_split_partition, ksubsets
 from .representation import VpgRepresentation, _contact_table
 
 
-
-def _scaled_path(corners, den: int) -> RectPath:
-    """The path through the int corners (x, y), each standing for (x/den, y/den)."""
-    return RectPath._of_ratios([(x, den, y, den) for x, y in corners])
-
-
 # ---------------------------------------------------------------------------
 # split upper bound
 
@@ -59,7 +53,7 @@ def construct_split_upper(g: Graph, part: SplitPartition) -> VpgRepresentation:
 
     for j, u in enumerate(i_verts, start=1):
         x = (4 * j + 1) * (c + 1)  # 2j + 1/2, and the segment spans 2j ± 1/2
-        assignment[u] = _scaled_path([(x, (4 * j - 1) * (c + 1)), (x, x)], D)
+        assignment[u] = RectPath._of_ints(D, [(x, (4 * j - 1) * (c + 1)), (x, x)])
 
     jindex = {u: j for j, u in enumerate(i_verts, start=1)}
     rows = {v: sorted(jindex[u] for u in g.neighbors(v) if u in jindex) for v in c_verts}
@@ -73,7 +67,7 @@ def construct_split_upper(g: Graph, part: SplitPartition) -> VpgRepresentation:
         js = rows[v]
         if not js:
             # no independent neighbor: a flat segment through every start point
-            assignment[v] = _scaled_path([(0, 0), (1, 0)], 1)
+            assignment[v] = RectPath._of_ints(1, [(0, 0), (1, 0)])
             continue
         o = offset[v]
         corners = [(o, 0), (o, 2 * js[0] * D)]
@@ -81,7 +75,7 @@ def construct_split_upper(g: Graph, part: SplitPartition) -> VpgRepresentation:
             corners.append(((2 * j + 1) * D, 2 * j * D))
             if idx + 1 < len(js):
                 corners.append(((2 * j + 1) * D, 2 * js[idx + 1] * D))
-        assignment[v] = _scaled_path(corners, D)
+        assignment[v] = RectPath._of_ints(D, corners)
 
     ordered = {v: assignment[v] for v in list(c_verts) + list(i_verts)}
     return VpgRepresentation(ordered)
@@ -173,14 +167,14 @@ def construct_k2n_proper(n: int) -> VpgRepresentation:
     for i in range(1, n + 1):
         xs[i] = 10 * (i - 1)
         ys[i] = -10 * (i - 1)
-        assignment[i] = _scaled_path([(xs[i], top), (xs[i], ys[i]), (x_max, ys[i])], 20)
+        assignment[i] = RectPath._of_ints(20, [(xs[i], top), (xs[i], ys[i]), (x_max, ys[i])])
     for i, j in ksubsets(n, 2):
         corners = [
             (xs[j] - 5, ys[i] + 5),
             (xs[j] - 5, ys[i] - 4),
             (xs[j] + 2, ys[i] - 4),
         ]
-        assignment[(i, j)] = _scaled_path(corners, 20)
+        assignment[(i, j)] = RectPath._of_ints(20, corners)
     return VpgRepresentation(assignment)
 
 
@@ -237,8 +231,8 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
     for i in range(1, n + 1):
         t = (i - 1) * eps0
         shift[i] = t
-        a_paths[i] = _scaled_path([(t, -t), (D + t, -t), (D + t, -D - t),
-                                   (2 * D + t, -D - t), (2 * D + t, -2 * D - t)], D)
+        a_paths[i] = RectPath._of_ints(D, [(t, -t), (D + t, -t), (D + t, -D - t),
+                                           (2 * D + t, -D - t), (2 * D + t, -2 * D - t)])
     table = _contact_table(VpgRepresentation(a_paths))
     den, xs, ys = table.den, table.xs, table.ys
     # path i - 1 holds clique path i; its horizontals are segments 0 and 2,
@@ -277,7 +271,7 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
             corners.append((cur_x, y_run))
             cur_x = 2 * D + shift[ir] + eps
             corners.append((cur_x, y_run))
-        assignment[subset] = _scaled_path(corners, D)
+        assignment[subset] = RectPath._of_ints(D, corners)
     return VpgRepresentation(assignment)
 
 
@@ -414,7 +408,7 @@ def construct_k3n_proper(n: int) -> VpgRepresentation:
                 corners += [(xc, prev_exit), (xc, entry)]
             corners += piece
             prev_edge, prev_exit = X + W, exit_
-        assignment[l] = _scaled_path(corners, D)
+        assignment[l] = RectPath._of_ints(D, corners)
 
     # the first (sequence, position) at which each unordered pair is consecutive
     line_pair: Dict[frozenset, Tuple[int, int]] = {}
@@ -450,6 +444,6 @@ def construct_k3n_proper(n: int) -> VpgRepresentation:
                 (X + jr - beta, Y + j * D - beta),
                 (X + jr + beta, Y + j * D - beta),
             ]
-        assignment[subset] = _scaled_path(corners, D)
+        assignment[subset] = RectPath._of_ints(D, corners)
 
     return VpgRepresentation(assignment)

@@ -3,7 +3,8 @@
 Coordinates are exact rationals and floats are rejected outright: the
 layered epsilon offsets used by the constructions only make sense with exact
 arithmetic.  A `RectPath` keeps only ints, its corners times the lcm of their
-denominators, and builds `Fraction` `Point`s on demand.  The hot predicates
+denominators, which every producer hands it through `RectPath._of_ints`, and
+builds `Fraction` `Point`s on demand.  The hot predicates
 compare those ints, or coordinate ranks over ints (the contact sweeps, over
 the rank table of `representation`), which keep the order of coordinates and
 so stay exact; a `Fraction` is made only where a point is reported or
@@ -214,28 +215,28 @@ class RectPath:
     __slots__ = ("_scaled", "_corners", "_segments")
 
     def __init__(self, corners: Iterable):
-        ratios = []
+        pts = []
         for c in corners:
             try:
                 x, y = (c.x, c.y) if isinstance(c, Point) else c
             except (TypeError, ValueError):
                 raise GeometryError(f"a corner needs two coordinates: {c!r}") from None
-            x, y = rational(x), rational(y)
-            ratios.append((x.numerator, x.denominator, y.numerator, y.denominator))
-        self._build(ratios)
+            pts.append((rational(x), rational(y)))
+        den = math.lcm(*(v.denominator for xy in pts for v in xy))
+        self._build(den, [(x.numerator * (den // x.denominator),
+                           y.numerator * (den // y.denominator)) for x, y in pts])
 
     @classmethod
-    def _of_ratios(cls, ratios) -> "RectPath":
-        """The path through corners (x num, x den, y num, y den), dens positive."""
+    def _of_ints(cls, den: int, corners) -> "RectPath":
+        """The path through the int corners (x, y), each standing for
+        (x/den, y/den); den is positive and need not be the least one."""
         path = cls.__new__(cls)
-        path._build(ratios)
+        path._build(den, corners)
         return path
 
-    def _build(self, ratios) -> None:
-        den = math.lcm(*(r[1] for r in ratios), *(r[3] for r in ratios))
+    def _build(self, den: int, corners) -> None:
         ints = []
-        for xn, xd, yn, yd in ratios:
-            x, y = xn * (den // xd), yn * (den // yd)
+        for x, y in corners:
             if ints and ints[-1] == (x, y):
                 continue
             if len(ints) >= 2:
@@ -260,9 +261,11 @@ class RectPath:
         # consecutive segments are perpendicular, so they meet only at their
         # shared corner, and segments i and i+2 lie on distinct parallel
         # lines, since segment i+1 has nonzero length: a path of at most three
-        # segments is simple.  In a longer one, two segments on one axis are
-        # never consecutive, so any collinear meeting makes it non-simple.
-        if len(ints) > 4:
+        # segments is simple.  So is one with monotone corner x's: p(s) = p(t),
+        # s < t, puts [s, t] in one vertical segment, where y is strictly
+        # monotone; likewise for y's.  In any other path two segments on one
+        # axis are never consecutive, so any collinear meeting is non-simple.
+        if len(ints) > 4 and all(sorted(v) not in (v, v[::-1]) for v in map(list, zip(*ints))):
             # (fixed, lo, hi, segment index) per axis, the checkers' table layout
             hs, vs = [], []
             for k, ((ax, ay), (bx, by)) in enumerate(zip(ints, ints[1:])):
@@ -274,7 +277,7 @@ class RectPath:
                     or any(abs(hs[hk][3] - v[3]) > 1
                            for v, run in _crossing_contacts(hs, vs) for _, hk in run)):
                 raise GeometryError("path is not simple")
-        # merged-away corners may have left den larger than the kept ones need
+        # a den above the least one, or merged-away corners, leave a common factor
         g = math.gcd(den, *(v for xy in ints for v in xy))
         self._scaled = (den // g, *(v // g for xy in ints for v in xy))
         self._corners = self._segments = None

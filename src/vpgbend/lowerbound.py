@@ -306,7 +306,9 @@ def validate_counting(n: int, k: int, t: int) -> CountingReport:
 
 
 def _good_set_bound(ra: VpgRepresentation, t: int) -> int:
-    """8 n^2 (t+1)^2, once every path is checked to have at most t bends."""
+    """8 n^2 (t+1)^2, once t >= 0 and every path is checked to have at most t bends."""
+    if t < 0:
+        raise ParameterError(f"need t >= 0, got t={t}")
     n = len(ra)
     worst = max((bend_count(p) for p in ra.assignment.values()), default=0)
     if worst > t:

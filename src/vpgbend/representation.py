@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
@@ -398,8 +399,7 @@ def trim_independent_path(
     last, _ = _first_segment(pb, *end, *end)
     # a start at the far end of its segment repeats the next corner, which is dropped
     corners = [start, *pb[first + 1 : last + 1], end]
-    xs, ys, den = table.xs, table.ys, table.den
-    return RectPath._of_ratios([(xs[x], den, ys[y], den) for x, y in corners])
+    return RectPath._of_ints(table.den, [(table.xs[x], table.ys[y]) for x, y in corners])
 
 
 def write_representation_text(rep: VpgRepresentation) -> str:
@@ -424,8 +424,13 @@ def write_representation_text(rep: VpgRepresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a corner token in ASCII digits, as the writer makes it
+_CORNER = re.compile(r"\((-?[0-9]+)(?:/([0-9]+))?,(-?[0-9]+)(?:/([0-9]+))?\)")
+
+
 def read_representation_text(text: str) -> VpgRepresentation:
-    """Parse the text format, each coordinate straight to a reduced int pair."""
+    """Parse the text format: one regex match per corner token, and each
+    line's coordinates scaled to the lcm of its denominators."""
     assignment: Dict[Label, RectPath] = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -436,14 +441,20 @@ def read_representation_text(text: str) -> VpgRepresentation:
         label, rest = ln.split(" : ", 1)
         ratios = []
         for tok in rest.split():
-            if not (tok.startswith("(") and tok.endswith(")")):
-                raise ValidationError(f"bad corner token {tok!r}")
-            xy = tok[1:-1].split(",")
-            if len(xy) != 2:
-                raise ValidationError(f"bad corner token {tok!r}")
-            ratios.append((*_parse_ratio(xy[0]), *_parse_ratio(xy[1])))
+            try:
+                row = tuple(map(int, _CORNER.fullmatch(tok).groups("1")))
+            except (AttributeError, ValueError):  # no match, or past int()'s digit limit
+                row = (0, 0, 0, 0)
+            if not (row[1] and row[3]):  # the per-coordinate checks raise the token's error
+                xy = tok[1:-1].split(",")
+                if not (tok.startswith("(") and tok.endswith(")")) or len(xy) != 2:
+                    raise ValidationError(f"bad corner token {tok!r}")
+                row = (*_parse_ratio(xy[0]), *_parse_ratio(xy[1]))
+            ratios.append(row)
         label = label.strip()
         if label in assignment:
             raise ValidationError(f"duplicate label {label!r}")
-        assignment[label] = RectPath._of_ratios(ratios)
+        den = math.lcm(*(r[1] for r in ratios), *(r[3] for r in ratios))
+        assignment[label] = RectPath._of_ints(
+            den, [(xn * (den // xd), yn * (den // yd)) for xn, xd, yn, yd in ratios])
     return VpgRepresentation(assignment)

@@ -1,6 +1,8 @@
-"""Fraction coordinate parsing, path validation and corner ranking, kept
-only to test the int core of `geometry.RectPath`, `geometry._parse_ratio`
-and the corner ranking of `representation._contact_table` against.
+"""Fraction coordinate parsing, path validation, corner ranking and the
+representation reader, kept only to test the int core of
+`geometry.RectPath`, `geometry._parse_ratio`, the corner ranking of
+`representation._contact_table` and `representation.read_representation_text`
+against.
 
 This is the straightforward form: a coordinate is the grammar's regex and
 then `Fraction`, corners are merged and checked on `Fraction`s, the path is
@@ -15,7 +17,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from vpgbend.errors import GeometryError
+from vpgbend.errors import GeometryError, ValidationError
 from vpgbend.geometry import Point, Segment, rational, segment_intersection
 
 
@@ -98,3 +100,31 @@ def ranked_corners(paths: Sequence):
     x_rank = {x: r for r, x in enumerate(xs)}
     y_rank = {y: r for r, y in enumerate(ys)}
     return xs, ys, [[(x_rank[c.x], y_rank[c.y]) for c in p.corners] for p in paths]
+
+
+def read_representation_text(text: str) -> list:
+    """[(label, scaled)] of a representation file, or the reader's error:
+    the reader that split each token and parsed each coordinate on its own,
+    on `parsed_ratio` and `validated`."""
+    assignment = {}
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln:
+            continue
+        if " : " not in ln:
+            raise ValidationError(f"bad representation line {ln!r}")
+        label, rest = ln.split(" : ", 1)
+        ratios = []
+        for tok in rest.split():
+            if not (tok.startswith("(") and tok.endswith(")")):
+                raise ValidationError(f"bad corner token {tok!r}")
+            xy = tok[1:-1].split(",")
+            if len(xy) != 2:
+                raise ValidationError(f"bad corner token {tok!r}")
+            ratios.append((*parsed_ratio(xy[0]), *parsed_ratio(xy[1])))
+        label = label.strip()
+        if label in assignment:
+            raise ValidationError(f"duplicate label {label!r}")
+        assignment[label] = validated(
+            [(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in ratios])[0]
+    return list(assignment.items())

@@ -213,6 +213,14 @@ def test_goodsets_bend_bound_below_the_paths_is_usage_error(tmp_path, capsys, t)
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_goodsets_negative_t_is_rejected_before_the_paths(tmp_path, capsys):
+    # an empty representation has no path to blame
+    rfile = tmp_path / "r.txt"
+    rfile.write_text("")
+    rc, out, err = run(capsys, "goodsets", str(rfile), "--k", "1", "--t", "-1")
+    assert (rc, out, err) == (2, "", "error: need t >= 0, got t=-1\n")
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

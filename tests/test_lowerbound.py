@@ -387,6 +387,12 @@ def test_count_vs_bound_declared_t_enforced():
         count_good_sets_vs_bound(ra, 1, 0)
 
 
+@pytest.mark.parametrize("assignment", [{}, {1: RectPath([(0, 0), (1, 0)])}])
+def test_count_vs_bound_negative_t_is_rejected_first(assignment):
+    with pytest.raises(ParameterError, match=r"^need t >= 0, got t=-1$"):
+        count_good_sets_vs_bound(VpgRepresentation(assignment), 1, -1)
+
+
 def test_fig1_style_layout_count():
     rep = construct_gtm_stairs(5, 3)
     ra = rep.restricted(range(1, 6))

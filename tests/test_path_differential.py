@@ -6,7 +6,8 @@ and jumps, so straight continuations, backtracking, diagonals, self-touches,
 self-overlaps and closed loops all occur.  Scaled and shifted copies give
 mixed denominators, and some walks are passed as `Point`s.  Coordinate
 tokens mix the grammar's forms with decimals, exponents, signs, spaces and
-non-ASCII digits.
+non-ASCII digits.  Whole representation files mix both, unreduced fractions,
+blank lines, CRLF and repeated labels.
 """
 
 import sys
@@ -75,6 +76,11 @@ def _outcome(build, arg):
 @example([(0, 0), (3, 0), (3, 1), (1, 1), (1, 0), (2, 0)], 1, 1, 0, 0, True)  # overlap
 @example([(0, 0), (1, 0), (1, 0), (3, 0), (3, 2), (3, 4)], 1, 1, 0, 0, True)  # merges
 @example([(0, 0), (3, 0), (1, 0), (1, 2)], 1, 1, 0, 0, False)  # backtracking
+# five segments with monotone corner x's, or y's, are kept unswept; a
+# self-crossing path of five is monotone on neither axis and is still swept
+@example([(0, 0), (1, 0), (1, 2), (2, 2), (2, 1), (3, 1)], 1, 1, 0, 0, False)  # x-monotone
+@example([(0, 0), (0, 1), (2, 1), (2, 2), (1, 2), (1, 3)], 1, 1, 0, 0, True)  # y-monotone
+@example([(0, 1), (3, 1), (3, 2), (1, 2), (1, 0), (2, 0)], 1, 1, 0, 0, False)  # crosses itself
 def test_path_validation_matches_reference(walk, sx, sy, dx, dy, as_points):
     corners = [(x * sx + dx, y * sy + dy) for x, y in walk]
     if as_points:
@@ -102,6 +108,41 @@ def test_ranks_match_reference(paths, scale, shift):
 @pytest.mark.parametrize("n", [4, 7, 10])
 def test_ranks_match_reference_on_k3n(k3n_reps, n):
     _assert_same_ranks(list(k3n_reps[n].assignment.values()))
+
+
+def _counting_sweeps(monkeypatch) -> list:
+    """Record each call of the simplicity sweep `RectPath` runs."""
+    calls = []
+    real = vpgbend.geometry._crossing_contacts
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vpgbend.geometry, "_crossing_contacts", counted)
+    return calls
+
+
+@pytest.mark.parametrize("corners, sweeps", [
+    ([(0, 0), (1, 0), (1, 2), (2, 2), (2, 1), (3, 1)], 0),  # x-monotone
+    ([(0, 0), (0, 1), (2, 1), (2, 2), (1, 2), (1, 3)], 0),  # y-monotone
+    ([(0, 0), (3, 0), (3, 3), (1, 3), (1, 1), (2, 1)], 1),  # neither: a simple spiral
+], ids=["x", "y", "neither"])
+def test_only_paths_monotone_on_neither_axis_are_swept(monkeypatch, corners, sweeps):
+    calls = _counting_sweeps(monkeypatch)
+    RectPath(corners)
+    assert len(calls) == sweeps
+
+
+@pytest.mark.parametrize("build, sweeps", [
+    (lambda: construct_gtm_stairs(8, 4), 0),  # every staircase is monotone on both axes
+    (lambda: construct_k3n_proper(12), 3),  # 9 of the 12 long clique paths are monotone
+], ids=["gtm84", "k3n12"])
+def test_reading_sweeps_only_paths_monotone_on_neither_axis(monkeypatch, build, sweeps):
+    text = write_representation_text(build())
+    calls = _counting_sweeps(monkeypatch)
+    read_representation_text(text)
+    assert len(calls) == sweeps
 
 
 def test_building_paths_tests_no_fraction_segment_pairs(monkeypatch):
@@ -138,6 +179,58 @@ def test_coordinate_parser_matches_reference(tok):
     expected = _outcome(reference.parsed_ratio, tok)
     assert _outcome(_parse_ratio, tok) == expected
     assert _outcome(lambda t: rational(t).as_integer_ratio(), tok) == expected
+
+
+def _coordinate_text(v: int, den: int, factor: int) -> str:
+    """v/den, written with numerator and denominator times `factor`."""
+    return str(v * factor) if den * factor == 1 else f"{v * factor}/{den * factor}"
+
+
+@st.composite
+def representation_files(draw):
+    """0-4 lines mixing labelled corner walks over a common denominator,
+    each coordinate written reduced or unreduced (`2/4`), labelled pairs of
+    `coordinate_tokens`, blank and bad lines, and repeated labels, joined by
+    LF or CRLF."""
+    lines = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(("walk", "walk", "walk", "tokens", "blank")))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(("", "  ", "", "no separator"))))
+            continue
+        if kind == "walk":
+            den = draw(st.integers(min_value=1, max_value=4))
+            factors = st.integers(min_value=1, max_value=3)
+            toks = [f"({_coordinate_text(x - 2, den, draw(factors))},"
+                    f"{_coordinate_text(y - 2, den, draw(factors))})"
+                    for x, y in draw(corner_walks())]
+        else:
+            toks = [f"({draw(coordinate_tokens)},{draw(coordinate_tokens)})"
+                    for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+        lines.append(draw(st.sampled_from(("a", "b", " a "))) + " : " + " ".join(toks))
+    sep = draw(st.sampled_from(("\n", "\r\n")))
+    return sep.join(lines) + draw(st.sampled_from(("", sep)))
+
+
+def _read_scaled(text):
+    rep = read_representation_text(text)
+    return [(label, path._scaled) for label, path in rep.assignment.items()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(representation_files())
+@example("a : (1/0,2) (0,0)")
+@example("a : (0,0) (1,2/0)")
+@example("a : (0.5,1) (0,1)")
+@example("a : (0,0) (1,2")
+@example("a : (1,2,3) (0,0)")
+@example("a : (,) (0,0)")
+@example("a : (+1,2) (0,2)")
+@example("a : (" + "9" * 5000 + ",0) (0,0)")  # over int()'s digit limit where there is one
+@example("a : (0,0) (1,0)\r\n\r\na : (0,0) (1,2,3)")  # the token's error, not the duplicate
+@example("a : (2/4,0) (3/3,2/4)")  # names (1/2,0) -> (1,1/2)
+def test_reader_matches_reference(text):
+    assert _outcome(_read_scaled, text) == _outcome(reference.read_representation_text, text)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
