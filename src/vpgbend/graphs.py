@@ -138,6 +138,8 @@ def build_split_knk(n: int, k: int) -> Tuple[Graph, SplitPartition]:
 
 def all_qedges(n: int, k: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """All unordered pairs of distinct k-subsets of [n]."""
+    if not (n > k >= 1):
+        raise ParameterError(f"need n > k >= 1, got n={n}, k={k}")
     return list(combinations(ksubsets(n, k), 2))
 
 

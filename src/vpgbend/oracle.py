@@ -339,9 +339,10 @@ class _TableSearch(_Search):
 def _tables_fit(budget: GridSearchBudget) -> bool:
     """Whether a bound on (candidates × lattice points) is within the limit:
     a path has 2 start directions and at most max(w−1, h−1) choices per
-    segment."""
+    segment.  Capping the exponent at 18 decides alike (a base ≥ 2 to the 18th
+    is above the limit) and keeps a huge max_bends from filling memory."""
     w, h = budget.grid_width, budget.grid_height
-    candidates = 2 * w * h * max(w - 1, h - 1) ** (budget.max_bends + 1)
+    candidates = 2 * w * h * max(w - 1, h - 1) ** min(budget.max_bends + 1, 18)
     return candidates * w * h <= _TABLE_LIMIT
 
 

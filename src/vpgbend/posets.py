@@ -139,8 +139,7 @@ def is_realizer(p: Poset, r: Realizer) -> bool:
     for order in r.orders:
         if set(order.sequence) != set(p.ground):
             raise DomainError("realizer order over a different ground set")
-    if not all(order.is_extension_of(p) for order in r.orders):
-        return False
+    # an order that puts some x < y of p the other way round fails in_all below
     positions = [order.position() for order in r.orders]
     for x, y in combinations(p.ground, 2):
         for a, b in ((x, y), (y, x)):

@@ -81,10 +81,11 @@ class _ContactTable:
     `crossings` is unsorted, in the order of the sweep's runs per vertical.
     `overlaps` maps a pair to its overlaps as rank boxes (x0, y0, x1, y1);
     collinear overlaps of two simple paths never touch, so none is merged.
+    `met` is the set of the pair codes of every contact, so of meeting pairs.
     """
 
     __slots__ = ("items", "index", "den", "xs", "ys", "ranked", "hs", "vs", "crossings",
-                 "touches", "overlaps", "_points")
+                 "touches", "overlaps", "met", "_points")
 
     def __init__(self, items):
         self.items = items
@@ -133,12 +134,8 @@ class _ContactTable:
                 else:
                     touches.add(key)
         self.crossings, self.touches, self.overlaps = crossings, touches, overlaps
+        self.met = {key % (n * n) for key in chain(crossings, touches)}.union(overlaps)
         self._points: Optional[Dict[int, List[int]]] = None
-
-    def pair_codes(self) -> Iterable[int]:
-        """The pair code of every contact, so of each meeting pair, as a fresh stream in no order."""
-        n_pairs = len(self.index) ** 2
-        return chain(map(n_pairs.__rmod__, chain(self.crossings, self.touches)), self.overlaps)
 
     def points(self, pair: int) -> List[int]:
         """The rank points of the point contacts of `pair`, in sweep order,
@@ -164,7 +161,7 @@ def intersection_graph(rep: VpgRepresentation) -> Graph:
     """Graph on the representation's labels; edge iff the paths intersect."""
     labels = rep.labels()
     g = Graph(labels)
-    for code in set(_contact_table(rep).pair_codes()):
+    for code in _contact_table(rep).met:
         i, j = divmod(code, len(labels))
         g.add_edge(labels[i], labels[j])
     return g
@@ -188,10 +185,10 @@ class RealizationReport:
 def verify_realizes(rep: VpgRepresentation, g: Graph) -> RealizationReport:
     """Check intersection_graph(rep) == g, reporting each mismatched edge.
 
-    The contacts' pair codes (`_ContactTable`) stream twice past the graph's
-    edges as a set of codes, so only the mismatched pairs are named and sorted.
-    No meeting point is examined, not even where one pair crosses: two paths
-    are adjacent iff they have any contact, whatever its kind or place.
+    The graph's edges, as a set of pair codes, are compared with the table's
+    set `met` of meeting pairs, so only the mismatched pairs are named and
+    sorted.  No meeting point is examined: two paths are adjacent iff they
+    have any contact, whatever its kind or place.
     """
     labels = rep.labels()
     if set(labels) != set(g.vertices):
@@ -204,9 +201,6 @@ def verify_realizes(rep: VpgRepresentation, g: Graph) -> RealizationReport:
     for u in labels:
         i = index[u]
         want.update(i * n + j for j in map(index.__getitem__, g._adj[u]) if i < j)
-    # only the mismatched codes are kept beside `want`, which drops the met ones
-    spurious = {code for code in table.pair_codes() if code not in want}
-    want.difference_update(table.pair_codes())
 
     def named(codes):
         pairs = (divmod(code, n) for code in codes)
@@ -214,7 +208,7 @@ def verify_realizes(rep: VpgRepresentation, g: Graph) -> RealizationReport:
             tuple(sorted((label_str(labels[i]), label_str(labels[j])))) for i, j in pairs
         ))
 
-    missing, spurious = named(want), named(spurious)
+    missing, spurious = named(want - table.met), named(table.met - want)
     return RealizationReport(not missing and not spurious, missing, spurious)
 
 

@@ -82,6 +82,15 @@ def test_graph_with_one_subsets_is_usage_error(tmp_path, capsys, family):
     assert not gfile.exists()
 
 
+@pytest.mark.parametrize("n, k", [(2, -1), (-1, -3)])
+def test_graph_hnk_complete_negative_k_is_usage_error(tmp_path, capsys, n, k):
+    gfile = tmp_path / "g.txt"
+    rc, out, err = run(capsys, "graph", "hnk-complete", "--n", str(n), "--k", str(k), "-o", str(gfile))
+    assert (rc, out) == (2, "")
+    assert err == f"error: need n > k >= 1, got n={n}, k={k}\n"
+    assert not gfile.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["graph", "knk", "--n", "40", "--k", "20"],
     ["graph", "hnk-complete", "--n", "30", "--k", "3"],
@@ -430,6 +439,24 @@ def test_oracle_with_thousands_of_bends_runs_out_of_budget(tmp_path, capsys):
     gfile.write_text("2 0\na\nb\n")
     argv = ["oracle", str(gfile), "--grid", "40x40", "--bends", "3000", "--node-limit", "2000"]
     assert run(capsys, *argv) == (1, "not found within budget\n", "")
+
+
+def test_oracle_with_a_huge_bend_bound_fits_in_memory(tmp_path, capsys):
+    # the table-size bound grows with the bends; the child runs under a 1 GB
+    # address-space limit, so a bound that outgrows memory fails there alone
+    resource = pytest.importorskip("resource")
+    gfile = tmp_path / "edge.graph"
+    gfile.write_text("2 1\na\nb\na b\n")
+    argv = ["oracle", str(gfile), "--grid", "3x3", "--bends"]
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "vpgbend", *argv, "100000000000"],
+                          capture_output=True, text=True, env=_subprocess_env(),
+                          preexec_fn=limit_memory, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert run(capsys, *argv, "1000000") == (0, done.stdout, "")
 
 
 def test_oracle_grid_above_the_cap_is_usage_error(tmp_path, capsys):

@@ -107,6 +107,16 @@ def test_hnk_single_qedge_counts():
     assert g.edge_count() == comb(4, 2) + 6 * 2 + 1 == 19
 
 
+@pytest.mark.parametrize("n, k", [(2, -1), (-1, -3), (3, 0), (3, 3), (2, 5)])
+def test_all_qedges_rejects_what_the_builder_rejects(n, k):
+    # checked before any k-subset is listed, with the builder's own message
+    with pytest.raises(ParameterError) as listed:
+        all_qedges(n, k)
+    with pytest.raises(ParameterError) as built:
+        build_hnk_member(n, k, ())
+    assert str(listed.value) == str(built.value) == f"need n > k >= 1, got n={n}, k={k}"
+
+
 def test_hnk_rejects_bad_subsets():
     with pytest.raises(ParameterError):
         build_hnk_member(4, 2, [((1, 2, 3), (1, 2))])

@@ -177,6 +177,15 @@ def test_outcomes():
     assert _LazySearch(two, GridSearchBudget(1, 2, 0, 100), False).outcome() == ("exhausted", None)
 
 
+def test_tables_fit_matches_the_uncapped_bound():
+    # the capped exponent picks the same search as the bound it caps
+    for w in range(1, 13):
+        for h in range(1, 13):
+            for bends in range(41):
+                bound = 2 * w * h * max(w - 1, h - 1) ** (bends + 1) * w * h
+                assert _tables_fit(GridSearchBudget(w, h, bends, 1)) == (bound <= oracle._TABLE_LIMIT)
+
+
 def test_searches_leave_no_cyclic_garbage():
     # P4 on 5x5 takes the table path, on 12x12 the lazy one; both must be
     # freed by reference counting alone

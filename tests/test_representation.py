@@ -12,7 +12,7 @@ from vpgbend.constructors import (construct_gtm_stairs, construct_k2n_proper, co
                                   construct_split_upper)
 from vpgbend.errors import DegenerateTrimError, DomainError, ValidationError
 from vpgbend.geometry import Point, RectPath, bend_count, rational
-from vpgbend.graphs import Graph, build_split_knk
+from vpgbend.graphs import Graph, all_qedges, build_hnk_member, build_split_knk
 from vpgbend.lowerbound import (
     build_auxiliary_fh_fv,
     certificate_candidates,
@@ -211,8 +211,11 @@ def test_is_proper_examines_no_point_of_a_proper_representation(monkeypatch):
 
 
 class _Unread:
+    def __init__(self, what="crossings"):
+        self.what = what
+
     def __iter__(self):
-        raise AssertionError("the crossings were read")
+        raise AssertionError(f"the {self.what} were read")
 
 
 @pytest.mark.parametrize("build", [lambda: construct_k3n_proper(12),
@@ -225,6 +228,32 @@ def test_is_proper_reads_no_crossing_without_overlaps_or_touches(build):
     assert table.crossings and not table.overlaps and not table.touches
     table.crossings = _Unread()
     assert is_proper(rep) == PropernessReport(ok=True, violations=())
+
+
+def _toggled(g, u, v):
+    """`g` with the edge uv removed if present, else added."""
+    edges = [e for e in g.edges() if set(e) != {u, v}]
+    return Graph(g.vertices, edges if g.has_edge(u, v) else edges + [(u, v)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (construct_k3n_proper(12), build_split_knk(12, 3)[0]),
+    lambda: (construct_gtm_stairs(8, 4), build_hnk_member(8, 4, all_qedges(8, 4))),
+], ids=["k3n12", "gtm84"])
+def test_realization_reads_only_the_met_pairs(build):
+    # verify_realizes and intersection_graph read the table's set of met
+    # pairs alone, so stand-ins for its point contacts that fail when
+    # iterated are never read
+    rep, g = build()
+    edge = g.edges()[0]
+    non_edge = next(p for p in combinations(g.vertices, 2) if not g.has_edge(*p))
+    graphs = [g, _toggled(g, *edge), _toggled(g, *non_edge)]
+    reports = [verify_realizes(rep, h) for h in graphs]
+    assert [r.ok for r in reports] == [True, False, False]
+    table = representation_module._contact_table(rep)
+    table.crossings, table.touches = _Unread(), _Unread("touches")
+    assert [verify_realizes(rep, h) for h in graphs] == reports
+    assert intersection_graph(rep) == g
 
 
 def test_max_bends():
