@@ -35,7 +35,8 @@ CLIQUE_STROKE = Fraction(2)
 INDEPENDENT_STROKE = Fraction(3, 2)
 PROBE_STROKE = Fraction(4)
 
-# the most edges the graph of a `graph` or `construct` request may have
+# the most edges the graph of a `graph` or `construct` request may have, and
+# the most elements and relations a `posets` request may build
 _EDGE_CAP = 1 << 20
 
 
@@ -159,6 +160,18 @@ def _check_size(n: int, k: int, complete: bool = False) -> None:
         raise VpgError(f"n={n}, k={k} would build more than {_EDGE_CAP} edges")
 
 
+def _check_poset_size(r: int, s: int, n: int) -> None:
+    """Refuse a P(r,s;n) of more than _EDGE_CAP elements and relations; the
+    builder checks 1 <= r < s <= n-1.  Its C(n,s)·C(s,r) relations number at
+    least n(n−1), so a larger n is refused before any binomial is taken."""
+    if not 1 <= r < s <= n - 1:
+        return
+    if n * (n - 1) > _EDGE_CAP or (
+            math.comb(n, r) + math.comb(n, s) * (1 + math.comb(s, r)) > _EDGE_CAP):
+        raise VpgError(f"r={r}, s={s}, n={n} would build more than {_EDGE_CAP} "
+                       "elements and relations")
+
+
 def _cmd_construct(args) -> int:
     if args.family == "split-upper":
         g = read_graph_text(_read(args.graph))
@@ -234,6 +247,7 @@ def _cmd_certificate(args) -> int:
 
 def _cmd_posets(args) -> int:
     if args.action == "build":
+        _check_poset_size(args.r, args.s, args.n)
         p = posets.build_p_rsn(args.r, args.s, args.n)
         _emit(posets.write_poset_text(p), args.output)
         return 0
@@ -243,6 +257,7 @@ def _cmd_posets(args) -> int:
         else:
             if args.r is None or args.s is None or args.n is None:
                 raise VpgError("dim needs either --poset or all of --r/--s/--n")
+            _check_poset_size(args.r, args.s, args.n)
             p = posets.build_p_rsn(args.r, args.s, args.n)
         dim = posets.brute_force_dimension(p, args.max_dim)
         if dim is None:

@@ -267,6 +267,8 @@ def read_graph_text(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphError(f"bad header line {lines[0]!r}")
+    if n < 0 or m < 0:
+        raise GraphError(f"bad header line {lines[0]!r}")
     if len(lines) != 1 + n + m:
         raise GraphError(f"expected {1 + n + m} lines, found {len(lines)}")
     vertices = lines[1 : 1 + n]

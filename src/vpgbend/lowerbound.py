@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, DomainError, ParameterError
-from .geometry import HORIZONTAL, VERTICAL, Point, Segment, bend_count
+from .geometry import HORIZONTAL, VERTICAL, Point, Segment
 from .graphs import Graph, Label
 from .representation import (
     VpgRepresentation,
@@ -26,6 +26,7 @@ from .representation import (
     _hit_walk,
     is_proper,
     leaf_trim_window,
+    max_bends,
 )
 
 
@@ -309,8 +310,7 @@ def _good_set_bound(ra: VpgRepresentation, t: int) -> int:
     """8 n^2 (t+1)^2, once t >= 0 and every path is checked to have at most t bends."""
     if t < 0:
         raise ParameterError(f"need t >= 0, got t={t}")
-    n = len(ra)
-    worst = max((bend_count(p) for p in ra.assignment.values()), default=0)
+    n, worst = len(ra), max_bends(ra)
     if worst > t:
         raise ParameterError(f"a path has {worst} bends, above the declared t={t}")
     return 8 * n * n * (t + 1) ** 2

@@ -162,16 +162,19 @@ def _corner_bits(corners: Sequence[Corner], row: int) -> int:
 
 
 class _Search:
-    """What both searches share: the vertex order, the node limit, the final
-    re-check and the outcome.  A subclass's `start` returns a witness, or
-    None once the grid is exhausted.  No attribute refers back to the
-    search, so a finished search is freed without the cyclic garbage
-    collector."""
+    """What both searches share: the vertex order, its adjacency table, the
+    lattice points, the node limit, the final re-check and the outcome.  A
+    subclass's `start` returns a witness, or None once the grid is
+    exhausted.  No attribute refers back to the search, so a finished search
+    is freed without the cyclic garbage collector."""
 
     def __init__(self, g: Graph, budget: GridSearchBudget, require_proper: bool):
         self.g, self.budget, self.require_proper = g, budget, require_proper
         self.order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index(v)))
+        self.adjacent = [[g.has_edge(u, v) for u in self.order] for v in self.order]
         self.row = 2 * budget.grid_width - 1
+        # the even bits: lattice points, and cell centres that no path covers
+        self.points = int("01" * self.row * (2 * budget.grid_height - 1), 2)
         self.nodes = 0
 
     def outcome(self) -> Tuple[str, Optional[VpgRepresentation]]:
@@ -203,9 +206,6 @@ class _LazySearch(_Search):
 
     def __init__(self, g: Graph, budget: GridSearchBudget, require_proper: bool):
         super().__init__(g, budget, require_proper)
-        self.adjacent = [[g.has_edge(u, v) for u in self.order[:i]] for i, v in enumerate(self.order)]
-        self.odd_bits = (int("10" * self.row * (2 * budget.grid_height - 1), 2)
-                         if require_proper else 0)
         self.placed: List[Tuple[Tuple[Corner, ...], int]] = []
 
     def start(self) -> Optional[VpgRepresentation]:
@@ -226,7 +226,7 @@ class _LazySearch(_Search):
         # non-neighbour and, to stay proper, overlap no placed path, meet none
         # at a corner of either and miss every point already on two paths;
         # the enumerator counts it and tests all but its own corners
-        forbid = apart | (union & self.odd_bits) | ends_union | met
+        forbid = apart | (union & ~self.points) | ends_union | met
         for corners, mask in _grid_paths(self.budget, forbid, neighbours, self.take):
             if self.require_proper:
                 ends = _corner_bits(corners, self.row)
@@ -279,11 +279,8 @@ class _TableSearch(_Search):
 
     def __init__(self, g: Graph, budget: GridSearchBudget, require_proper: bool):
         super().__init__(g, budget, require_proper)
-        self.adjacent = [[g.has_edge(u, v) for u in self.order] for v in self.order]
         self.paths = list(_grid_paths(budget))
         size = self.row * (2 * budget.grid_height - 1)
-        # the even bits: lattice points, and cell centres that no path covers
-        self.points = int("01" * size, 2)
         self.through = _columns([mask for _, mask in self.paths], size)
         if require_proper:
             self.ends = [_corner_bits(corners, self.row) for corners, _ in self.paths]

@@ -82,6 +82,11 @@ class _ContactTable:
     `overlaps` maps a pair to its overlaps as rank boxes (x0, y0, x1, y1);
     collinear overlaps of two simple paths never touch, so none is merged.
     `met` is the set of the pair codes of every contact, so of meeting pairs.
+
+    No point contact lies in an overlap of its own pair: such touches are
+    dropped, and a crossing point is interior to a horizontal segment of A
+    and a vertical one of B, so an overlap of A and B through it would give
+    A or B two segments through a point interior to one of them.
     """
 
     __slots__ = ("items", "index", "den", "xs", "ys", "ranked", "hs", "vs", "crossings",
@@ -133,6 +138,10 @@ class _ContactTable:
                     crossings.append(key)
                 else:
                     touches.add(key)
+        if overlaps:  # a touch inside an overlap of its own pair is part of it
+            touches = {key for key in touches if not any(
+                _in_box(*divmod(key // (n * n), n_ys), box)
+                for box in overlaps.get(key % (n * n), ()))}
         self.crossings, self.touches, self.overlaps = crossings, touches, overlaps
         self.met = {key % (n * n) for key in chain(crossings, touches)}.union(overlaps)
         self._points: Optional[Dict[int, List[int]]] = None
@@ -233,9 +242,8 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
     crossing point p of A and B would be collinear at p with A or B, whose
     segment has p inside, and so overlap it.  Otherwise only points with a
     touch or on two or more pairs are examined, which is exact: a point met by
-    a single pair through one crossing contact has two owners and is crossed,
-    and lies in none of that pair's overlaps, since each simple path has only
-    one segment through a point interior to one of its segments.
+    a single pair through one crossing contact has two owners and is crossed.
+    The table holds no point contact inside an overlap of its own pair.
     """
     table = _contact_table(rep)
     if not table.overlaps and not table.touches:
@@ -262,10 +270,7 @@ def is_proper(rep: VpgRepresentation) -> PropernessReport:
         pt = _corner_text(xs[x], ys[y], den)
         owners = set()
         for key in group:
-            pair = key % n_pairs
-            if any(_in_box(x, y, box) for box in overlaps.get(pair, ())):
-                continue
-            i, j = divmod(pair, len(labels))
+            i, j = divmod(key % n_pairs, len(labels))
             owners.update((i, j))
             if key in touches:
                 violations.append(f"non-crossing touch of {names[i]} and {names[j]} at {pt}")
@@ -310,13 +315,9 @@ def _hit_walk(table: _ContactTable, b: Label, clique_verts: List[Label]):
             continue
         pa, ia = table.ranked[a], table.index[a]
         pair = min(ia, ib) * n + max(ia, ib)
-        # sorted, since overlaps along both segments at a shared corner tie
-        overlaps = sorted(table.overlaps.get(pair, ()))
-        # an overlap holds its own first end, so only isolated points stay
         points = (divmod(point, len(table.ys)) for point in table.points(pair))
-        boxes = overlaps + [
-            (x, y, x, y) for x, y in points if not any(_in_box(x, y, ov) for ov in overlaps)
-        ]
+        # sorted, since overlaps along both segments at a shared corner tie
+        boxes = sorted(table.overlaps.get(pair, ())) + [(x, y, x, y) for x, y in points]
         for box in boxes:
             x, y = box[:2]
             idx, _ = _first_segment(pa, *box)

@@ -3,7 +3,7 @@ on the random representations of `rep_strategies`."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from vpgbend.graphs import Graph, label_str
 from vpgbend.representation import (
     RealizationReport,
     VpgRepresentation,
+    _contact_table,
     intersection_graph,
     is_proper,
     verify_realizes,
@@ -84,6 +85,30 @@ def test_proper_iff_the_table_has_no_overlap_and_no_touch(paths):
     rep = representation(paths)
     table = rank_table(list(rep.assignment.values()))
     assert reference.is_proper(rep).ok == (not table.overlaps and not table.touches)
+
+
+def _assert_no_point_contact_in_an_own_overlap(rep):
+    table = _contact_table(rep)
+    n_pairs, n_ys = len(rep) ** 2, len(table.ys)
+    for key in chain(table.crossings, table.touches):
+        point, pair = divmod(key, n_pairs)
+        x, y = divmod(point, n_ys)
+        for x0, y0, x1, y1 in table.overlaps.get(pair, ()):
+            assert not (x0 <= x <= x1 and y0 <= y <= y1), (key in table.touches, pair, x, y)
+
+
+@settings(max_examples=600, deadline=None)
+@given(representations)
+def test_no_point_contact_lies_in_an_overlap_of_its_pair(paths):
+    # the table drops such touches, and a crossing is never in one, so
+    # `is_proper` and the hit walks need not test a point against an overlap
+    _assert_no_point_contact_in_an_own_overlap(representation(paths))
+
+
+@settings(max_examples=150, deadline=None)
+@given(representations, scales, shifts)
+def test_no_point_contact_lies_in_an_overlap_of_its_pair_on_fractions(paths, scale, shift):
+    _assert_no_point_contact_in_an_own_overlap(representation(paths, lambda c: c * scale + shift))
 
 
 @settings(max_examples=300, deadline=None)

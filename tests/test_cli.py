@@ -132,6 +132,17 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_graph_header_with_a_negative_count_is_usage_error(tmp_path, capsys):
+    # the line count 1 + 2 − 1 matches, so only the sign can refuse it
+    gfile = tmp_path / "g.txt"
+    rfile = tmp_path / "r.txt"
+    gfile.write_text("2 -1\na\n")
+    rfile.write_text("a : (0,0) (1,0)\n")
+    rc, out, err = run(capsys, "verify", str(gfile), str(rfile))
+    assert (rc, out) == (2, "")
+    assert err == "error: bad header line '2 -1'\n"
+
+
 @pytest.mark.parametrize("binary", ["graph", "rep"])
 def test_non_utf8_input_file_is_usage_error(tmp_path, capsys, binary):
     gfile = tmp_path / "g.txt"
@@ -210,6 +221,28 @@ def test_posets_dim_bound_below_one_is_usage_error(tmp_path, capsys, max_dim):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("action", ["build", "dim"])
+@pytest.mark.parametrize("r, s, n", [(1, 10, 40), (1, 2, 2_000_000), (4, 8, 20)])
+def test_oversized_poset_is_usage_error(tmp_path, capsys, monkeypatch, action, r, s, n):
+    # refused from the sizes alone: neither the builder nor any binomial of
+    # an n above the cap runs
+    monkeypatch.setattr(cli.posets, "build_p_rsn", None)
+    if n > 1 << 20:
+        monkeypatch.setattr(cli.math, "comb", None)
+    out_file = tmp_path / "p.txt"
+    argv = ["-o", str(out_file)] if action == "build" else []
+    rc, out, err = run(capsys, "posets", action, "--r", str(r), "--s", str(s), "--n", str(n), *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: r={r}, s={s}, n={n} would build more than 1048576 elements and relations\n"
+    assert not out_file.exists()
+
+
+def test_poset_size_cap_leaves_bad_parameters_to_the_builder(capsys):
+    rc, out, err = run(capsys, "posets", "build", "--r", "3", "--s", "2", "--n", "2000000")
+    assert (rc, out) == (2, "")
+    assert err == "error: need 1 <= r < s <= n-1, got r=3, s=2, n=2000000\n"
 
 
 @pytest.mark.parametrize("t", ["0", "-1"])

@@ -239,5 +239,13 @@ def test_graph_text_rejects_malformed():
         read_graph_text("2 1\na\nb\n")  # missing edge line
 
 
+@pytest.mark.parametrize("header", ["2 -1", "-1 0"])
+def test_graph_text_rejects_a_negative_count(header):
+    # "2 -1" with one vertex line has 1 + 2 − 1 lines, as the count check asked
+    with pytest.raises(GraphError) as info:
+        read_graph_text(f"{header}\na\n")
+    assert str(info.value) == f"bad header line {header!r}"
+
+
 def test_ksubsets_lexicographic():
     assert ksubsets(4, 2) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
