@@ -85,9 +85,6 @@ class Graph:
             return NotImplemented
         return set(self._vertices) == set(other._vertices) and self.edge_set() == other.edge_set()
 
-    def __hash__(self):
-        return hash((frozenset(self._vertices), self.edge_set()))
-
     def __repr__(self):
         return f"Graph({len(self)} vertices, {self.edge_count()} edges)"
 

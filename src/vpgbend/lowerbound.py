@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ConstructionError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .geometry import HORIZONTAL, VERTICAL, Point, Segment
 from .graphs import Graph, Label
 from .representation import (
@@ -327,38 +327,37 @@ def count_good_sets_vs_bound(ra: VpgRepresentation, k: int, t: int) -> Tuple[int
 # auxiliary graphs of proper representations of the 3-subset split graph
 
 
-def _orientation(ranked_corners, idx: int) -> str:
-    """Orientation of segment `idx` of a path given by its ranked corners."""
-    (_, ay), (_, by) = ranked_corners[idx : idx + 2]
-    return HORIZONTAL if ay == by else VERTICAL
+def _segment_vertex(ranked, a: Label, idx: int) -> Tuple[str, Label, int]:
+    """The F_h/F_v vertex ("h" or "v", a, idx) of segment idx of clique path a."""
+    (_, ay), (_, by) = ranked[a][idx : idx + 2]
+    return ("h" if ay == by else "v", a, idx)
 
 
 def classify_sh_sv(rep: VpgRepresentation, clique_verts, indep_verts):
     """Partition-cover (S_H, S_V): b lands in S_H when it meets horizontal
-    segments of at least two of its three clique neighbors, S_V symmetrically."""
-    clique_verts, indep_verts = list(clique_verts), list(indep_verts)
-    table = _contact_table(rep)
-    ranked = table.ranked
+    segments of at least two of its three clique neighbors, S_V symmetrically.
+
+    Every clique path b meets is met on a horizontal or a vertical segment,
+    so once b meets three of them one axis holds two, and S_H and S_V cover
+    the independent set."""
+    clique_verts, table = list(clique_verts), _contact_table(rep)
     s_h, s_v = [], []
     for b in indep_verts:
         hits = _hit_walk(table, b, clique_verts)
-        nbrs = {a for a, *_ in hits}
+        met = {_segment_vertex(table.ranked, a, idx)[:2] for a, _, idx, _ in hits}
+        nbrs = {a for _, a in met}
         if len(nbrs) < 3:
             raise DomainError(f"independent vertex {b!r} meets {len(nbrs)} clique paths")
-        met = {HORIZONTAL: set(), VERTICAL: set()}
-        for a, _, idx, _ in hits:
-            met[_orientation(ranked[a], idx)].add(a)
-        if len(met[HORIZONTAL]) >= 2:
+        tags = [tag for tag, _ in met]
+        if tags.count("h") >= 2:
             s_h.append(b)
-        if len(met[VERTICAL]) >= 2:
+        if tags.count("v") >= 2:
             s_v.append(b)
-    if set(s_h) | set(s_v) != set(indep_verts):
-        raise ConstructionError("S_H and S_V fail to cover the independent set")
     return tuple(s_h), tuple(s_v)
 
 
 def _contract_same_path_edges(f: Graph) -> Graph:
-    parent: Dict = {v: v for v in f.vertices}
+    parent = {v: v for v in f.vertices}
 
     def find(v):
         while parent[v] != v:
@@ -366,23 +365,15 @@ def _contract_same_path_edges(f: Graph) -> Graph:
             v = parent[v]
         return v
 
-    for u, v in f.edges():
+    edges = f.edges()
+    for u, v in edges:
         if u[1] == v[1]:  # same clique path owns both segments
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-    reps = []
-    seen = set()
-    for v in f.vertices:
-        r = find(v)
-        if r not in seen:
-            seen.add(r)
-            reps.append(r)
-    out = Graph(reps)
-    for u, v in f.edges():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            out.add_edge(ru, rv)
+            parent[find(v)] = find(u)
+    root = {v: find(v) for v in f.vertices}
+    out = Graph(dict.fromkeys(root.values()))
+    for u, v in edges:
+        if root[u] != root[v]:
+            out.add_edge(root[u], root[v])
     return out
 
 
@@ -402,29 +393,22 @@ def build_auxiliary_fh_fv(rep: VpgRepresentation, clique_verts, indep_verts):
     report = is_proper(rep)
     if not report.ok:
         raise DomainError("representation is not proper: " + "; ".join(report.violations[:3]))
-    clique_verts, indep_verts = list(clique_verts), list(indep_verts)
-    tag = {HORIZONTAL: "h", VERTICAL: "v"}
-    table = _contact_table(rep)
+    clique_verts, table = list(clique_verts), _contact_table(rep)
     ranked = table.ranked
-    vertices = {HORIZONTAL: [], VERTICAL: []}
-    for a in clique_verts:
-        for idx in range(len(ranked[a]) - 1):
-            orientation = _orientation(ranked[a], idx)
-            vertices[orientation].append((tag[orientation], a, idx))
-    f = {orientation: Graph(vs) for orientation, vs in vertices.items()}
+    segments = [
+        _segment_vertex(ranked, a, idx) for a in clique_verts for idx in range(len(ranked[a]) - 1)
+    ]
+    f = {tag: Graph(s for s in segments if s[0] == tag) for tag in "hv"}
     for b in indep_verts:
         hits = _hit_walk(table, b, clique_verts)
         lo, hi = leaf_trim_window([a for a, *_ in hits])
-        walks = {HORIZONTAL: [], VERTICAL: []}
-        for a, _, idx, _ in hits[lo : hi + 1]:
-            orientation = _orientation(ranked[a], idx)
-            walks[orientation].append((tag[orientation], a, idx))
-        for orientation, walk in walks.items():
-            for u, v in zip(walk, walk[1:]):
+        walk = [_segment_vertex(ranked, a, idx) for a, _, idx, _ in hits[lo : hi + 1]]
+        for tag, g in f.items():
+            steps = [s for s in walk if s[0] == tag]
+            for u, v in zip(steps, steps[1:]):
                 if u != v:
-                    f[orientation].add_edge(u, v)
-    f_h, f_v = f[HORIZONTAL], f[VERTICAL]
-    return f_h, f_v, _contract_same_path_edges(f_h), _contract_same_path_edges(f_v)
+                    g.add_edge(u, v)
+    return f["h"], f["v"], _contract_same_path_edges(f["h"]), _contract_same_path_edges(f["v"])
 
 
 def is_planar(g: Graph) -> bool:

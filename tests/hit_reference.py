@@ -7,11 +7,13 @@ one behind the recurring-leaf trim, each in its original form on `Fraction`
 arc lengths (`arc_position`); the three consumers below are the original
 `classify_sh_sv`, `build_auxiliary_fh_fv` and `trim_independent_path` on top
 of them, the trim cutting its subpath by arc length (`subpath_between`).
+`_contract_same_path_edges` is the original two-pass union-find behind
+F'_h/F'_v, so the contraction is checked against code of its own.
 """
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from vpgbend.errors import ConstructionError, DegenerateTrimError, DomainError
 from vpgbend.geometry import (
@@ -24,7 +26,6 @@ from vpgbend.geometry import (
     segment_intersection,
 )
 from vpgbend.graphs import Graph, label_str
-from vpgbend.lowerbound import _contract_same_path_edges
 from vpgbend.representation import is_proper, leaf_trim_window
 
 
@@ -128,6 +129,35 @@ def classify_sh_sv(rep, clique_verts, indep_verts):
     if set(s_h) | set(s_v) != set(indep_verts):
         raise ConstructionError("S_H and S_V fail to cover the independent set")
     return tuple(s_h), tuple(s_v)
+
+
+def _contract_same_path_edges(f: Graph) -> Graph:
+    parent: Dict = {v: v for v in f.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in f.edges():
+        if u[1] == v[1]:  # same clique path owns both segments
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[rv] = ru
+    reps = []
+    seen = set()
+    for v in f.vertices:
+        r = find(v)
+        if r not in seen:
+            seen.add(r)
+            reps.append(r)
+    out = Graph(reps)
+    for u, v in f.edges():
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            out.add_edge(ru, rv)
+    return out
 
 
 def build_auxiliary_fh_fv(rep, clique_verts, indep_verts):

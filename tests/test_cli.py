@@ -122,14 +122,21 @@ def test_verify_reports_missing_edge(tmp_path, capsys):
     assert "realizes: no" in out
 
 
-def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("gibberish\n", "error: bad header line 'gibberish'\n"),
+        ("2 1\na\nb\na b c\n", "error: bad edge line 'a b c'\n"),
+    ],
+    ids=["header", "edge"],
+)
+def test_malformed_graph_file_is_usage_error(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.txt"
-    bad.write_text("gibberish\n")
+    bad.write_text(text)
     rfile = tmp_path / "r.txt"
     rfile.write_text("a : (0,0) (1,0)\n")
-    rc, _, err = run(capsys, "verify", str(bad), str(rfile))
-    assert rc == 2
-    assert "error:" in err
+    rc, out, err = run(capsys, "verify", str(bad), str(rfile))
+    assert (rc, out, err) == (2, "", message)
 
 
 def test_graph_header_with_a_negative_count_is_usage_error(tmp_path, capsys):
@@ -221,6 +228,12 @@ def test_posets_dim_bound_below_one_is_usage_error(tmp_path, capsys, max_dim):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("given", [[], ["--r", "1"], ["--r", "1", "--s", "2"]])
+def test_posets_dim_without_a_whole_poset_is_usage_error(capsys, given):
+    rc, out, err = run(capsys, "posets", "dim", *given)
+    assert (rc, out, err) == (2, "", "error: dim needs either --poset or all of --r/--s/--n\n")
 
 
 @pytest.mark.parametrize("action", ["build", "dim"])
@@ -387,14 +400,25 @@ def test_counting_subcommand_golden(capsys):
     )
 
 
-def test_certificate_subcommand(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, target, line",
+    [
+        (
+            "1 : (0,0) (1,0)\n2 : (0,1) (1,1)\n3 : (10,0) (11,0)\n4 : (10,1) (11,1)\n",
+            "1,2,3,4",
+            "certificate: 1",
+        ),
+        # paths 1 and 2 coincide, so every probe that meets 1 meets 2: c = 0
+        ("1 : (0,0) (2,0)\n2 : (0,0) (2,0)\n3 : (1,-1) (1,1)\n", "1", "unrealizable"),
+    ],
+    ids=["bound", "unrealizable"],
+)
+def test_certificate_subcommand(tmp_path, capsys, text, target, line):
     rfile = tmp_path / "r.txt"
-    rfile.write_text(
-        "1 : (0,0) (1,0)\n2 : (0,1) (1,1)\n3 : (10,0) (11,0)\n4 : (10,1) (11,1)\n"
-    )
-    rc, out, _ = run(capsys, "certificate", str(rfile), "--target", "1,2,3,4")
+    rfile.write_text(text)
+    rc, out, _ = run(capsys, "certificate", str(rfile), "--target", target)
     assert rc == 0
-    assert "certificate: 1" in out
+    assert line in out.splitlines()
 
 
 def test_posets_subcommands(tmp_path, capsys):
@@ -492,14 +516,22 @@ def test_oracle_with_a_huge_bend_bound_fits_in_memory(tmp_path, capsys):
     assert run(capsys, *argv, "1000000") == (0, done.stdout, "")
 
 
-def test_oracle_grid_above_the_cap_is_usage_error(tmp_path, capsys):
-    # refused before any mask of about 4·w·h bits is built
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        # refused before any mask of about 4·w·h bits is built
+        ("99999999999x3", "grid 99999999999x3 has more than 65536 lattice points"),
+        ("x3", "bad grid spec 'x3', expected WxH"),
+        ("3x3x3", "bad grid spec '3x3x3', expected WxH"),
+        ("3xa", "bad grid spec '3xa', expected WxH"),
+    ],
+)
+def test_oracle_bad_grid_is_usage_error(tmp_path, capsys, grid, message):
     gfile = tmp_path / "g.txt"
     gfile.write_text("3 3\n1\n2\n3\n1 2\n2 3\n1 3\n")
-    rc, out, err = run(capsys, "oracle", str(gfile), "--grid", "99999999999x3", "--bends", "0",
+    rc, out, err = run(capsys, "oracle", str(gfile), "--grid", grid, "--bends", "0",
                        "--node-limit", "5")
-    assert (rc, out) == (2, "")
-    assert err == "error: grid 99999999999x3 has more than 65536 lattice points\n"
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_oracle_proper_edge_golden(tmp_path, capsys):
@@ -520,18 +552,23 @@ def test_render_subcommand(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, what",
+    "argv, message",
     [
-        (["certificate", "{rep}", "--target", "a,99"], "target"),
-        (["render", "{rep}", "-o", "{rep}.svg", "--dashed", "a,99"], "dashed"),
+        (["certificate", "{rep}", "--target", "a,99"],
+         "target labels not in representation: ['99']"),
+        (["render", "{rep}", "-o", "{rep}.svg", "--dashed", "a,99"],
+         "dashed labels not in representation: ['99']"),
+        (["construct", "split-upper", "--graph", "{graph}", "--clique", "1,z", "-o", "{rep}.out"],
+         "clique labels not in graph: ['z']"),
     ],
 )
-def test_set_label_outside_representation_is_usage_error(tmp_path, capsys, argv, what):
-    rfile = tmp_path / "r.txt"
+def test_set_label_outside_representation_is_usage_error(tmp_path, capsys, argv, message):
+    rfile, gfile = tmp_path / "r.txt", tmp_path / "g.txt"
     rfile.write_text("a : (0,0) (1,0)\n")
-    rc, out, err = run(capsys, *(arg.format(rep=rfile) for arg in argv))
-    assert (rc, out, err) == (2, "", f"error: {what} labels not in representation: ['99']\n")
-    assert not (tmp_path / "r.txt.svg").exists()
+    assert main(["graph", "knk", "--n", "4", "--k", "2", "-o", str(gfile)]) == 0
+    rc, out, err = run(capsys, *(arg.format(rep=rfile, graph=gfile) for arg in argv))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "r.txt.svg").exists() and not (tmp_path / "r.txt.out").exists()
 
 
 def test_python_m_vpgbend_runs_the_cli():

@@ -47,6 +47,13 @@ def test_neighbors_sorted_by_insertion_order():
     assert g.neighbors("c") == ["a", "b"]
 
 
+def test_graph_is_unhashable():
+    # a hash of its edges would go stale on the next add_edge
+    with pytest.raises(TypeError):
+        hash(Graph(["a"]))
+    assert Graph(["a", "b"], [("a", "b")]) == Graph(["b", "a"], [("b", "a")])
+
+
 # --- build_split_knk ---------------------------------------------------------
 
 

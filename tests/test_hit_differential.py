@@ -4,7 +4,9 @@ original `Segment` forms in `hit_reference`.
 The walk and its three consumers are compared with the reference on the
 random representations of `rep_strategies`, with path 0 as the independent
 path, on random cases with several independent paths that the consumers walk
-against one rank table, and on the k3n and k2n constructions.  The exposure
+against one rank table, and on the k3n and k2n constructions.  The
+contraction behind F'_h/F'_v is compared with the reference's own union-find
+on random graphs over the segments of a few clique paths.  The exposure
 of every segment of those random representations, on integer and `Fraction`
 coordinates, and of the staircases' clique paths is compared with the
 reference, with its transpose, and with a ray test on every corner
@@ -23,7 +25,8 @@ from rep_strategies import grid_path, rank_table, representation, representation
 from vpgbend.constructors import _exposures, construct_gtm_stairs, construct_k2n_proper
 from vpgbend.errors import DegenerateTrimError
 from vpgbend.geometry import HORIZONTAL, VERTICAL, Point, RectPath
-from vpgbend.lowerbound import build_auxiliary_fh_fv, classify_sh_sv
+from vpgbend.graphs import Graph
+from vpgbend.lowerbound import _contract_same_path_edges, build_auxiliary_fh_fv, classify_sh_sv
 from vpgbend.representation import (
     VpgRepresentation,
     _contact_table,
@@ -146,6 +149,46 @@ def test_hit_walk_matches_reference_on_k3n(k3n_reps, n):
 def test_hit_walk_matches_reference_on_k2n(n):
     clique = list(range(1, n + 1))
     _assert_same(construct_k2n_proper(n), clique, list(combinations(clique, 2)))
+
+
+# F_h/F_v vertices on few clique paths, in a random order, so that same-path
+# edges chain and a later union re-roots an earlier one
+_SEGMENT_VERTICES = st.lists(
+    st.tuples(st.just("h"), st.integers(0, 2), st.integers(0, 3)),
+    min_size=1,
+    max_size=10,
+    unique=True,
+)
+
+
+@st.composite
+def _segment_graphs(draw):
+    vertices = draw(_SEGMENT_VERTICES)
+    pairs = list(combinations(vertices, 2))
+    return Graph(vertices, draw(st.lists(st.sampled_from(pairs), max_size=15)) if pairs else ())
+
+
+def _contracted(contract, g):
+    out = contract(g)
+    return out.vertices, out.edges()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segment_graphs())
+def test_contraction_matches_reference(g):
+    assert _contracted(_contract_same_path_edges, g) == _contracted(
+        reference._contract_same_path_edges, g
+    )
+
+
+def test_contraction_keeps_the_reroot():
+    # (a,c) roots c at a, then (b,c) roots a at b: one vertex, b
+    a, b, c = ("h", 0, 0), ("h", 0, 1), ("h", 0, 2)
+    g = Graph([a, b, c, ("h", 1, 0)], [(a, c), (b, c), (c, ("h", 1, 0))])
+    assert _contracted(_contract_same_path_edges, g) == ((b, ("h", 1, 0)), [(b, ("h", 1, 0))])
+    assert _contracted(reference._contract_same_path_edges, g) == _contracted(
+        _contract_same_path_edges, g
+    )
 
 
 # the rank cut's edge cases: P(b) is path "b" and every other path is a
