@@ -1,9 +1,9 @@
 """Finite simple graphs, split partitions, and the graph families used here.
 
 Vertex labels are opaque hashables (ints for clique vertices, sorted tuples
-for subset-indexed vertices).  Iteration order is the vertex insertion order,
-and neighbor lists are kept sorted by that order, so all derived output is
-deterministic.
+for subset-indexed vertices).  Vertices are numbered in insertion order, each
+keeps the set of its neighbours' numbers, and every read sorts by number, so
+all derived output is deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class Graph:
             if v in self._index:
                 raise GraphError(f"duplicate vertex label {v!r}")
             self._index[v] = i
-        self._adj: Dict[Label, set] = {v: set() for v in self._vertices}
+        self._adj: List[set] = [set() for _ in self._vertices]
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -38,8 +38,9 @@ class Graph:
             raise GraphError(f"edge ({u!r},{v!r}) uses an unknown vertex")
         if u == v:
             raise GraphError(f"self-loop at {u!r}")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        i, j = self._index[u], self._index[v]
+        self._adj[i].add(j)
+        self._adj[j].add(i)
 
     @property
     def vertices(self) -> Tuple[Label, ...]:
@@ -55,27 +56,22 @@ class Graph:
         return len(self._vertices)
 
     def neighbors(self, v: Label) -> List[Label]:
-        return sorted(self._adj[v], key=self._index.__getitem__)
+        return [self._vertices[j] for j in sorted(self._adj[self._index[v]])]
 
     def degree(self, v: Label) -> int:
-        return len(self._adj[v])
+        return len(self._adj[self._index[v]])
 
     def has_edge(self, u: Label, v: Label) -> bool:
-        return v in self._adj.get(u, ())
+        i = self._index.get(u)
+        return i is not None and self._index.get(v) in self._adj[i]
 
     def edges(self) -> List[Tuple[Label, Label]]:
         """Edges as index-ordered pairs, sorted by index."""
-        out = []
-        for u in self._vertices:
-            iu = self._index[u]
-            for v in self._adj[u]:
-                if self._index[v] > iu:
-                    out.append((u, v))
-        out.sort(key=lambda e: (self._index[e[0]], self._index[e[1]]))
-        return out
+        vs = self._vertices
+        return [(vs[i], vs[j]) for i, nbrs in enumerate(self._adj) for j in sorted(nbrs) if j > i]
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj.values()) // 2
+        return sum(map(len, self._adj)) // 2
 
     def edge_set(self) -> frozenset:
         return frozenset(frozenset(e) for e in self.edges())
@@ -172,25 +168,26 @@ def has_long_induced_cycle(g: Graph, L: int) -> bool:
     """
     if L < 3:
         raise ParameterError("cycle length threshold must be >= 3")
-    order = {v: i for i, v in enumerate(g.vertices)}
-    for v0 in g.vertices:
+    adj = g._adj
+    ordered = [sorted(nbrs) for nbrs in adj]
+    for v0 in range(len(adj)):
         # depth-first on an explicit stack: one neighbour iterator per path vertex
-        path, on_path, frontier = [v0], {v0}, [iter(g.neighbors(v0))]
+        path, on_path, frontier = [v0], {v0}, [iter(ordered[v0])]
         while frontier:
             for w in frontier[-1]:
-                if order[w] <= order[v0] or w in on_path:
+                if w <= v0 or w in on_path:
                     continue
                 if len(path) > 1:
                     # keep the path induced: w may touch only the last vertex, and v0 to close
-                    if any(g.has_edge(w, u) for u in path[1:-1]):
+                    if not adj[w].isdisjoint(path[1:-1]):
                         continue
-                    if g.has_edge(w, v0):
+                    if v0 in adj[w]:
                         if len(path) + 1 >= L:
                             return True
                         continue  # closing early; extending past w would leave a chord to v0
                 path.append(w)
                 on_path.add(w)
-                frontier.append(iter(g.neighbors(w)))
+                frontier.append(iter(ordered[w]))
                 break
             else:
                 frontier.pop()
@@ -274,5 +271,7 @@ def read_graph_text(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
+        if g.has_edge(parts[0], parts[1]):
+            raise GraphError(f"repeated edge line {ln!r}")
         g.add_edge(parts[0], parts[1])
     return g

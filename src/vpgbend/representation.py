@@ -204,12 +204,11 @@ def verify_realizes(rep: VpgRepresentation, g: Graph) -> RealizationReport:
         raise DomainError("representation and graph have different vertex label sets")
     n = len(labels)
     table = _contact_table(rep)
-    index = table.index
-    # read the adjacency unsorted, since the codes only go into a set
+    # the adjacency in the table's numbering, unsorted: the codes only go into a set
+    at = [table.index[v] for v in g.vertices]
     want = set()
-    for u in labels:
-        i = index[u]
-        want.update(i * n + j for j in map(index.__getitem__, g._adj[u]) if i < j)
+    for i, nbrs in zip(at, g._adj):
+        want.update(i * n + j for j in map(at.__getitem__, nbrs) if i < j)
 
     def named(codes):
         pairs = (divmod(code, n) for code in codes)

@@ -127,8 +127,10 @@ def test_verify_reports_missing_edge(tmp_path, capsys):
     [
         ("gibberish\n", "error: bad header line 'gibberish'\n"),
         ("2 1\na\nb\na b c\n", "error: bad edge line 'a b c'\n"),
+        # the header counts 3 edges, the lines name 2
+        ("3 3\na\nb\nc\na b\nb a\nb c\n", "error: repeated edge line 'b a'\n"),
     ],
-    ids=["header", "edge"],
+    ids=["header", "edge", "repeated-edge"],
 )
 def test_malformed_graph_file_is_usage_error(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.txt"
@@ -205,6 +207,18 @@ def test_malformed_poset_relation_is_usage_error(tmp_path, capsys, command):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("orders, message", [
+    ("a,b,a\n", "linear order repeats an element"),
+    ("\n", "a realizer needs at least one linear order"),
+], ids=["repeated-element", "blank"])
+def test_malformed_realizer_file_is_usage_error(tmp_path, capsys, orders, message):
+    pfile, rlz = tmp_path / "p.txt", tmp_path / "orders.txt"
+    pfile.write_text("a\nb\nc\na < b\n")
+    rlz.write_text(orders)
+    rc, out, err = run(capsys, "posets", "realizer-check", "--poset", str(pfile), "--realizer", str(rlz))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_cyclic_poset_fails_with_one_message_under_every_hash_seed(tmp_path):
@@ -342,6 +356,15 @@ def test_parser_is_built_on_the_first_main_call_only():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_subprocess_env())
     assert (done.returncode, done.stdout, done.stderr) == (0, "0\n1 1\n", "")
+
+
+def test_split_upper_with_an_edge_in_the_independent_part_is_usage_error(tmp_path, capsys):
+    # the 4-cycle 1-2-4-3: with clique {1,2}, the rest {3,4} holds the edge 3-4
+    gfile, rfile = tmp_path / "c4.txt", tmp_path / "r.txt"
+    gfile.write_text("4 4\n1\n2\n3\n4\n1 2\n1 3\n3 4\n2 4\n")
+    argv = ["construct", "split-upper", "--graph", str(gfile), "--clique", "1,2", "-o", str(rfile)]
+    assert run(capsys, *argv) == (2, "", "error: independent part induces an edge\n")
+    assert not rfile.exists()
 
 
 def test_split_upper_subcommand(tmp_path, capsys):

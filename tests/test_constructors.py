@@ -328,6 +328,13 @@ def test_square_region_layout_invariants():
             vertical_labels=(1, 2, 3),
             horizontal_labels=(2, 3, 2),
         )
+    with pytest.raises(ConstructionError, match="topmost/bottommost horizontal labels differ"):
+        SquareRegionLayout(
+            index=1,
+            origin=(Fraction(0), Fraction(0)),
+            vertical_labels=(1, 2, 1),
+            horizontal_labels=(2, 3, 1),
+        )
 
 
 def test_split_upper_deterministic():

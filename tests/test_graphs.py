@@ -2,7 +2,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import graph_reference as reference
 from vpgbend.errors import DomainError, GraphError, ParameterError
 from vpgbend.graphs import (
     Graph,
@@ -52,6 +55,81 @@ def test_graph_is_unhashable():
     with pytest.raises(TypeError):
         hash(Graph(["a"]))
     assert Graph(["a", "b"], [("a", "b")]) == Graph(["b", "a"], [("b", "a")])
+
+
+# --- against the label-keyed reference -------------------------------------------
+
+# ints, strings and int tuples, which never compare equal across kinds
+LABELS = st.one_of(
+    st.integers(-3, 6),
+    st.text("abc", min_size=1, max_size=2),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+UNKNOWN = ["zz", 99, (9, 9)]
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:  # compared, never swallowed: both sides must agree
+        return type(e), str(e)
+
+
+@st.composite
+def graph_inputs(draw):
+    vertices = draw(st.lists(LABELS, unique=True, max_size=10))
+    if vertices and draw(st.integers(0, 7)) == 5:
+        vertices.insert(draw(st.integers(0, len(vertices))), draw(st.sampled_from(vertices)))
+    if not vertices:
+        return vertices, draw(st.lists(st.tuples(*[st.sampled_from(UNKNOWN)] * 2), max_size=2))
+    # a ring through some vertices, so that long cycles are common, chorded
+    # by random pairs; then edges on unknown labels and self-loops
+    ring = draw(st.permutations(vertices))[len(vertices) // 3 :]
+    known, ends = st.sampled_from(vertices), st.sampled_from(vertices + UNKNOWN)
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    edges += draw(st.lists(st.tuples(known, known), max_size=8))
+    edges += draw(st.lists(st.tuples(ends, ends), max_size=3))
+    edges += [(v, v) for v in draw(st.lists(known, max_size=2))]
+    return vertices, draw(st.permutations(edges))
+
+
+def built(graph_class, vertices, edges):
+    """The graph on `vertices` with each edge attempt's outcome, or the
+    constructor's error."""
+    g = outcome(graph_class, vertices)
+    if isinstance(g, tuple):
+        return g, []
+    return g, [outcome(g.add_edge, u, v) for u, v in edges]
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_inputs())
+def test_graph_matches_label_keyed_reference(inputs):
+    vertices, edges = inputs
+    g, attempts = built(Graph, vertices, edges)
+    ref, ref_attempts = built(reference.Graph, vertices, edges)
+    if isinstance(ref, tuple):
+        assert g == ref
+        return
+    assert attempts == ref_attempts
+    # the constructor stops at the first bad edge, with its error
+    full, ref_full = outcome(Graph, vertices, edges), outcome(reference.Graph, vertices, edges)
+    assert full == ref_full if isinstance(ref_full, tuple) else full.edges() == ref_full.edges()
+    assert g.vertices == ref.vertices and len(g) == len(ref) and repr(g) == repr(ref)
+    assert g.edges() == ref.edges() and g.edge_count() == ref.edge_count()
+    labels = vertices + UNKNOWN
+    for u in labels:
+        assert (u in g) == (u in ref)
+        for f in ("neighbors", "degree", "index"):
+            assert outcome(getattr(g, f), u) == outcome(getattr(ref, f), u)
+        assert [g.has_edge(u, v) for v in labels] == [ref.has_edge(u, v) for v in labels]
+    # == against a graph on the same vertices in reverse, without its first edge
+    other = Graph(vertices[::-1], g.edges()[1:])
+    assert (g == other) == (ref == reference.Graph(vertices[::-1], ref.edges()[1:]))
+    assert g == Graph(vertices[::-1], ref.edges()[::-1])
+    for L in range(3, 8):
+        assert has_long_induced_cycle(g, L) == reference.has_long_induced_cycle(ref, L)
 
 
 # --- build_split_knk ---------------------------------------------------------
@@ -166,6 +244,13 @@ def test_hnk_all_pairs_52_no_long_cycle():
     assert not has_long_induced_cycle(g, 5)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_hnk_complete_3_is_in_forb_c5(n):
+    # hnk-complete(n,3) is the cocomparability graph of P(1,n-3;n), and no
+    # cocomparability graph has an induced cycle of length 5 or more
+    assert not has_long_induced_cycle(build_hnk_member(n, 3, all_qedges(n, 3)), 5)
+
+
 def test_long_cycle_threshold_validated():
     with pytest.raises(ParameterError):
         has_long_induced_cycle(cycle_graph(4), 2)
@@ -239,11 +324,19 @@ def test_graph_writer_rejects_labels_its_reader_cannot_return(vertices):
         write_graph_text(Graph(vertices))
 
 
-def test_graph_text_rejects_malformed():
-    with pytest.raises(GraphError):
-        read_graph_text("nonsense\n")
-    with pytest.raises(GraphError):
-        read_graph_text("2 1\na\nb\n")  # missing edge line
+@pytest.mark.parametrize("text, message", [
+    ("nonsense\n", "bad header line 'nonsense'"),
+    ("2 1\na\nb\n", "expected 4 lines, found 3"),
+    # an edge line that repeats an edge, in either order
+    ("3 3\na\nb\nc\na b\na b\nb c\n", "repeated edge line 'a b'"),
+    ("3 3\na\nb\nc\na b\nb a\nb c\n", "repeated edge line 'b a'"),
+    ("3 2\na\nb\nc\na b\na z\n", "edge ('a','z') uses an unknown vertex"),
+    ("3 2\na\nb\nc\na b\nc c\n", "self-loop at 'c'"),
+], ids=["header", "missing-edge", "repeated", "reversed", "unknown-vertex", "self-loop"])
+def test_graph_text_rejects_malformed(text, message):
+    with pytest.raises(GraphError) as info:
+        read_graph_text(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("header", ["2 -1", "-1 0"])

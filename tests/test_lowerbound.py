@@ -224,6 +224,8 @@ def test_strip_small_sets_parallel_layout():
     )
     small = strip_small_sets(ra, 2)
     assert frozenset({1}) in small and frozenset({2}) in small
+    with pytest.raises(DomainError, match="empty representation has no grid"):
+        strip_small_sets(VpgRepresentation({}), 2)
 
 
 # --- certificates -----------------------------------------------------------------
@@ -238,6 +240,8 @@ def test_certificate_zero_when_target_is_good():
 def test_certificate_unrealizable_for_unknown_labels():
     ra = two_parallels()
     assert bend_lb_certificate(ra, ("nope",)) is None
+    with pytest.raises(ParameterError, match="empty target set"):
+        bend_lb_certificate(ra, [])
 
 
 def test_certificate_pairwise_stacked_layout():

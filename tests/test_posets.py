@@ -122,6 +122,8 @@ def test_dimension_p123_is_three():
 
 def test_no_size_two_realizer_for_p123():
     assert find_realizer(build_p_rsn(1, 2, 3), 2) is None
+    with pytest.raises(ParameterError, match="realizer size must be positive"):
+        find_realizer(build_p_rsn(1, 2, 3), 0)
 
 
 def test_dimension_sentinel_when_budget_too_small():

@@ -12,7 +12,7 @@ from vpgbend.constructors import (construct_gtm_stairs, construct_k2n_proper, co
                                   construct_split_upper)
 from vpgbend.errors import DegenerateTrimError, DomainError, ValidationError
 from vpgbend.geometry import Point, RectPath, bend_count, rational
-from vpgbend.graphs import Graph, all_qedges, build_hnk_member, build_split_knk
+from vpgbend.graphs import Graph, all_qedges, build_hnk_member, build_split_knk, label_str
 from vpgbend.lowerbound import (
     build_auxiliary_fh_fv,
     certificate_candidates,
@@ -92,6 +92,11 @@ def test_verify_realizes_label_mismatch():
     rep = VpgRepresentation({"a": RectPath([(0, 0), (1, 0)])})
     with pytest.raises(DomainError):
         verify_realizes(rep, Graph(["b"]))
+
+
+def test_representation_assigns_only_rect_paths():
+    with pytest.raises(ValidationError, match="vertex 'a' is not assigned a RectPath"):
+        VpgRepresentation({"a": [(0, 0), (1, 0)]})
 
 
 def test_is_proper_on_crossing_pair():
@@ -236,24 +241,50 @@ def _toggled(g, u, v):
     return Graph(g.vertices, edges if g.has_edge(u, v) else edges + [(u, v)])
 
 
-@pytest.mark.parametrize("build", [
+def _with_one_edge_toggled(g):
+    """`g`, `g` without its first edge, and `g` with its first non-edge
+    added, then that edge and that non-edge."""
+    edge = g.edges()[0]
+    non_edge = next(p for p in combinations(g.vertices, 2) if not g.has_edge(*p))
+    return [g, _toggled(g, *edge), _toggled(g, *non_edge)], edge, non_edge
+
+
+realized_families = pytest.mark.parametrize("build", [
     lambda: (construct_k3n_proper(12), build_split_knk(12, 3)[0]),
     lambda: (construct_gtm_stairs(8, 4), build_hnk_member(8, 4, all_qedges(8, 4))),
 ], ids=["k3n12", "gtm84"])
+
+
+@realized_families
 def test_realization_reads_only_the_met_pairs(build):
     # verify_realizes and intersection_graph read the table's set of met
     # pairs alone, so stand-ins for its point contacts that fail when
     # iterated are never read
     rep, g = build()
-    edge = g.edges()[0]
-    non_edge = next(p for p in combinations(g.vertices, 2) if not g.has_edge(*p))
-    graphs = [g, _toggled(g, *edge), _toggled(g, *non_edge)]
+    graphs, _, _ = _with_one_edge_toggled(g)
     reports = [verify_realizes(rep, h) for h in graphs]
     assert [r.ok for r in reports] == [True, False, False]
     table = representation_module._contact_table(rep)
     table.crossings, table.touches = _Unread(), _Unread("touches")
     assert [verify_realizes(rep, h) for h in graphs] == reports
     assert intersection_graph(rep) == g
+
+
+@realized_families
+def test_verify_realizes_reads_the_graph_in_its_own_numbering(build):
+    # the graph lists its vertices in reverse, so its vertex numbers are not
+    # the table's indices, and the report must not change
+    rep, g = build()
+    graphs, edge, non_edge = _with_one_edge_toggled(g)
+    for h in graphs:
+        reversed_h = Graph(h.vertices[::-1], h.edges())
+        assert reversed_h == h and reversed_h.vertices[0] != rep.labels()[0]
+        assert verify_realizes(rep, reversed_h) == verify_realizes(rep, h)
+    # the paths of the dropped edge still meet; those of the added one do not
+    dropped, added = (verify_realizes(rep, h) for h in graphs[1:])
+    edge, non_edge = (tuple(sorted(map(label_str, p))) for p in (edge, non_edge))
+    assert (dropped.missing_edges, dropped.spurious_edges) == ((), (edge,))
+    assert (added.missing_edges, added.spurious_edges) == ((non_edge,), ())
 
 
 def test_max_bends():
