@@ -30,7 +30,12 @@ and bends alone choose between them:
   candidates lazily at every depth.  The enumerator itself counts each
   candidate as a node and tests it against the placed paths, and yields only
   those that can join them; the search tests their corners.  A node is one
-  enumerated candidate, kept or not.
+  enumerated candidate, kept or not.  A depth is blocked when some placed
+  neighbour's mask lies wholly inside the forbidden mask: no candidate can
+  then be kept, and the enumerator would count every path on the grid.  The
+  search's first blocked depth runs the enumerator and, if it ends within the
+  budget, keeps that count; every later blocked depth of the same search
+  takes the count in one step.
 """
 
 from __future__ import annotations
@@ -184,10 +189,12 @@ class _Search:
             return "budget", None
         return ("found", rep) if rep is not None else ("exhausted", None)
 
-    def take(self) -> None:
-        """Count one node against the limit."""
-        self.nodes += 1
+    def take(self, count: int = 1) -> None:
+        """Count `count` nodes against the limit.  Past it the count stops at
+        limit + 1, where taking the nodes one at a time would have stopped."""
+        self.nodes += count
         if self.nodes > self.budget.node_limit:
+            self.nodes = self.budget.node_limit + 1
             raise _BudgetExhausted
 
     def verified(self, corners: Sequence[Tuple[Corner, ...]]) -> Optional[VpgRepresentation]:
@@ -207,6 +214,9 @@ class _LazySearch(_Search):
     def __init__(self, g: Graph, budget: GridSearchBudget, require_proper: bool):
         super().__init__(g, budget, require_proper)
         self.placed: List[Tuple[Tuple[Corner, ...], int]] = []
+        # the number of paths on the grid, kept by the first blocked depth
+        # whose enumeration ends within the budget
+        self.path_count: Optional[int] = None
 
     def start(self) -> Optional[VpgRepresentation]:
         return self.place(0, 0, 0, 0)
@@ -227,6 +237,13 @@ class _LazySearch(_Search):
         # at a corner of either and miss every point already on two paths;
         # the enumerator counts it and tests all but its own corners
         forbid = apart | (union & ~self.points) | ends_union | met
+        # blocked: a candidate that meets this neighbour meets `forbid`, so
+        # none is kept and the count of every path on the grid is all it costs
+        blocked = any(not need & ~forbid for need in neighbours)
+        if blocked and self.path_count is not None:
+            self.take(self.path_count)
+            return None
+        start = self.nodes
         for corners, mask in _grid_paths(self.budget, forbid, neighbours, self.take):
             if self.require_proper:
                 ends = _corner_bits(corners, self.row)
@@ -240,6 +257,8 @@ class _LazySearch(_Search):
             if result is not None:
                 return result
             self.placed.pop()
+        if blocked:
+            self.path_count = self.nodes - start
         return None
 
 

@@ -1,5 +1,5 @@
 """Hypothesis strategies for random representations and random oracle
-searches shared by the tests.
+searches shared by the tests, and how an oracle search is compared.
 
 Random representations live on a 6x6 integer grid, so collinear touches,
 corner touches, overlaps and points on three or more paths are common;
@@ -74,3 +74,10 @@ def searches(draw, max_side=4):
     budget = GridSearchBudget(draw(st.integers(1, max_side)), draw(st.integers(1, max_side)),
                               draw(st.integers(0, 2)), draw(st.integers(1, 5_000)))
     return Graph(range(n), edges), budget, draw(st.booleans())
+
+
+def finished(search):
+    """(outcome, node count, witness corners per vertex) of a search run to its end."""
+    outcome, rep = search.outcome()
+    corners = None if rep is None else [(v, [(c.x, c.y) for c in p.corners]) for v, p in rep.assignment.items()]
+    return outcome, search.nodes, corners

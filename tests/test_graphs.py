@@ -57,6 +57,29 @@ def test_graph_is_unhashable():
     assert Graph(["a", "b"], [("a", "b")]) == Graph(["b", "a"], [("b", "a")])
 
 
+def test_graph_equal_under_another_vertex_order():
+    g = build_hnk_member(5, 2, all_qedges(5, 2)[::3])
+    vertices = list(g.vertices)
+    reordered = Graph(vertices[1::2] + vertices[::2], g.edges()[::-1])
+    assert reordered.vertices != g.vertices
+    assert g == reordered and reordered == g
+
+
+def test_graphs_one_edge_apart_are_not_equal():
+    g = build_hnk_member(5, 2, all_qedges(5, 2)[::3])
+    edges = g.edges()
+    short = Graph(g.vertices[::-1], edges[:-1])
+    assert g != short and short != g
+    # as many edges, one of them moved to a non-edge
+    u, v = edges[-1]
+    w = next(w for w in g.vertices if w not in (u, v) and not g.has_edge(u, w))
+    moved = Graph(g.vertices, edges[:-1] + [(u, w)])
+    assert moved.edge_count() == g.edge_count()
+    assert g != moved and moved != g
+    # the same edge count on other vertex labels
+    assert Graph(["a", "b", "c"], [("a", "b")]) != Graph(["a", "b", "d"], [("a", "b")])
+
+
 # --- against the label-keyed reference -------------------------------------------
 
 # ints, strings and int tuples, which never compare equal across kinds

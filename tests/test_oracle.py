@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rep_strategies import searches
+from rep_strategies import finished, searches
 from vpgbend import oracle, representation
 from vpgbend.errors import ParameterError
 from vpgbend.graphs import Graph
@@ -254,3 +254,91 @@ def test_proper_witness_is_checked_on_one_sweep(monkeypatch):
     assert search.order == ["a", "b"]
     rep = search.verified([((0, 0), (1, 0), (1, 2)), ((0, 1), (2, 1))])
     assert rep is not None and len(sweeps) == 1
+
+
+# --- blocked lazy-search depths, counted in one step ---
+
+EDGE = Graph(["a", "b"], [("a", "b")])
+
+
+def lazy(g, budget, path_count=None):
+    """A proper lazy search; with `path_count`, one that starts with the
+    grid's path count already kept, as after its first blocked depth."""
+    search = _LazySearch(g, budget, True)
+    search.path_count = path_count
+    return search
+
+
+def recorded_count(w, h, bends, limit):
+    """The path count kept by a proper search for an edge on a w×h grid: its
+    first candidate for `a` has every lattice point a corner, so the depth
+    of `b` under it is blocked."""
+    search = lazy(EDGE, GridSearchBudget(w, h, bends, limit))
+    search.outcome()
+    return search.path_count
+
+
+def test_recorded_count_is_the_enumerators():
+    for w in range(1, 6):
+        for h in range(1, 6):
+            for bends in range(4):
+                count = len(list(_grid_paths(GridSearchBudget(w, h, bends, 1))))
+                # one node for the first candidate, then the blocked depth
+                expected = count if count else None
+                assert recorded_count(w, h, bends, count + 1) == expected, (w, h, bends)
+
+
+@pytest.mark.parametrize("bends,count", [
+    # h·C(w,2) + w·C(h,2) segments, and w·h·(w−1)·(h−1) one-bend paths
+    (0, 12 * 66 + 12 * 66),
+    (1, 12 * 66 + 12 * 66 + 12 * 12 * 11 * 11),
+])
+def test_recorded_count_on_12x12_is_the_closed_form(bends, count):
+    assert count == (1_584, 19_008)[bends]
+    assert recorded_count(12, 12, bends, count + 1) == count
+
+
+def test_blocked_depth_past_the_budget_records_nothing():
+    search = lazy(K52, GridSearchBudget(12, 12, 1, 10_000))
+    assert search.outcome() == ("budget", None) and search.nodes == 10_001
+    assert search.path_count is None
+
+
+# nodes: 1 for the unit segment, 19,009 after the blocked depth under it,
+# 19,010 for the unit L and 38,018 after the blocked depth under that
+@pytest.mark.parametrize("limit", [30_000, 19_009, 19_010, 38_017, 38_018, 200_000])
+def test_k52_cold_and_warm_runs_agree(limit):
+    budget = GridSearchBudget(12, 12, 1, limit)
+    cold = finished(lazy(K52, budget))
+    warm = finished(lazy(K52, budget, 19_008))
+    assert cold == warm and cold[0] == "budget" and cold[1] == limit + 1
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_limit_met_by_a_one_step_count_is_not_run_out(warm):
+    # on 2×2 each of the 8 paths has every lattice point a corner, so under
+    # each candidate for `a` the depth of `b` is blocked, the last one last:
+    # 8 + 8·8 nodes exhaust the grid
+    path_count = 8 if warm else None
+    search = lazy(EDGE, GridSearchBudget(2, 2, 1, 72), path_count)
+    assert finished(search) == ("exhausted", 72, None)
+    assert search.path_count == 8
+    short = lazy(EDGE, GridSearchBudget(2, 2, 1, 71), path_count)
+    assert finished(short) == ("budget", 72, None)
+
+
+# cold: the grid for the first vertex, and the blocked depth under its first
+# candidate, which keeps the count that the next blocked depth takes
+@pytest.mark.parametrize("path_count,generators", [(None, 2), (19_008, 1)])
+def test_k52_search_enumerates_one_blocked_depth_at_most(monkeypatch, path_count, generators):
+    made = []
+    real = oracle._grid_paths
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_grid_paths", counted)
+    search = lazy(K52, GridSearchBudget(12, 12, 1, 30_000), path_count)
+    assert search.outcome() == ("budget", None) and search.nodes == 30_001
+    assert len(made) == generators

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_reference as ref
-from rep_strategies import searches
+from rep_strategies import finished, searches
 from vpgbend.graphs import Graph
 from vpgbend.oracle import GridSearchBudget, _grid_paths, _LazySearch, _TableSearch
 from vpgbend.representation import is_proper, verify_realizes
@@ -127,17 +127,26 @@ _PAIRS_5 = list(combinations(range(1, 6), 2))
 K52 = Graph(list(range(1, 6)) + _PAIRS_5, _PAIRS_5 + [(s, v) for s in _PAIRS_5 for v in s])
 
 
-def finished(search):
-    """(outcome, node count, witness corners per vertex) of a search run to its end."""
-    outcome, rep = search.outcome()
-    corners = None if rep is None else [(v, [(c.x, c.y) for c in p.corners]) for v, p in rep.assignment.items()]
-    return outcome, search.nodes, corners
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(searches(), searches(max_side=7)))
 def test_lazy_search_matches_its_unfiltered_copy(case):
     assert finished(_LazySearch(*case)) == finished(ref.LazySearch(*case))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(searches(), searches(max_side=7)))
+def test_cold_and_warm_runs_match_the_unfiltered_copy(case):
+    # cold: no path count known, so the first blocked depth enumerates, and
+    # keeps its count if it ends within the budget; warm: the count known
+    # from the start, so every blocked depth takes it in one step
+    count = len(list(_grid_paths(case[1])))
+    expected = finished(ref.LazySearch(*case))
+    cold = _LazySearch(*case)
+    assert finished(cold) == expected
+    assert cold.path_count in (None, count)
+    warm = _LazySearch(*case)
+    warm.path_count = count
+    assert finished(warm) == expected
 
 
 # the oracle benchmark's five searches at its node limits, on the lazy search
