@@ -286,10 +286,15 @@ def _cmd_counting(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = read_graph_text(_read(args.graph))
+    dims = args.grid.lower().split("x")
+    bad = VpgError(f"bad grid spec {args.grid!r}, expected WxH")
+    # W and H in ASCII digits: no sign, underscore or other script
+    if len(dims) != 2 or not all(d.isascii() and d.isdigit() for d in dims):
+        raise bad
     try:
-        w, h = (int(p) for p in args.grid.lower().split("x"))
-    except ValueError:
-        raise VpgError(f"bad grid spec {args.grid!r}, expected WxH")
+        w, h = map(int, dims)
+    except ValueError:  # more digits than int() converts
+        raise bad
     budget = oracle.GridSearchBudget(
         grid_width=w, grid_height=h, max_bends=args.bends, node_limit=args.node_limit
     )

@@ -255,13 +255,12 @@ def read_graph_text(text: str) -> Graph:
     if not lines:
         raise GraphError("empty graph file")
     head = lines[0].split()
-    if len(head) != 2:
+    # two counts in ASCII digits: no sign, underscore or other script
+    if len(head) != 2 or not all(tok.isascii() and tok.isdigit() for tok in head):
         raise GraphError(f"bad header line {lines[0]!r}")
     try:
         n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphError(f"bad header line {lines[0]!r}")
-    if n < 0 or m < 0:
+    except ValueError:  # more digits than int() converts
         raise GraphError(f"bad header line {lines[0]!r}")
     if len(lines) != 1 + n + m:
         raise GraphError(f"expected {1 + n + m} lines, found {len(lines)}")

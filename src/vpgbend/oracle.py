@@ -32,10 +32,12 @@ and bends alone choose between them:
   those that can join them; the search tests their corners.  A node is one
   enumerated candidate, kept or not.  A depth is blocked when some placed
   neighbour's mask lies wholly inside the forbidden mask: no candidate can
-  then be kept, and the enumerator would count every path on the grid.  The
-  search's first blocked depth runs the enumerator and, if it ends within the
-  budget, keeps that count; every later blocked depth of the same search
-  takes the count in one step.
+  then be kept, and the enumerator would count every path on the grid.  A
+  blocked depth takes that count in one step.  For at most 2 bends it is a
+  closed form (`_path_count`), exact because a path of at most 3 segments
+  cannot meet itself.  From 3 bends on, the search's first blocked depth runs
+  the enumerator and, if it ends within the budget, keeps its count for the
+  later ones.  Nothing is kept from one search to the next.
 """
 
 from __future__ import annotations
@@ -162,6 +164,27 @@ def _grid_paths(
                 corners.pop()
 
 
+def _path_count(budget: GridSearchBudget) -> Optional[int]:
+    """The number of paths `_grid_paths(budget)` yields, for at most 2 bends;
+    None from 3 bends on.  A path of at most 3 segments never meets itself
+    (consecutive segments share only a corner, and a 1st and 3rd segment are
+    parallel on different lines), so every choice of corners is a path, and
+    the enumerator lists it once, not once per direction."""
+    w, h, bends = budget.grid_width, budget.grid_height, budget.max_bends
+    if bends > 2:
+        return None
+    # h·C(w,2) + w·C(h,2) segments; w·h·(w−1)·(h−1) L's, by corner and arm
+    # ends; and 3-segment paths, an L and one more arm off the end of either
+    # of its arms, (w−1) or (h−1) ways, halved for the two directions
+    count = h * w * (w - 1) // 2 + w * h * (h - 1) // 2
+    ells = w * h * (w - 1) * (h - 1)
+    if bends >= 1:
+        count += ells
+    if bends == 2:
+        count += ells * (w + h - 2) // 2
+    return count
+
+
 def _corner_bits(corners: Sequence[Corner], row: int) -> int:
     return sum(1 << 2 * (y * row + x) for x, y in corners)
 
@@ -214,9 +237,10 @@ class _LazySearch(_Search):
     def __init__(self, g: Graph, budget: GridSearchBudget, require_proper: bool):
         super().__init__(g, budget, require_proper)
         self.placed: List[Tuple[Tuple[Corner, ...], int]] = []
-        # the number of paths on the grid, kept by the first blocked depth
-        # whose enumeration ends within the budget
-        self.path_count: Optional[int] = None
+        # the number of paths on the grid: the closed form for at most 2
+        # bends, else kept by the first blocked depth whose enumeration ends
+        # within the budget
+        self.path_count = _path_count(budget)
 
     def start(self) -> Optional[VpgRepresentation]:
         return self.place(0, 0, 0, 0)

@@ -66,13 +66,14 @@ shifts = st.fractions(min_value=-2, max_value=2, max_denominator=7)
 
 
 @st.composite
-def searches(draw, max_side=4):
+def searches(draw, max_side=4, min_bends=0, max_bends=2):
     """(graph, budget, require_proper): a graph on at most 4 vertices and a
-    grid of side at most `max_side` with at most 2 bends and 5,000 nodes."""
+    grid of side at most `max_side` with `min_bends` to `max_bends` bends and
+    at most 5,000 nodes."""
     n = draw(st.integers(1, 4))
     edges = [pr for pr in combinations(range(n), 2) if draw(st.booleans())]
     budget = GridSearchBudget(draw(st.integers(1, max_side)), draw(st.integers(1, max_side)),
-                              draw(st.integers(0, 2)), draw(st.integers(1, 5_000)))
+                              draw(st.integers(min_bends, max_bends)), draw(st.integers(1, 5_000)))
     return Graph(range(n), edges), budget, draw(st.booleans())
 
 

@@ -129,8 +129,10 @@ def test_verify_reports_missing_edge(tmp_path, capsys):
         ("2 1\na\nb\na b c\n", "error: bad edge line 'a b c'\n"),
         # the header counts 3 edges, the lines name 2
         ("3 3\na\nb\nc\na b\nb a\nb c\n", "error: repeated edge line 'b a'\n"),
+        # int() reads `1_0` as 10, and the file has the lines 10 would ask for
+        ("1_0 0\n" + "".join(f"v{i}\n" for i in range(10)), "error: bad header line '1_0 0'\n"),
     ],
-    ids=["header", "edge", "repeated-edge"],
+    ids=["header", "edge", "repeated-edge", "underscore-count"],
 )
 def test_malformed_graph_file_is_usage_error(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.txt"
@@ -547,6 +549,11 @@ def test_oracle_with_a_huge_bend_bound_fits_in_memory(tmp_path, capsys):
         ("x3", "bad grid spec 'x3', expected WxH"),
         ("3x3x3", "bad grid spec '3x3x3', expected WxH"),
         ("3xa", "bad grid spec '3xa', expected WxH"),
+        # sides that int() reads but that are not ASCII digits
+        ("3_0x3", "bad grid spec '3_0x3', expected WxH"),
+        ("+3x3", "bad grid spec '+3x3', expected WxH"),
+        ("3x 3", "bad grid spec '3x 3', expected WxH"),
+        ("\u0663x3", "bad grid spec '\u0663x3', expected WxH"),
     ],
 )
 def test_oracle_bad_grid_is_usage_error(tmp_path, capsys, grid, message):

@@ -355,7 +355,13 @@ def test_graph_writer_rejects_labels_its_reader_cannot_return(vertices):
     ("3 3\na\nb\nc\na b\nb a\nb c\n", "repeated edge line 'b a'"),
     ("3 2\na\nb\nc\na b\na z\n", "edge ('a','z') uses an unknown vertex"),
     ("3 2\na\nb\nc\na b\nc c\n", "self-loop at 'c'"),
-], ids=["header", "missing-edge", "repeated", "reversed", "unknown-vertex", "self-loop"])
+    # counts that int() reads but that are not ASCII digits, each with the
+    # lines that count would ask for
+    ("1_0 0\n" + "".join(f"v{i}\n" for i in range(10)), "bad header line '1_0 0'"),
+    ("2 +1\na\nb\na b\n", "bad header line '2 +1'"),
+    ("\u0662 0\na\nb\n", "bad header line '\u0662 0'"),
+], ids=["header", "missing-edge", "repeated", "reversed", "unknown-vertex", "self-loop",
+        "underscore", "plus", "arabic-indic-digit"])
 def test_graph_text_rejects_malformed(text, message):
     with pytest.raises(GraphError) as info:
         read_graph_text(text)

@@ -10,7 +10,9 @@ from rep_strategies import finished, searches
 from vpgbend import oracle, representation
 from vpgbend.errors import ParameterError
 from vpgbend.graphs import Graph
-from vpgbend.oracle import GridSearchBudget, _grid_paths, _LazySearch, _search, _tables_fit, search_representation
+from vpgbend.oracle import (
+    GridSearchBudget, _grid_paths, _LazySearch, _path_count, _search, _tables_fit, search_representation,
+)
 from vpgbend.representation import is_proper, max_bends, verify_realizes
 
 
@@ -259,23 +261,36 @@ def test_proper_witness_is_checked_on_one_sweep(monkeypatch):
 # --- blocked lazy-search depths, counted in one step ---
 
 EDGE = Graph(["a", "b"], [("a", "b")])
+_OWN = object()
 
 
-def lazy(g, budget, path_count=None):
-    """A proper lazy search; with `path_count`, one that starts with the
-    grid's path count already kept, as after its first blocked depth."""
+def lazy(g, budget, path_count=_OWN):
+    """A proper lazy search; with `path_count`, one that starts with that
+    count kept instead of its own.  None makes it learn the count at its
+    first blocked depth, as a search with 3 or more bends does."""
     search = _LazySearch(g, budget, True)
-    search.path_count = path_count
+    if path_count is not _OWN:
+        search.path_count = path_count
     return search
 
 
 def recorded_count(w, h, bends, limit):
-    """The path count kept by a proper search for an edge on a w×h grid: its
-    first candidate for `a` has every lattice point a corner, so the depth
-    of `b` under it is blocked."""
-    search = lazy(EDGE, GridSearchBudget(w, h, bends, limit))
+    """The path count learned by a proper search for an edge on a w×h grid:
+    its first candidate for `a` has every lattice point a corner, so the
+    depth of `b` under it is blocked."""
+    search = lazy(EDGE, GridSearchBudget(w, h, bends, limit), None)
     search.outcome()
     return search.path_count
+
+
+def test_path_count_is_the_enumerators():
+    for w in range(1, 9):
+        for h in range(1, 9):
+            for bends in range(3):
+                budget = GridSearchBudget(w, h, bends, 1)
+                assert _path_count(budget) == len(list(_grid_paths(budget))), (w, h, bends)
+            for bends in (3, 4, 40):
+                assert _path_count(GridSearchBudget(w, h, bends, 1)) is None
 
 
 def test_recorded_count_is_the_enumerators():
@@ -289,17 +304,23 @@ def test_recorded_count_is_the_enumerators():
 
 
 @pytest.mark.parametrize("bends,count", [
-    # h·C(w,2) + w·C(h,2) segments, and w·h·(w−1)·(h−1) one-bend paths
+    # h·C(w,2) + w·C(h,2) segments, w·h·(w−1)·(h−1) one-bend paths and
+    # w·h·(w−1)·(h−1)·(w+h−2)/2 two-bend paths
     (0, 12 * 66 + 12 * 66),
     (1, 12 * 66 + 12 * 66 + 12 * 12 * 11 * 11),
+    (2, 12 * 66 + 12 * 66 + 12 * 12 * 11 * 11 + 12 * 12 * 11 * 11 * 22 // 2),
 ])
 def test_recorded_count_on_12x12_is_the_closed_form(bends, count):
-    assert count == (1_584, 19_008)[bends]
+    assert count == (1_584, 19_008, 210_672)[bends]
+    assert _path_count(GridSearchBudget(12, 12, bends, 1)) == count
     assert recorded_count(12, 12, bends, count + 1) == count
 
 
 def test_blocked_depth_past_the_budget_records_nothing():
-    search = lazy(K52, GridSearchBudget(12, 12, 1, 10_000))
+    # at 3 bends no closed form is known, and the first blocked depth runs
+    # past the limit before its enumeration ends
+    search = lazy(K52, GridSearchBudget(12, 12, 3, 10_000))
+    assert search.path_count is None
     assert search.outcome() == ("budget", None) and search.nodes == 10_001
     assert search.path_count is None
 
@@ -308,18 +329,20 @@ def test_blocked_depth_past_the_budget_records_nothing():
 # 19,010 for the unit L and 38,018 after the blocked depth under that
 @pytest.mark.parametrize("limit", [30_000, 19_009, 19_010, 38_017, 38_018, 200_000])
 def test_k52_cold_and_warm_runs_agree(limit):
+    # learned: the count enumerated at the first blocked depth; closed: the
+    # closed form the search starts with
     budget = GridSearchBudget(12, 12, 1, limit)
-    cold = finished(lazy(K52, budget))
-    warm = finished(lazy(K52, budget, 19_008))
-    assert cold == warm and cold[0] == "budget" and cold[1] == limit + 1
+    learned = finished(lazy(K52, budget, None))
+    closed = finished(lazy(K52, budget))
+    assert learned == closed and learned[0] == "budget" and learned[1] == limit + 1
 
 
-@pytest.mark.parametrize("warm", [False, True])
-def test_a_limit_met_by_a_one_step_count_is_not_run_out(warm):
+@pytest.mark.parametrize("learn", [False, True])
+def test_a_limit_met_by_a_one_step_count_is_not_run_out(learn):
     # on 2×2 each of the 8 paths has every lattice point a corner, so under
     # each candidate for `a` the depth of `b` is blocked, the last one last:
     # 8 + 8·8 nodes exhaust the grid
-    path_count = 8 if warm else None
+    path_count = None if learn else _OWN
     search = lazy(EDGE, GridSearchBudget(2, 2, 1, 72), path_count)
     assert finished(search) == ("exhausted", 72, None)
     assert search.path_count == 8
@@ -327,9 +350,10 @@ def test_a_limit_met_by_a_one_step_count_is_not_run_out(warm):
     assert finished(short) == ("budget", 72, None)
 
 
-# cold: the grid for the first vertex, and the blocked depth under its first
-# candidate, which keeps the count that the next blocked depth takes
-@pytest.mark.parametrize("path_count,generators", [(None, 2), (19_008, 1)])
+# the grid for the first vertex and, when the search must learn the count,
+# the blocked depth under its first candidate, which keeps the count that
+# the next blocked depth takes
+@pytest.mark.parametrize("path_count,generators", [(_OWN, 1), (None, 2)], ids=["closed", "learned"])
 def test_k52_search_enumerates_one_blocked_depth_at_most(monkeypatch, path_count, generators):
     made = []
     real = oracle._grid_paths
