@@ -14,7 +14,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
+from operator import xor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParameterError
@@ -24,6 +25,7 @@ from .representation import (
     VpgRepresentation,
     _contact_table,
     _hit_walk,
+    _known_labels,
     is_proper,
     leaf_trim_window,
     max_bends,
@@ -80,55 +82,63 @@ def _probe_sets_one_axis(width: int, hs, vs, k: int) -> Dict[int, tuple]:
     back to exact coordinates.
 
     x runs over each line 3 * rank and the 1/3 point of each cell (its 2/3
-    point meets the same).  In each column a probe starts below the first atom
-    end (event) and at the 1/3 point e + 1 of each gap, then grows up one row
-    of atoms at a time.  Any other start repeats a subsequence of an earlier
-    run: at a gap's 2/3 point or closing event it sees the intervals across
-    it and the atoms above it that the gap's 1/3 point sees, at the first
-    event those that the start below it sees.
+    point meets the same); the rows of the horizontals carry from column to
+    column, each path bit XORed in where its horizontal opens and out after
+    it closes, as a simple path has at most one horizontal across x on a
+    line.  In each column a probe starts below the first atom end (event)
+    and at the 1/3 point e + 1 of each gap, then grows up one row of atoms at
+    a time.  Any other start repeats a subsequence of an earlier run: at a
+    gap's 2/3 point or closing event it sees the intervals across it and the
+    atoms above it that the gap's 1/3 point sees, at the first event those
+    that the start below it sees.  So does a start whose predecessor met the
+    same intervals across it and began one row lower, on a row of no path
+    beyond those and this start's first row.
     """
-    opening: Dict[int, list] = {}
+    opening, closing, on_line = {}, {}, {}
     for y, lo, hi, li in hs:
-        opening.setdefault(lo, []).append((3 * y, hi, 1 << li))
-    on_line: Dict[int, list] = {}
+        opening.setdefault(lo, []).append((3 * y, 1 << li))
+        closing.setdefault(hi, []).append((3 * y, 1 << li))
     for x, lo, hi, li in vs:
         on_line.setdefault(x, []).append((3 * lo, 3 * hi, 1 << li))
-    found: Dict[int, tuple] = {}
-    spanning: list = []  # (3 * y, hi, path bit) of the horizontals at the current x
+    found, rows = {}, {}  # rows: y code -> the paths of the horizontals across the current x
     for r in range(width):
-        spanning += opening.get(r, ())
-        intervals = on_line.get(r, [])
-        columns = [(3 * r, intervals, spanning)]
-        spanning = [h for h in spanning if h[1] > r]
-        if spanning:
-            columns.append((3 * r + 1, [], spanning))
-        for x, intervals, points in columns:
-            rows = {}  # y code -> the paths of the atoms starting there
-            for lo, _, bit in (*intervals, *points):
-                rows[lo] = rows.get(lo, 0) | bit
-            events = sorted({*rows, *(hi for _, hi, _ in intervals)})
-            rows = sorted(rows.items())
-            at = 0
-            for ya in (events[0] - 1, *(e + 1 for e in events[:-1])):
-                while at < len(rows) and rows[at][0] < ya:
-                    at += 1
-                # the probe [ya, ya + 1] meets the intervals across ya
-                hit = 0
+        # line r has the horizontals opening at r, the cell right of it not those closing at r
+        for x, moves, intervals in ((3 * r, opening, on_line.get(r)), (3 * r + 1, closing, None)):
+            for y, bit in moves.get(r, ()):
+                rows[y] = rows.get(y, 0) ^ bit
+                if not rows[y]:
+                    del rows[y]
+            if not (rows or intervals):
+                break
+            if intervals:
+                starting, ends = dict(rows), {}  # the paths starting, and starting or ending, at y
                 for lo, hi, bit in intervals:
-                    if lo < ya < hi:
-                        hit |= bit
-                if hit.bit_count() > k:
+                    starting[lo] = starting.get(lo, 0) | bit
+                    ends[lo] = ends.get(lo, 0) ^ bit
+                    ends[hi] = ends.get(hi, 0) ^ bit
+                column = sorted({**dict.fromkeys(ends, 0), **starting}.items())
+                across = accumulate([ends.get(e, 0) for e, _ in column], xor, initial=0)
+            else:
+                column, across = sorted(rows.items()), repeat(0)
+            # start i lies below the i-th event and meets across[i] across it
+            events = [e for e, _ in column]
+            ya, last_b, last_hit = events[0] - 1, 0, -1
+            for i, ((e, b), hit) in enumerate(zip(column, across)):
+                start, ya = ya, e + 1
+                skip = hit == last_hit and last_b | hit | b == hit | b
+                last_b, last_hit = b, hit
+                if skip or hit.bit_count() > k:
                     continue
                 if hit and hit not in found:
-                    found[hit] = (x, events, ya, ya + 1)
-                for yb, bits in rows[at:]:
-                    if hit | bits == hit:
+                    found[hit] = (x, events, start, start + 1)
+                for yb, b in column[i:]:
+                    if hit | b == hit:
                         continue
-                    hit |= bits
+                    hit |= b
                     if hit.bit_count() > k:
                         break
                     if hit not in found:
-                        found[hit] = (x, events, ya, yb)
+                        found[hit] = (x, events, start, yb)
     return found
 
 
@@ -255,7 +265,7 @@ def bend_lb_certificate(
     unrealizable).  Pass `candidates` from `certificate_candidates(ra, k)` to
     amortize the probe sweep over many targets of size k.
     """
-    t = frozenset(target)
+    t = frozenset(_known_labels(ra, target))
     k = len(t)
     if k < 1:
         raise ParameterError("empty target set")
@@ -319,7 +329,7 @@ def _good_set_bound(ra: VpgRepresentation, t: int) -> int:
 def count_good_sets_vs_bound(ra: VpgRepresentation, k: int, t: int) -> Tuple[int, int, bool]:
     """(number of good k-sets, 8 n^2 (t+1)^2, count <= bound)."""
     bound = _good_set_bound(ra, t)
-    count = len(enumerate_good_sets(ra, k))
+    count = sum(mask.bit_count() == k for mask in set().union(*_probe_sweep(ra, k)[3:]))
     return count, bound, count <= bound
 
 
@@ -340,10 +350,10 @@ def classify_sh_sv(rep: VpgRepresentation, clique_verts, indep_verts):
     Every clique path b meets is met on a horizontal or a vertical segment,
     so once b meets three of them one axis holds two, and S_H and S_V cover
     the independent set."""
-    clique_verts, table = list(clique_verts), _contact_table(rep)
-    s_h, s_v = [], []
+    clique_verts, indep_verts = _known_labels(rep, clique_verts), _known_labels(rep, indep_verts)
+    table, lines, s_h, s_v = _contact_table(rep), {}, [], []
     for b in indep_verts:
-        hits = _hit_walk(table, b, clique_verts)
+        hits = _hit_walk(table, b, clique_verts, lines)
         met = {_segment_vertex(table.ranked, a, idx)[:2] for a, _, idx, _ in hits}
         nbrs = {a for _, a in met}
         if len(nbrs) < 3:
@@ -390,17 +400,18 @@ def build_auxiliary_fh_fv(rep: VpgRepresentation, clique_verts, indep_verts):
     sequence of the trimmed subpath, so the given representation stays whole
     and proper).
     """
+    clique_verts, indep_verts = _known_labels(rep, clique_verts), _known_labels(rep, indep_verts)
     report = is_proper(rep)
     if not report.ok:
         raise DomainError("representation is not proper: " + "; ".join(report.violations[:3]))
-    clique_verts, table = list(clique_verts), _contact_table(rep)
+    table, lines = _contact_table(rep), {}
     ranked = table.ranked
     segments = [
         _segment_vertex(ranked, a, idx) for a in clique_verts for idx in range(len(ranked[a]) - 1)
     ]
     f = {tag: Graph(s for s in segments if s[0] == tag) for tag in "hv"}
     for b in indep_verts:
-        hits = _hit_walk(table, b, clique_verts)
+        hits = _hit_walk(table, b, clique_verts, lines)
         lo, hi = leaf_trim_window([a for a, *_ in hits])
         walk = [_segment_vertex(ranked, a, idx) for a, _, idx, _ in hits[lo : hi + 1]]
         for tag, g in f.items():

@@ -140,8 +140,8 @@ class _ContactTable:
                     touches.add(key)
         if overlaps:  # a touch inside an overlap of its own pair is part of it
             touches = {key for key in touches if not any(
-                _in_box(*divmod(key // (n * n), n_ys), box)
-                for box in overlaps.get(key % (n * n), ()))}
+                x0 <= x <= x1 and y0 <= y <= y1 for x, y in [divmod(key // (n * n), n_ys)]
+                for x0, y0, x1, y1 in overlaps.get(key % (n * n), ()))}
         self.crossings, self.touches, self.overlaps = crossings, touches, overlaps
         self.met = {key % (n * n) for key in chain(crossings, touches)}.union(overlaps)
         self._points: Optional[Dict[int, List[int]]] = None
@@ -284,43 +284,58 @@ def max_bends(rep: VpgRepresentation) -> int:
     return max(map(bend_count, rep.assignment.values()), default=0)
 
 
-def _in_box(x, y, box) -> bool:
-    """Whether the rank point (x, y) lies in the box (x0, y0, x1, y1)."""
-    x0, y0, x1, y1 = box
-    return x0 <= x <= x1 and y0 <= y <= y1
+def _known_labels(rep: VpgRepresentation, labels: Iterable[Label]) -> List[Label]:
+    """`labels` as a list; a `DomainError` names the first that labels no path."""
+    labels = list(labels)
+    for label in labels:
+        if label not in rep.assignment:
+            raise DomainError(f"representation has no path labelled {label_str(label)}")
+    return labels
 
 
-def _first_segment(corners, x0, y0, x1, y1) -> Tuple[int, int]:
-    """(index, offset): the first segment of a ranked path that holds the
-    box (x0, y0, x1, y1), and the rank distance of (x0, y0) from its first
-    corner.  An axis-parallel segment is its own bounding box."""
-    for k, ((ax, ay), (bx, by)) in enumerate(zip(corners, corners[1:])):
-        seg = (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
-        if _in_box(x0, y0, seg) and _in_box(x1, y1, seg):
-            return k, abs(x0 - ax) + abs(y0 - ay)
+def _segment_lines(corners) -> Dict[Tuple[str, int], list]:
+    """A ranked path's segments (index, lo, hi, first corner's rank along the
+    line) under their line, ("h", y) or ("v", x), each line's in index order."""
+    lines: Dict[Tuple[str, int], list] = {}
+    for idx, ((ax, ay), (bx, by)) in enumerate(zip(corners, corners[1:])):
+        line, a, b = (("h", ay), ax, bx) if ay == by else (("v", ax), ay, by)
+        lines.setdefault(line, []).append((idx, min(a, b), max(a, b), a))
+    return lines
 
 
-def _hit_walk(table: _ContactTable, b: Label, clique_verts: List[Label]):
+def _segment_at(lines, x0, y0, x1, y1) -> Tuple[int, int]:
+    """(index, offset): the first segment in `lines` that holds the box (x0, y0,
+    x1, y1), a corner being on two, and the rank distance of (x0, y0) from its first corner."""
+    on = ((("h", y0), x0, x1, y0 == y1), (("v", x0), y0, y1, x0 == x1))
+    return min((idx, abs(u0 - a)) for line, u0, u1, flat in on if flat
+               for idx, lo, hi, a in lines.get(line, ()) if lo <= u0 and u1 <= hi)
+
+
+def _hit_walk(table: _ContactTable, b: Label, clique_verts: List[Label], lines=None):
     """`clique_hit_sequence` on a contact table, each point as its ranks.
 
     A hit is ordered by the first segment of P(b) containing it and its
     rank offset from that segment's first corner: P(b) is simple, so that
-    is the order of arc length, and only equal points tie.
+    is the order of arc length, and only equal points tie.  Walks that share
+    `lines`, label -> `_segment_lines` of its path, index each path once.
     """
-    pb, ib, n = table.ranked[b], table.index[b], len(table.index)
+    lines = {} if lines is None else lines
+    for label in {b, *clique_verts} - lines.keys():
+        lines[label] = _segment_lines(table.ranked[label])
+    pb, ib, n = lines[b], table.index[b], len(table.index)
     hits = []
     for a in clique_verts:
-        if a == b:
-            continue
-        pa, ia = table.ranked[a], table.index[a]
+        ia = table.index[a]
         pair = min(ia, ib) * n + max(ia, ib)
+        if pair not in table.met:  # met holds no code i·n + j with i >= j, so a == b skips
+            continue
         points = (divmod(point, len(table.ys)) for point in table.points(pair))
         # sorted, since overlaps along both segments at a shared corner tie
         boxes = sorted(table.overlaps.get(pair, ())) + [(x, y, x, y) for x, y in points]
         for box in boxes:
             x, y = box[:2]
-            idx, _ = _first_segment(pa, *box)
-            hits.append((_first_segment(pb, x, y, x, y), a, (x, y), idx, (x, y) != box[2:]))
+            idx, _ = _segment_at(lines[a], *box)
+            hits.append((_segment_at(pb, x, y, x, y), a, (x, y), idx, (x, y) != box[2:]))
     hits.sort(key=lambda h: h[0])
     return [h[1:] for h in hits]
 
@@ -336,11 +351,11 @@ def clique_hit_sequence(
     simple, so for a point interior to a segment that is the only one.  Hits
     at equal arc length keep the order of `clique_verts`.
     """
-    table = _contact_table(rep)
+    (b, *clique_verts), table = _known_labels(rep, [b, *clique_verts]), _contact_table(rep)
     den, xs, ys = table.den, table.xs, table.ys
     return [
         (a, Point(Fraction(xs[x], den), Fraction(ys[y], den)), idx, overlap)
-        for a, (x, y), idx, overlap in _hit_walk(table, b, list(clique_verts))
+        for a, (x, y), idx, overlap in _hit_walk(table, b, clique_verts)
     ]
 
 
@@ -373,8 +388,9 @@ def trim_independent_path(
     path in `clique_verts` order.  The subpath is cut from P(b)'s ranked
     corners between the segments that hold the two surviving hits.
     """
-    clique_verts, table = list(clique_verts), _contact_table(rep)
-    hits = _hit_walk(table, b, clique_verts)
+    b, *clique_verts = _known_labels(rep, [b, *clique_verts])
+    table, lines = _contact_table(rep), {}
+    hits = _hit_walk(table, b, clique_verts, lines)
     overlapping = {a for a, _, _, overlap in hits if overlap}
     for a in clique_verts:
         if a in overlapping:
@@ -388,11 +404,9 @@ def trim_independent_path(
     if start == end:
         raise DegenerateTrimError(
             f"trimmed hit sequence of {label_str(b)} starts and ends at one point")
-    pb = table.ranked[b]
-    first, _ = _first_segment(pb, *start, *start)
-    last, _ = _first_segment(pb, *end, *end)
+    first, last = (_segment_at(lines[b], *p, *p)[0] for p in (start, end))
     # a start at the far end of its segment repeats the next corner, which is dropped
-    corners = [start, *pb[first + 1 : last + 1], end]
+    corners = [start, *table.ranked[b][first + 1 : last + 1], end]
     return RectPath._of_ints(table.den, [(table.xs[x], table.ys[y]) for x, y in corners])
 
 

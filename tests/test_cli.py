@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -391,6 +392,18 @@ def test_goodsets_subcommand_golden(tmp_path, capsys):
         "vertical {1,2} witness (0,-1)-(0,1)\n"
         "good 2-sets: 1\n"
         "bound 8n^2(t+1)^2 = 32: within\n"
+    )
+
+
+def test_goodsets_k3n6_golden(tmp_path, capsys):
+    # 227 witness lines and the count, pinned by the sha256 of the whole stdout
+    rfile = tmp_path / "r.txt"
+    assert main(["construct", "k3n", "--n", "6", "-o", str(rfile)]) == 0
+    rc, out, _ = run(capsys, "goodsets", str(rfile), "--k", "3")
+    assert rc == 0
+    assert out.splitlines()[-1] == "good 3-sets: 227"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "24df40aec4fa5781b3bd7f1a418e51ca94ded8ae3e5c7bbeb82a6cc6145fe60d"
     )
 
 

@@ -139,6 +139,45 @@ def test_walks_on_one_table_match_reference(clique_paths, indep_paths, variant, 
         assert walk == reference.hit_details(rep, b, clique)
 
 
+# hits that lie on two segments of a path: "b" is walked against the others,
+# and each case gives the segments of "a" that its hits lie on
+_CORNER_CASES = {
+    # b touches a at a's corner (4, 0), on a's segments 0 and 1, from the right
+    "hit at a clique corner": ([0], {
+        "b": [(6, 1), (6, 0), (4, 0)], "a": [(0, 0), (4, 0), (4, 4)], "c": [(5, -1), (5, 2)],
+    }),
+    # b ends at a's corner, coming along a's vertical from below
+    "hit at a clique corner from below": ([0], {
+        "b": [(2, -2), (4, -2), (4, 0)], "a": [(0, 0), (4, 0), (4, 4)], "c": [(3, -3), (3, -1)],
+    }),
+    # b turns at a's corner (4, 0), which is b's corner too, so b's segments tie as well
+    "hit at a corner of both": ([0], {
+        "b": [(4, -2), (4, 0), (6, 0)], "a": [(0, 0), (4, 0), (4, 4)], "c": [(5, -1), (5, 1)],
+    }),
+    # b runs along a's horizontal up to a's corner, then on past it
+    "overlap ending at a clique corner": ([0], {
+        "b": [(2, -1), (2, 0), (6, 0)], "a": [(0, 0), (4, 0), (4, 4)], "c": [(5, -1), (5, 1)],
+    }),
+    # b comes down a's vertical to a's corner, then turns away along y = 0
+    "overlap ending at a corner of both": ([1], {
+        "b": [(4, 2), (4, 0), (6, 0)], "a": [(0, 0), (4, 0), (4, 4)], "c": [(5, -1), (5, 1)],
+    }),
+}
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(2, 3)], ids=["den 1", "den 3"])
+@pytest.mark.parametrize("case", list(_CORNER_CASES))
+def test_hit_walk_matches_reference_at_corners(case, scale):
+    on_a, paths = _CORNER_CASES[case]
+    rep = VpgRepresentation(
+        {label: RectPath([(x * scale, y * scale) for x, y in c]) for label, c in paths.items()}
+    )
+    hits = clique_hit_sequence(rep, "b", ["a", "c"])
+    assert [idx for a, _, idx, _ in hits if a == "a"] == on_a
+    _assert_same(rep, ["a", "c"], ["b"])
+    _assert_same(rep, ["c", "a"], ["b"])
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_hit_walk_matches_reference_on_k3n(k3n_reps, n):
     clique = list(range(1, n + 1))

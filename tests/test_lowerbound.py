@@ -237,11 +237,20 @@ def test_certificate_zero_when_target_is_good():
     assert bend_lb_certificate(ra, (1, 2, 3)) == 0
 
 
-def test_certificate_unrealizable_for_unknown_labels():
+def test_certificate_rejects_unknown_labels():
+    # a target label that names no path is an error, not an unrealizable target
     ra = two_parallels()
-    assert bend_lb_certificate(ra, ("nope",)) is None
+    with pytest.raises(DomainError, match="no path labelled nope$"):
+        bend_lb_certificate(ra, ("nope",))
     with pytest.raises(ParameterError, match="empty target set"):
         bend_lb_certificate(ra, [])
+    ra = construct_k3n_proper(4).restricted(range(1, 5))
+    candidates = certificate_candidates(ra, 3)
+    for given in (None, candidates):
+        with pytest.raises(DomainError, match="no path labelled 99$"):
+            bend_lb_certificate(ra, (1, 2, 99), given)
+        with pytest.raises(DomainError, match="no path labelled 98$"):
+            bend_lb_certificate(ra, iter((98, 2, 99)), given)
 
 
 def test_certificate_pairwise_stacked_layout():
@@ -397,6 +406,24 @@ def test_count_vs_bound_negative_t_is_rejected_first(assignment):
         count_good_sets_vs_bound(VpgRepresentation(assignment), 1, -1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(grid_path(), min_size=1, max_size=6), st.integers(1, 4))
+def test_count_vs_bound_counts_the_good_sets(paths, k):
+    ra = representation(paths)
+    t = max(bend_count(p) for p in ra.assignment.values())
+    count, bound, ok = count_good_sets_vs_bound(ra, k, t)
+    assert count == len(enumerate_good_sets(ra, k))
+    assert (bound, ok) == (8 * len(ra) ** 2 * (t + 1) ** 2, count <= bound)
+
+
+def test_count_vs_bound_builds_no_witness(monkeypatch, k3n_reps):
+    # the whole k3n(6) representation, clique and independent paths
+    rep = k3n_reps[6]
+    expected = len(enumerate_good_sets(rep, 3))
+    monkeypatch.setattr(vpgbend.lowerbound, "_coordinate", None)
+    assert count_good_sets_vs_bound(rep, 3, 40)[0] == expected == 227
+
+
 def test_fig1_style_layout_count():
     rep = construct_gtm_stairs(5, 3)
     ra = rep.restricted(range(1, 6))
@@ -438,6 +465,25 @@ def test_classify_requires_three_neighbors():
     )
     with pytest.raises(DomainError):
         classify_sh_sv(rep, [1, 2], ["b"])
+
+
+def test_classify_names_the_first_unknown_label(k3n_reps):
+    rep = k3n_reps[4]
+    with pytest.raises(DomainError, match="no path labelled 99$"):
+        classify_sh_sv(rep, [1, 2, 3, 4, 99], list(combinations(range(1, 5), 3)))
+    # the clique labels come first, then the independent ones; no walk is needed
+    with pytest.raises(DomainError, match="no path labelled 99$"):
+        classify_sh_sv(rep, [1, 99, 98], [])
+    with pytest.raises(DomainError, match="no path labelled 9,9,9$"):
+        classify_sh_sv(rep, iter([1, 2, 3, 4]), iter([(1, 2, 3), (9, 9, 9)]))
+
+
+def test_fh_fv_names_the_first_unknown_label(k3n_reps):
+    rep = k3n_reps[4]
+    with pytest.raises(DomainError, match="no path labelled 99$"):
+        build_auxiliary_fh_fv(rep, [1, 2, 3, 4, 99], [(1, 2, 3)])
+    with pytest.raises(DomainError, match="no path labelled 1,2,5$"):
+        build_auxiliary_fh_fv(rep, [1, 2, 3, 4], [(1, 2, 3), (1, 2, 5)])
 
 
 def test_classify_all_vertical_hits():

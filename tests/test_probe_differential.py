@@ -92,6 +92,36 @@ def test_first_probes_match_all_starts_sweep_on_staircases(gtm_reps, nk):
     _assert_same_first_probes(gtm_reps[nk].restricted(range(1, nk[0] + 1)))
 
 
+# layouts whose rows the carried sweep updates in place: each is checked as
+# given and transposed, against both reference sweeps
+_CARRIED_ROW_CASES = {
+    # 0 and 1 overlap on y = 0 over x in [2, 4]; 2 takes over from 0 at x = 4
+    "two paths' horizontals on one line": [
+        [(0, 0), (4, 0), (4, 3)], [(2, 0), (6, 0)], [(4, 0), (4, -2), (8, -2)], [(3, -1), (3, 2)],
+    ],
+    # 0 runs along y = 0 twice, over [0, 2] and [4, 6], and 1 meets the gap
+    "one path's two horizontals on one line": [
+        [(0, 0), (2, 0), (2, 2), (4, 2), (4, 0), (6, 0), (6, 3)], [(3, -1), (3, 1)], [(5, 1), (1, 1)],
+    ],
+    # 0 spans one rank, so it opens on the line that 1 closes on, the next closes it
+    "a horizontal one rank long": [
+        [(1, 0), (2, 0)], [(0, 1), (1, 1), (1, -1)], [(2, 2), (2, -2), (3, -2)], [(0, 0), (0, 3), (3, 3)],
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(_CARRIED_ROW_CASES))
+def test_first_probes_match_all_starts_sweep_on_carried_rows(case):
+    paths = _CARRIED_ROW_CASES[case]
+    for corners in (paths, [[(y, x) for x, y in p] for p in paths]):
+        ra = representation(corners)
+        assert [p.corners for p in ra.assignment.values()] == [
+            tuple(Point(x, y) for x, y in p) for p in corners
+        ]
+        _assert_same_first_probes(ra)
+        _assert_same(ra)
+
+
 def _probe_coordinates(ra):
     """Every corner coordinate, and the points a third, a half and one unit
     away from each: probes on them touch ends and run along segments."""

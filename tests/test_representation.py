@@ -469,6 +469,16 @@ def test_trim_requires_hits():
         trim_independent_path(rep, "b*", ["a"])
 
 
+@pytest.mark.parametrize("walk", [clique_hit_sequence, trim_independent_path])
+def test_walks_name_the_first_unknown_label(walk):
+    rep = _trim_layout()
+    with pytest.raises(DomainError, match="no path labelled d$"):
+        walk(rep, "b*", ["a", "d", "b", "e"])
+    # the walked path comes before the clique paths
+    with pytest.raises(DomainError, match="no path labelled x$"):
+        walk(rep, "x", iter(["a", "d"]))
+
+
 def test_trim_subpath_is_contiguous_slice():
     rep = VpgRepresentation(
         {
