@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional, Sequence
 from . import constructors, lowerbound, oracle, posets
 from .errors import ValidationError, VpgError
 from .geometry import Segment
-from .graphs import SplitPartition, label_str, read_graph_text, write_graph_text
+from .graphs import SplitPartition, _ascii_count, label_str, read_graph_text, write_graph_text
 from .representation import (
     VpgRepresentation,
     is_proper,
@@ -127,21 +127,16 @@ def _parse_labels(spec: str) -> List[str]:
     return [tok for tok in spec.split(",") if tok]
 
 
-def _parse_label_set(spec: str, what: str) -> List[str]:
-    """Labels of a comma-separated set option; a repeated label is an error."""
+def _parse_known_labels(spec: str, what: str, known, where: str) -> List[str]:
+    """Labels of a comma-separated set option, each one in `known`, which
+    the error calls `where`; a repeated label is an error."""
     labels = _parse_labels(spec)
     repeated = sorted({tok for tok in labels if labels.count(tok) > 1})
     if repeated:
         raise ValidationError(f"repeated {what} labels: {repeated}")
-    return labels
-
-
-def _parse_rep_labels(rep, spec: str, what: str) -> List[str]:
-    """Labels of a comma-separated set option, each one a label of `rep`."""
-    labels = _parse_label_set(spec, what)
-    missing = [t for t in labels if t not in rep.assignment]
+    missing = [t for t in labels if t not in known]
     if missing:
-        raise VpgError(f"{what} labels not in representation: {missing}")
+        raise VpgError(f"{what} labels not in {where}: {missing}")
     return labels
 
 
@@ -175,10 +170,7 @@ def _check_poset_size(r: int, s: int, n: int) -> None:
 def _cmd_construct(args) -> int:
     if args.family == "split-upper":
         g = read_graph_text(_read(args.graph))
-        clique = _parse_label_set(args.clique, "clique")
-        unknown = [v for v in clique if v not in g]
-        if unknown:
-            raise VpgError(f"clique labels not in graph: {unknown}")
+        clique = _parse_known_labels(args.clique, "clique", g, "graph")
         independent = [v for v in g.vertices if v not in set(clique)]
         part = SplitPartition(clique=tuple(clique), independent=tuple(independent))
         rep = constructors.construct_split_upper(g, part)
@@ -236,7 +228,7 @@ def _cmd_goodsets(args) -> int:
 
 def _cmd_certificate(args) -> int:
     rep = read_representation_text(_read(args.rep))
-    target = _parse_rep_labels(rep, args.target, "target")
+    target = _parse_known_labels(args.target, "target", rep.assignment, "representation")
     cert = lowerbound.bend_lb_certificate(rep, target)
     if cert is None:
         print("unrealizable")
@@ -286,15 +278,10 @@ def _cmd_counting(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = read_graph_text(_read(args.graph))
-    dims = args.grid.lower().split("x")
-    bad = VpgError(f"bad grid spec {args.grid!r}, expected WxH")
-    # W and H in ASCII digits: no sign, underscore or other script
-    if len(dims) != 2 or not all(d.isascii() and d.isdigit() for d in dims):
-        raise bad
-    try:
-        w, h = map(int, dims)
-    except ValueError:  # more digits than int() converts
-        raise bad
+    dims = [_ascii_count(d) for d in args.grid.lower().split("x")]
+    if len(dims) != 2 or None in dims:
+        raise VpgError(f"bad grid spec {args.grid!r}, expected WxH")
+    w, h = dims
     budget = oracle.GridSearchBudget(
         grid_width=w, grid_height=h, max_bends=args.bends, node_limit=args.node_limit
     )
@@ -312,7 +299,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_render(args) -> int:
     rep = read_representation_text(_read(args.rep))
-    dashed = _parse_rep_labels(rep, args.dashed, "dashed") if args.dashed else []
+    dashed = (_parse_known_labels(args.dashed, "dashed", rep.assignment, "representation")
+              if args.dashed else [])
     probes: List[Segment] = []
     if args.annotate_goodsets is not None:
         probes = [g.witness for g in lowerbound.enumerate_good_sets(rep, args.annotate_goodsets)]

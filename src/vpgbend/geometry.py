@@ -122,25 +122,29 @@ def segment_intersection(
         if h.a.x <= x <= h.b.x and v.a.y <= y <= v.b.y:
             return Point(x, y), None
         return None, None
-    if s.orientation == HORIZONTAL:
-        if s.a.y != t.a.y:
-            return None, None
-        y = s.a.y
-        lo, hi = max(s.a.x, t.a.x), min(s.b.x, t.b.x)
-        if lo > hi:
-            return None, None
-        if lo == hi:
-            return Point(lo, y), None
-        return None, Segment(Point(lo, y), Point(hi, y))
-    if s.a.x != t.a.x:
-        return None, None
-    x = s.a.x
-    lo, hi = max(s.a.y, t.a.y), min(s.b.y, t.b.y)
-    if lo > hi:
+    # parallel: on one line, Point order is the order along it, so the shared
+    # part runs from the later start to the earlier end
+    on_one_line = s.a.y == t.a.y if s.orientation == HORIZONTAL else s.a.x == t.a.x
+    lo, hi = max(s.a, t.a), min(s.b, t.b)
+    if not on_one_line or lo > hi:
         return None, None
     if lo == hi:
-        return Point(x, lo), None
-    return None, Segment(Point(x, lo), Point(x, hi))
+        return lo, None
+    return None, Segment(lo, hi)
+
+
+def _segment_rows(paths):
+    """(hs, vs): the row (fixed, lo, hi, i) of each segment of the i-th corner
+    list in `paths`, in `hs` if it is horizontal and in `vs` if vertical, in
+    list and then segment order."""
+    hs, vs = [], []
+    for i, corners in enumerate(paths):
+        for (ax, ay), (bx, by) in zip(corners, corners[1:]):
+            if ay == by:
+                hs.append((ay, min(ax, bx), max(ax, bx), i))
+            else:
+                vs.append((ax, min(ay, by), max(ay, by), i))
+    return hs, vs
 
 
 def _collinear_contacts(table):
@@ -266,13 +270,8 @@ class RectPath:
         # monotone; likewise for y's.  In any other path two segments on one
         # axis are never consecutive, so any collinear meeting is non-simple.
         if len(ints) > 4 and all(sorted(v) not in (v, v[::-1]) for v in map(list, zip(*ints))):
-            # (fixed, lo, hi, segment index) per axis, the checkers' table layout
-            hs, vs = [], []
-            for k, ((ax, ay), (bx, by)) in enumerate(zip(ints, ints[1:])):
-                if ay == by:
-                    hs.append((ay, min(ax, bx), max(ax, bx), k))
-                else:
-                    vs.append((ax, min(ay, by), max(ay, by), k))
+            # each segment is a path of its own, so a row's index is the segment's
+            hs, vs = _segment_rows(zip(ints, ints[1:]))
             if (next(_collinear_contacts(hs), None) or next(_collinear_contacts(vs), None)
                     or any(abs(hs[hk][3] - v[3]) > 1
                            for v, run in _crossing_contacts(hs, vs) for _, hk in run)):
@@ -334,53 +333,27 @@ class PathIntersections:
         return bool(self.points or self.overlaps)
 
 
-def merge_overlaps(overlaps) -> Tuple[Segment, ...]:
-    """Maximal segments covered by `overlaps`; collinear pieces that touch merge."""
-    groups = {}
-    for ov in overlaps:
-        if ov.orientation == HORIZONTAL:
-            key = (HORIZONTAL, ov.a.y)
-            iv = (ov.a.x, ov.b.x)
-        else:
-            key = (VERTICAL, ov.a.x)
-            iv = (ov.a.y, ov.b.y)
-        groups.setdefault(key, []).append(iv)
-    merged = []
-    for (orient, fixed), ivs in sorted(groups.items()):
-        ivs.sort()
-        cur_lo, cur_hi = ivs[0]
-        for lo, hi in ivs[1:]:
-            if lo <= cur_hi:
-                cur_hi = max(cur_hi, hi)
-            else:
-                merged.append((orient, fixed, cur_lo, cur_hi))
-                cur_lo, cur_hi = lo, hi
-        merged.append((orient, fixed, cur_lo, cur_hi))
-    out = []
-    for orient, fixed, lo, hi in merged:
-        if orient == HORIZONTAL:
-            out.append(Segment(Point(lo, fixed), Point(hi, fixed)))
-        else:
-            out.append(Segment(Point(fixed, lo), Point(fixed, hi)))
-    return tuple(sorted(out, key=lambda s: (s.a, s.b)))
-
-
 def path_intersections(p: RectPath, q: RectPath) -> PathIntersections:
-    """All isolated intersection points and maximal overlaps of two paths."""
+    """All isolated intersection points and maximal overlaps of two paths.
+
+    The overlap of each segment pair is maximal as it is: two collinear
+    overlaps that touch or overlap would lie on two collinear segments of p
+    or of q that meet, and `RectPath` rejects such a path.
+    """
     pts = set()
-    raw_overlaps = []
+    overlaps = []
     for sp in p.segments():
         for sq in q.segments():
             pt, ov = segment_intersection(sp, sq)
             if pt is not None:
                 pts.add(pt)
             elif ov is not None:
-                raw_overlaps.append(ov)
-    overlaps = merge_overlaps(raw_overlaps)
+                overlaps.append(ov)
+    overlaps.sort(key=lambda s: (s.a, s.b))
     isolated = tuple(
         sorted(pt for pt in pts if not any(ov.contains(pt) for ov in overlaps))
     )
-    return PathIntersections(points=isolated, overlaps=overlaps)
+    return PathIntersections(points=isolated, overlaps=tuple(overlaps))
 
 
 def transversal_at(p: RectPath, q: RectPath, pt: Point) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, GraphError, ParameterError
 
@@ -77,9 +77,14 @@ class Graph:
         return frozenset(frozenset(e) for e in self.edges())
 
     def __eq__(self, other):
+        """Equal vertex sets and edge sets, in any vertex order: each vertex's
+        numbered neighbours are mapped into `other`'s numbering."""
         if not isinstance(other, Graph):
             return NotImplemented
-        return set(self._vertices) == set(other._vertices) and self.edge_set() == other.edge_set()
+        if self._index.keys() != other._index.keys():
+            return False
+        at = [other._index[v] for v in self._vertices]
+        return all({at[j] for j in nbrs} == other._adj[at[i]] for i, nbrs in enumerate(self._adj))
 
     def __repr__(self):
         return f"Graph({len(self)} vertices, {self.edge_count()} edges)"
@@ -249,19 +254,27 @@ def write_graph_text(g: Graph) -> str:
     return "\n".join([f"{len(g)} {g.edge_count()}", *names, *edges]) + "\n"
 
 
+def _ascii_count(tok: str) -> Optional[int]:
+    """The count `tok` writes in ASCII digits, or None for any other text: a
+    sign, an underscore, another script's digits or more digits than int()
+    converts."""
+    if tok.isascii() and tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def read_graph_text(text: str) -> Graph:
     """Parse the graph text format; labels stay strings."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphError("empty graph file")
-    head = lines[0].split()
-    # two counts in ASCII digits: no sign, underscore or other script
-    if len(head) != 2 or not all(tok.isascii() and tok.isdigit() for tok in head):
+    head = [_ascii_count(tok) for tok in lines[0].split()]
+    if len(head) != 2 or None in head:
         raise GraphError(f"bad header line {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:  # more digits than int() converts
-        raise GraphError(f"bad header line {lines[0]!r}")
+    n, m = head
     if len(lines) != 1 + n + m:
         raise GraphError(f"expected {1 + n + m} lines, found {len(lines)}")
     vertices = lines[1 : 1 + n]

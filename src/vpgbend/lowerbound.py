@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParameterError
 from .geometry import HORIZONTAL, VERTICAL, Point, Segment
-from .graphs import Graph, Label
+from .graphs import Graph, Label, label_str
 from .representation import (
     VpgRepresentation,
     _contact_table,
@@ -357,7 +357,7 @@ def classify_sh_sv(rep: VpgRepresentation, clique_verts, indep_verts):
         met = {_segment_vertex(table.ranked, a, idx)[:2] for a, _, idx, _ in hits}
         nbrs = {a for _, a in met}
         if len(nbrs) < 3:
-            raise DomainError(f"independent vertex {b!r} meets {len(nbrs)} clique paths")
+            raise DomainError(f"independent vertex {label_str(b)} meets {len(nbrs)} clique paths")
         tags = [tag for tag, _ in met]
         if tags.count("h") >= 2:
             s_h.append(b)

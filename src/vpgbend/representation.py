@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import DegenerateTrimError, DomainError, ValidationError
 from .geometry import (Point, RectPath, _collinear_contacts, _corner_text, _crossing_contacts,
-                       _parse_ratio, bend_count)
+                       _parse_ratio, _segment_rows, bend_count)
 from .graphs import Graph, Label, _label_texts, label_str
 
 
@@ -55,7 +55,7 @@ class VpgRepresentation:
         lie on a grid of side n·(⌊b/2⌋+2).
         """
         ranked = _contact_table(self).ranked
-        return VpgRepresentation({l: RectPath(c) for l, c in ranked.items()})
+        return VpgRepresentation({l: RectPath._of_ints(1, c) for l, c in ranked.items()})
 
     def __eq__(self, other):
         return isinstance(other, VpgRepresentation) and self.assignment == other.assignment
@@ -108,13 +108,7 @@ class _ContactTable:
         ranked = [[(x_rank[x], y_rank[y]) for x, y in zip(ints[::2], ints[1::2])]
                   for ints in scaled]
         self.ranked = dict(zip(labels, ranked))
-        self.hs, self.vs = hs, vs = [], []
-        for li, corners in enumerate(ranked):
-            for (ax, ay), (bx, by) in zip(corners, corners[1:]):
-                if ay == by:
-                    hs.append((ay, min(ax, bx), max(ax, bx), li))
-                else:
-                    vs.append((ax, min(ay, by), max(ay, by), li))
+        self.hs, self.vs = hs, vs = _segment_rows(ranked)
         n, n_ys = len(labels), len(self.ys)
         crossings: List[int] = []
         touches: Set[int] = set()

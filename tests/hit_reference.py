@@ -119,7 +119,7 @@ def classify_sh_sv(rep, clique_verts, indep_verts):
         details = hit_details(rep, b, clique_verts)
         nbrs = {a for a, _, _, _ in details}
         if len(nbrs) < 3:
-            raise DomainError(f"independent vertex {b!r} meets {len(nbrs)} clique paths")
+            raise DomainError(f"independent vertex {label_str(b)} meets {len(nbrs)} clique paths")
         horiz = {a for a, ori, _, _ in details if ori == HORIZONTAL}
         vert = {a for a, ori, _, _ in details if ori == VERTICAL}
         if len(horiz) >= 2:

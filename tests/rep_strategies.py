@@ -21,13 +21,13 @@ COORD = st.integers(min_value=0, max_value=5)
 
 
 @st.composite
-def grid_path(draw, coord=COORD):
-    """Corners of a 1-4 segment path with alternating axes on the grid of
-    `coord` (the 6x6 grid by default)."""
+def grid_path(draw, coord=COORD, max_segments=4):
+    """Corners of a path of 1 to `max_segments` segments with alternating axes
+    on the grid of `coord` (the 6x6 grid by default)."""
     x, y = draw(coord), draw(coord)
     horizontal = draw(st.booleans())
     corners = [(x, y)]
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+    for _ in range(draw(st.integers(min_value=1, max_value=max_segments))):
         if horizontal:
             x = draw(coord.filter(lambda c, x=x: c != x))
         else:

@@ -144,6 +144,26 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys, text, message):
     assert (rc, out, err) == (2, "", message)
 
 
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", int)() < 5000,
+                    reason="int() reads 5,000 digits")
+@pytest.mark.parametrize("where", ["header", "grid"])
+def test_count_past_the_int_digit_limit_is_usage_error(tmp_path, capsys, where):
+    # 5,000 ASCII digits pass the digit test, and int() refuses them
+    count = "9" * 5000
+    gfile, rfile = tmp_path / "g.txt", tmp_path / "r.txt"
+    rfile.write_text("a : (0,0) (1,0)\n")
+    if where == "header":
+        gfile.write_text(f"{count} 0\na\n")
+        argv, message = ["verify", str(gfile), str(rfile)], f"bad header line '{count} 0'"
+    else:
+        gfile.write_text("1 0\na\n")
+        grid = f"{count}x3"
+        argv = ["oracle", str(gfile), "--grid", grid, "--bends", "0", "--node-limit", "5"]
+        message = f"bad grid spec {grid!r}, expected WxH"
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_graph_header_with_a_negative_count_is_usage_error(tmp_path, capsys):
     # the line count 1 + 2 − 1 matches, so only the sign can refuse it
     gfile = tmp_path / "g.txt"

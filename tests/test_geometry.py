@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from direction_vectors import DOWN, LEFT, RIGHT, UP, direction_vector
+from rep_strategies import grid_path, representation
 from vpgbend.errors import GeometryError
 from vpgbend.geometry import (
     Point,
@@ -284,3 +285,41 @@ def test_segment_intersection_perpendicular_miss():
     s = Segment(P(0, 0), P(1, 0))
     t = Segment(P(5, -1), P(5, 1))
     assert segment_intersection(s, t) == (None, None)
+
+
+def test_segment_intersection_collinear_cases():
+    s = Segment(P(0, 0), P(0, 2))
+    assert segment_intersection(s, Segment(P(0, 3), P(0, 1))) == (None, Segment(P(0, 1), P(0, 2)))
+    assert segment_intersection(s, Segment(P(0, 2), P(0, 5))) == (P(0, 2), None)
+    assert segment_intersection(s, Segment(P(0, 3), P(0, 5))) == (None, None)
+    assert segment_intersection(s, Segment(P(1, 0), P(1, 2))) == (None, None)
+    h = Segment(P(0, 0), P(2, 0))
+    assert segment_intersection(h, Segment(P(1, 1), P(3, 1))) == (None, None)
+    assert segment_intersection(Segment(P(3, 0), P(1, 0)), h) == (None, Segment(P(1, 0), P(2, 0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_path(max_segments=7), grid_path(max_segments=7))
+@example([(0, 0), (5, 0)], [(1, 0), (2, 0), (2, 1), (3, 1), (3, 0), (4, 0)])
+# the second path would meet its own first segment along [(1,0)-(2,0)]
+@example([(0, 0), (5, 0)], [(0, 0), (2, 0), (2, 2), (4, 2), (4, 0), (1, 0)])
+def test_collinear_pieces_of_simple_paths_share_no_point(a, b):
+    # what lets path_intersections report each segment pair's overlap as it
+    # is: pieces on one line from two segment pairs would put two collinear
+    # segments of one path through a point, which RectPath rejects.  Ends are
+    # ints, so two pieces on one axis that meet share a lattice point.
+    rep = representation([a, b])
+    pieces = {"horizontal": [], "vertical": []}
+    for sp in rep.path(0).segments():
+        for sq in rep.path(1).segments():
+            pt, ov = segment_intersection(sp, sq)
+            if sp.orientation == sq.orientation and (pt or ov):
+                lo, hi = (pt, pt) if pt else (ov.a, ov.b)
+                pieces[sp.orientation].append({(x, y) for x in range(int(lo.x), int(hi.x) + 1)
+                                               for y in range(int(lo.y), int(hi.y) + 1)})
+    for axis in pieces.values():
+        assert sum(map(len, axis)) == len(set().union(*axis))
+
+
+def test_rectpath_repr_lists_its_corners():
+    assert repr(RectPath([(0, 0), (3, 0), (3, "1/2")])) == "RectPath(['(0,0)', '(3,0)', '(3,1/2)'])"

@@ -9,9 +9,11 @@ import graph_reference as reference
 from vpgbend.errors import DomainError, GraphError, ParameterError
 from vpgbend.graphs import (
     Graph,
+    SplitPartition,
     all_qedges,
     build_hnk_member,
     build_split_knk,
+    check_split_partition,
     complement,
     contract_edge,
     has_long_induced_cycle,
@@ -63,6 +65,48 @@ def test_graph_equal_under_another_vertex_order():
     reordered = Graph(vertices[1::2] + vertices[::2], g.edges()[::-1])
     assert reordered.vertices != g.vertices
     assert g == reordered and reordered == g
+
+
+@pytest.mark.parametrize("clique, independent, message", [
+    ((1, 2), (2, 3), "clique and independent parts overlap"),
+    ((1, 2), (), "partition does not cover the vertex set"),
+    ((1, 2), (3, 4), "partition does not cover the vertex set"),
+    ((1, 3), (2,), "clique part does not induce a complete graph"),
+    ((3,), (1, 2), "independent part induces an edge"),
+])
+def test_check_split_partition_names_the_first_failed_condition(clique, independent, message):
+    g = Graph([1, 2, 3], [(1, 2), (2, 3)])
+    check_split_partition(g, SplitPartition(clique=(1, 2), independent=(3,)))
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        check_split_partition(g, SplitPartition(clique=clique, independent=independent))
+
+
+def _drawn_graph(data, labels):
+    pairs = list(combinations(labels, 2))
+    return Graph(labels, data.draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else ())
+
+
+_small_labels = st.lists(st.integers(0, 4), unique=True, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_graph_equality_is_vertex_and_edge_set_equality(data):
+    g = _drawn_graph(data, data.draw(_small_labels))
+    # mostly g's vertices in another order, with g's edges or drawn ones
+    labels = data.draw(st.one_of(st.permutations(g.vertices), _small_labels))
+    if data.draw(st.booleans()):
+        h = Graph(labels, [e for e in g.edges()[::-1] if set(e) <= set(labels)])
+    else:
+        h = _drawn_graph(data, labels)
+    expected = set(g.vertices) == set(h.vertices) and g.edge_set() == h.edge_set()
+    assert (g == h) == (h == g) == expected
+
+
+def test_graphs_with_the_same_degrees_and_other_edges_are_not_equal():
+    g = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
+    assert g != Graph([3, 2, 1, 0], [(0, 2), (1, 3)])
+    assert g == Graph([3, 2, 1, 0], [(3, 2), (1, 0)])
 
 
 def test_graphs_one_edge_apart_are_not_equal():

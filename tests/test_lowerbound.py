@@ -467,6 +467,12 @@ def test_classify_requires_three_neighbors():
         classify_sh_sv(rep, [1, 2], ["b"])
 
 
+def test_classify_names_a_tuple_vertex_by_its_label_text(k3n_reps):
+    with pytest.raises(DomainError) as info:
+        classify_sh_sv(k3n_reps[8], [1, 2], [(1, 2, 3)])
+    assert str(info.value) == "independent vertex 1,2,3 meets 2 clique paths"
+
+
 def test_classify_names_the_first_unknown_label(k3n_reps):
     rep = k3n_reps[4]
     with pytest.raises(DomainError, match="no path labelled 99$"):
@@ -573,10 +579,10 @@ def test_import_leaves_networkx_unloaded():
 
 def test_hit_walk_tests_no_fraction_segment_pairs(monkeypatch, k3n_reps):
     # the hit walk and is_proper meet segments on int ranks: no Fraction pair
-    # test and no overlap merge remains
+    # test remains
     calls = []
     for module in (vpgbend.representation, vpgbend.lowerbound):
-        for name in ("segment_intersection", "path_intersections", "merge_overlaps"):
+        for name in ("segment_intersection", "path_intersections"):
             real = getattr(vpgbend.geometry, name)
 
             def counted(*args, name=name, real=real):

@@ -99,6 +99,14 @@ def test_realizer_orders_must_be_extensions():
     assert not is_realizer(p, r)
 
 
+def test_is_extension_of_needs_the_ground_set_and_every_relation():
+    p = chain("a", "b")
+    assert LinearOrder(("a", "b")).is_extension_of(p)
+    assert not LinearOrder(("b", "a")).is_extension_of(p)
+    assert not LinearOrder(("a", "c")).is_extension_of(p)
+    assert not LinearOrder(("a", "b", "c")).is_extension_of(p)
+
+
 def test_realizer_ground_mismatch():
     p = chain("a", "b")
     with pytest.raises(DomainError):

@@ -115,6 +115,18 @@ def test_is_proper_rejects_overlap():
     assert any("overlap" in v for v in report.violations)
 
 
+def test_reports_are_true_iff_ok():
+    crossing = VpgRepresentation(
+        {"a": RectPath([(0, 0), (2, 0)]), "b": RectPath([(1, -1), (1, 1)])}
+    )
+    overlapping = VpgRepresentation(
+        {"a": RectPath([(0, 0), (2, 0)]), "b": RectPath([(1, 0), (3, 0)])}
+    )
+    edge, no_edge = Graph(["a", "b"], [("a", "b")]), Graph(["a", "b"])
+    assert verify_realizes(crossing, edge) and not verify_realizes(crossing, no_edge)
+    assert is_proper(crossing) and not is_proper(overlapping)
+
+
 def test_is_proper_rejects_triple_point():
     rep = VpgRepresentation(
         {
