@@ -171,7 +171,8 @@ def _cmd_construct(args) -> int:
     if args.family == "split-upper":
         g = read_graph_text(_read(args.graph))
         clique = _parse_known_labels(args.clique, "clique", g, "graph")
-        independent = [v for v in g.vertices if v not in set(clique)]
+        in_clique = set(clique)
+        independent = [v for v in g.vertices if v not in in_clique]
         part = SplitPartition(clique=tuple(clique), independent=tuple(independent))
         rep = constructors.construct_split_upper(g, part)
     elif args.family == "k3n":

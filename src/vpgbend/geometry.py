@@ -239,28 +239,36 @@ class RectPath:
         return path
 
     def _build(self, den: int, corners) -> None:
-        ints = []
+        # one pass; a, b are the last two kept corners.  A straight continuation
+        # moves b on along its segment's axis, so a kept segment's axis is final.
+        # The first diagonal raises at once; any diagonal outranks a backtrack
+        flat = []
+        ax = ay = bx = by = None
+        backtrack = False
         for x, y in corners:
-            if ints and ints[-1] == (x, y):
-                continue
-            if len(ints) >= 2:
-                (ax, ay), (bx, by) = ints[-2:]
-                # a straight continuation moves the last corner on
-                if (ax == bx == x and (y - by) * (by - ay) > 0) or (
-                    ay == by == y and (x - bx) * (bx - ax) > 0
-                ):
-                    ints[-1] = (x, y)
+            if x == bx:
+                if y == by:  # a repeated corner
                     continue
-            ints.append((x, y))
-        if len(ints) < 2:
-            raise GeometryError("a path needs at least two distinct corners")
-        horizontal = []
-        for (ax, ay), (bx, by) in zip(ints, ints[1:]):
-            if ax != bx and ay != by:
-                a, b = _corner_text(ax, ay, den), _corner_text(bx, by, den)
+                if ax == x:  # a second vertical step: straight on, or back
+                    if (y - by) * (by - ay) > 0:
+                        flat[-1] = by = y
+                        continue
+                    backtrack = True
+            elif y == by:
+                if ay == y:  # a second horizontal step
+                    if (x - bx) * (bx - ax) > 0:
+                        flat[-2] = bx = x
+                        continue
+                    backtrack = True
+            elif bx is not None:
+                a, b = _corner_text(bx, by, den), _corner_text(x, y, den)
                 raise GeometryError(f"diagonal move {a} -> {b}")
-            horizontal.append(ay == by)
-        if any(h1 == h2 for h1, h2 in zip(horizontal, horizontal[1:])):
+            flat.append(x)
+            flat.append(y)
+            ax, ay, bx, by = bx, by, x, y
+        if len(flat) < 4:
+            raise GeometryError("a path needs at least two distinct corners")
+        if backtrack:
             raise GeometryError("consecutive segments on the same axis (backtracking)")
         # consecutive segments are perpendicular, so they meet only at their
         # shared corner, and segments i and i+2 lie on distinct parallel
@@ -269,7 +277,8 @@ class RectPath:
         # s < t, puts [s, t] in one vertical segment, where y is strictly
         # monotone; likewise for y's.  In any other path two segments on one
         # axis are never consecutive, so any collinear meeting is non-simple.
-        if len(ints) > 4 and all(sorted(v) not in (v, v[::-1]) for v in map(list, zip(*ints))):
+        if len(flat) > 8 and all(sorted(v) not in (v, v[::-1]) for v in (flat[::2], flat[1::2])):
+            ints = list(zip(flat[::2], flat[1::2]))
             # each segment is a path of its own, so a row's index is the segment's
             hs, vs = _segment_rows(zip(ints, ints[1:]))
             if (next(_collinear_contacts(hs), None) or next(_collinear_contacts(vs), None)
@@ -277,8 +286,8 @@ class RectPath:
                            for v, run in _crossing_contacts(hs, vs) for _, hk in run)):
                 raise GeometryError("path is not simple")
         # a den above the least one, or merged-away corners, leave a common factor
-        g = math.gcd(den, *(v for xy in ints for v in xy))
-        self._scaled = (den // g, *(v // g for xy in ints for v in xy))
+        g = math.gcd(den, *flat)
+        self._scaled = (den, *flat) if g == 1 else (den // g, *(v // g for v in flat))
         self._corners = self._segments = None
 
     @property

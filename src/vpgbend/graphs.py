@@ -268,7 +268,7 @@ def _ascii_count(tok: str) -> Optional[int]:
 
 def read_graph_text(text: str) -> Graph:
     """Parse the graph text format; labels stay strings."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise GraphError("empty graph file")
     head = [_ascii_count(tok) for tok in lines[0].split()]
@@ -279,11 +279,16 @@ def read_graph_text(text: str) -> Graph:
         raise GraphError(f"expected {1 + n + m} lines, found {len(lines)}")
     vertices = lines[1 : 1 + n]
     g = Graph(vertices)
+    index, adj = g._index, g._adj
     for ln in lines[1 + n :]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
-        if g.has_edge(parts[0], parts[1]):
+        i, j = index.get(parts[0]), index.get(parts[1])
+        if i is None or j is None or i == j:
+            g.add_edge(*parts)  # raises the unknown-vertex or self-loop error
+        if j in adj[i]:
             raise GraphError(f"repeated edge line {ln!r}")
-        g.add_edge(parts[0], parts[1])
+        adj[i].add(j)
+        adj[j].add(i)
     return g

@@ -430,9 +430,32 @@ def write_representation_text(rep: VpgRepresentation) -> str:
 _CORNER = re.compile(r"\((-?[0-9]+)(?:/([0-9]+))?,(-?[0-9]+)(?:/([0-9]+))?\)")
 
 
+def _plain_corners(rest: str) -> Optional[Tuple[int, list]]:
+    """(den, int corners) of a line's corner tokens from one split, or None
+    unless whitespace alone lies around the `_CORNER` matches and every
+    denominator is a nonzero int."""
+    # the text before the first match, then per match its four groups (None
+    # for no denominator) and the text after it
+    pieces = _CORNER.split(rest.strip())
+    xd, yd = pieces[2::5], pieces[4::5]
+    try:  # a ValueError is a number past int()'s digit limit
+        xn, yn = list(map(int, pieces[1::5])), list(map(int, pieces[3::5]))
+        dens = {t: int(t) for t in {*xd, *yd} - {None}}
+    except ValueError:
+        return None
+    den = math.lcm(*dens.values())  # 0 for a zero denominator
+    if not den or pieces[0] or pieces[-1] or not all(map(str.isspace, pieces[5:-1:5])):
+        return None
+    if den == 1:
+        return 1, list(zip(xn, yn))
+    scale = {t: den // d for t, d in dens.items()}
+    scale[None] = den
+    return den, [(x * scale[a], y * scale[b]) for x, a, y, b in zip(xn, xd, yn, yd)]
+
+
 def read_representation_text(text: str) -> VpgRepresentation:
-    """Parse the text format: one regex match per corner token, and each
-    line's coordinates scaled to the lcm of its denominators."""
+    """Parse the text format: one regex split per line, and each line's
+    coordinates scaled to the lcm of its denominators."""
     assignment: Dict[Label, RectPath] = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -441,22 +464,17 @@ def read_representation_text(text: str) -> VpgRepresentation:
         if " : " not in ln:
             raise ValidationError(f"bad representation line {ln!r}")
         label, rest = ln.split(" : ", 1)
-        ratios = []
-        for tok in rest.split():
-            try:
-                row = tuple(map(int, _CORNER.fullmatch(tok).groups("1")))
-            except (AttributeError, ValueError):  # no match, or past int()'s digit limit
-                row = (0, 0, 0, 0)
-            if not (row[1] and row[3]):  # the per-coordinate checks raise the token's error
+        corners = _plain_corners(rest)
+        if corners is None:
+            # some token is not a `_CORNER` match with nonzero int
+            # denominators, and the first such one fails these checks
+            for tok in rest.split():
                 xy = tok[1:-1].split(",")
                 if not (tok.startswith("(") and tok.endswith(")")) or len(xy) != 2:
                     raise ValidationError(f"bad corner token {tok!r}")
-                row = (*_parse_ratio(xy[0]), *_parse_ratio(xy[1]))
-            ratios.append(row)
+                _parse_ratio(xy[0]), _parse_ratio(xy[1])
         label = label.strip()
         if label in assignment:
             raise ValidationError(f"duplicate label {label!r}")
-        den = math.lcm(*(r[1] for r in ratios), *(r[3] for r in ratios))
-        assignment[label] = RectPath._of_ints(
-            den, [(xn * (den // xd), yn * (den // yd)) for xn, xd, yn, yd in ratios])
+        assignment[label] = RectPath._of_ints(*corners)
     return VpgRepresentation(assignment)

@@ -1,6 +1,7 @@
 """The label-keyed `Graph` and induced-cycle search that `vpgbend.graphs`
-replaced with adjacency sets keyed by vertex number, kept only to test the
-numbered ones against: every query, error and search answer must agree.
+replaced with adjacency sets keyed by vertex number, and a line-by-line
+graph text reader on them, kept only to test the numbered ones and
+`read_graph_text` against: every query, error and search answer must agree.
 """
 
 from itertools import combinations
@@ -123,3 +124,31 @@ def has_long_induced_cycle(g: Graph, L: int) -> bool:
                 frontier.pop()
                 on_path.discard(path.pop())
     return False
+
+
+def read_graph_text(text: str) -> Graph:
+    """The graph text format read line by line onto the label-keyed `Graph`:
+    a header 'n m' of two ASCII digit counts, n vertex lines, then m edge
+    lines of two labels each, none repeating an edge in either order."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise GraphError("empty graph file")
+    head = lines[0].split()
+    try:
+        if len(head) != 2 or not all(tok.isascii() and tok.isdigit() for tok in head):
+            raise ValueError
+        n, m = int(head[0]), int(head[1])
+    except ValueError:  # or more digits than int() converts
+        raise GraphError(f"bad header line {lines[0]!r}") from None
+    if len(lines) != 1 + n + m:
+        raise GraphError(f"expected {1 + n + m} lines, found {len(lines)}")
+    g = Graph(lines[1 : 1 + n])
+    for ln in lines[1 + n :]:
+        words = ln.split()
+        if len(words) != 2:
+            raise GraphError(f"bad edge line {ln!r}")
+        u, v = words
+        if g.has_edge(u, v):
+            raise GraphError(f"repeated edge line {ln!r}")
+        g.add_edge(u, v)
+    return g

@@ -199,6 +199,51 @@ def test_graph_matches_label_keyed_reference(inputs):
         assert has_long_induced_cycle(g, L) == reference.has_long_induced_cycle(ref, L)
 
 
+@st.composite
+def graph_files(draw):
+    """Graph text: vertex lines, some repeated or of two words, and edge
+    lines, mostly two known labels, else an earlier line in either order, a
+    self-loop, an unknown label or one or three words.  The header mostly
+    counts the lines, and blank lines and padding lie between."""
+    names = draw(st.lists(st.sampled_from("abcde"), unique=True, min_size=1, max_size=5))
+    known = st.sampled_from(list(names))
+    extra = draw(st.sampled_from([None] * 6 + ["a b", "a"]))  # two words, or a repeat
+    if extra:
+        names.insert(draw(st.integers(0, len(names))), extra)
+    word = st.sampled_from(["z"]) if draw(st.integers(0, 5)) == 0 else known
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("pair",) * 8 + ("again",) * 3 + ("loop", "other")))
+        if kind == "again" and edges:
+            edge = draw(st.sampled_from(edges))
+            edges.append(edge[::draw(st.sampled_from((1, -1)))])
+        elif kind == "loop":
+            edges.append([draw(known)] * 2)
+        elif kind == "other":
+            edges.append(draw(st.lists(word, min_size=1, max_size=3)))
+        else:  # two known labels, distinct where there are two
+            u = draw(known)
+            v = draw(word.filter(lambda v: v != u) if set(names) - {u, "a b"} else word)
+            edges.append([u, v])
+    m = len(edges) + draw(st.sampled_from((0,) * 8 + (1, -1)))
+    head = draw(st.sampled_from([f"{len(names)} {m}"] * 9 + ["x 0"]))
+    pad = st.sampled_from((" ", " ", "\t", "  "))
+    lines = [head, *names, *(draw(pad).join(e) for e in edges)]
+    return "".join(ln + draw(st.sampled_from(("\n", "\n", "\n \n", "  \r\n"))) for ln in lines)
+
+
+def _read_back(read, text):
+    g = read(text)
+    return g.vertices, g.edge_set()
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_files())
+def test_graph_reader_matches_reference(text):
+    expected = outcome(_read_back, reference.read_graph_text, text)
+    assert outcome(_read_back, read_graph_text, text) == expected
+
+
 # --- build_split_knk ---------------------------------------------------------
 
 

@@ -81,6 +81,14 @@ def _outcome(build, arg):
 @example([(0, 0), (1, 0), (1, 2), (2, 2), (2, 1), (3, 1)], 1, 1, 0, 0, False)  # x-monotone
 @example([(0, 0), (0, 1), (2, 1), (2, 2), (1, 2), (1, 3)], 1, 1, 0, 0, True)  # y-monotone
 @example([(0, 1), (3, 1), (3, 2), (1, 2), (1, 0), (2, 0)], 1, 1, 0, 0, False)  # crosses itself
+# the build checks axes in its merging pass: a backtrack found before a
+# diagonal is raised only if no diagonal follows, a corner repeated after a
+# straight continuation repeats the moved corner, and merged-away corners can
+# leave a factor common to den and every int, which is divided out
+@example([(0, 0), (3, 0), (1, 0), (2, 2)], 1, 1, 0, 0, False)  # diagonal move (1,0) -> (2,2)
+@example([(0, 0), (1, 0), (2, 0), (2, 0), (2, 1)], 1, 1, 0, 0, False)  # repeat after merge
+@example([(0, 0), (0, 1), (0, 2), (0, 2), (2, 2)], 1, 1, 0, 0, True)  # the same, vertical
+@example([(0, 0), (1, 0), (4, 0)], Fraction(1, 2), 1, 0, 0, False)  # (1, 0, 0, 2, 0)
 def test_path_validation_matches_reference(walk, sx, sy, dx, dy, as_points):
     corners = [(x * sx + dx, y * sy + dy) for x, y in walk]
     if as_points:
@@ -229,6 +237,16 @@ def _read_scaled(text):
 @example("a : (" + "9" * 5000 + ",0) (0,0)")  # over int()'s digit limit where there is one
 @example("a : (0,0) (1,0)\r\n\r\na : (0,0) (1,2,3)")  # the token's error, not the duplicate
 @example("a : (2/4,0) (3/3,2/4)")  # names (1/2,0) -> (1,1/2)
+# a line is split at its corner tokens once: only whitespace may lie around
+# them, and each coordinate keeps its own denominator
+@example("a : (0,0)(1,0)")  # bad corner token '(0,0)(1,0)'
+@example("a : (0,0)\t(1,0)")
+@example("a : (0,0)\u00a0(1,0)")  # str.split splits at a no-break space too
+@example("a : x(0,0) (1,0)")
+@example("a : (0,0) x (1,0)")
+@example("a : (0,0) (1,0)x")
+@example("a : (1/2,0) (3,0)")  # (2, 1, 0, 6, 0)
+@example("a : (0,0) (1,0)\nb : (0,0) (1/0,0)")  # a zero denominator on a later line
 def test_reader_matches_reference(text):
     assert _outcome(_read_scaled, text) == _outcome(reference.read_representation_text, text)
 
