@@ -130,10 +130,11 @@ def _parse_labels(spec: str) -> List[str]:
 def _parse_known_labels(spec: str, what: str, known, where: str) -> List[str]:
     """Labels of a comma-separated set option, each one in `known`, which
     the error calls `where`; a repeated label is an error."""
-    labels = _parse_labels(spec)
-    repeated = sorted({tok for tok in labels if labels.count(tok) > 1})
+    labels, seen, repeated = _parse_labels(spec), set(), set()
+    for tok in labels:
+        (repeated if tok in seen else seen).add(tok)
     if repeated:
-        raise ValidationError(f"repeated {what} labels: {repeated}")
+        raise ValidationError(f"repeated {what} labels: {sorted(repeated)}")
     missing = [t for t in labels if t not in known]
     if missing:
         raise VpgError(f"{what} labels not in {where}: {missing}")
@@ -343,21 +344,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="emit a representation for a known family")
     cs = c.add_subparsers(dest="family", required=True)
-    p = cs.add_parser("split-upper")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--clique", required=True, help="comma-separated clique labels")
-    p.add_argument("-o", "--output")
-    p.add_argument("--svg", help="also write an SVG rendering here")
-    for fam in ("k3n", "k2n"):
+    for fam, ints in (("split-upper", ()), ("k3n", ("--n",)), ("k2n", ("--n",)),
+                      ("gtm", ("--n", "--k"))):
         p = cs.add_parser(fam)
-        p.add_argument("--n", type=int, required=True)
+        if fam == "split-upper":
+            p.add_argument("--graph", required=True)
+            p.add_argument("--clique", required=True, help="comma-separated clique labels")
+        for opt in ints:
+            p.add_argument(opt, type=int, required=True)
         p.add_argument("-o", "--output")
         p.add_argument("--svg", help="also write an SVG rendering here")
-    p = cs.add_parser("gtm")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("-o", "--output")
-    p.add_argument("--svg", help="also write an SVG rendering here")
 
     p = sub.add_parser("verify", help="check a representation against a graph")
     p.add_argument("graph")

@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import ConstructionError, ParameterError
-from .geometry import RectPath
+from .geometry import RectPath, _segment_rows
 from .graphs import Graph, SplitPartition, check_split_partition, ksubsets
-from .representation import VpgRepresentation, _contact_table
+from .representation import VpgRepresentation
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +183,8 @@ def construct_k2n_proper(n: int) -> VpgRepresentation:
 
 
 def _exposures(hs, vs) -> Dict[int, List[Tuple[int, int]]]:
-    """Per path index, the [lo, cap) rank interval of each of its horizontal
-    segments, in path order, over the segment rows of a rank table: the maximal
+    """Per path index, the [lo, cap) interval of each of its horizontal
+    segments, in path order, over segment rows (`_segment_rows`): the maximal
     sub-interval anchored at the segment's left end whose open downward rays
     miss every path.  Each segment starting below the target and reaching
     [lo, cap] moves cap down to its left end, not below lo, so cap is the
@@ -226,36 +226,29 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
     # epsilon of subset rank r, eps0·r/(m+1), is r
     eps0 = len(subsets) + 1
     D = (n + 1) * eps0
-    a_paths: Dict[int, RectPath] = {}
-    shift = {}
-    for i in range(1, n + 1):
-        t = (i - 1) * eps0
-        shift[i] = t
-        a_paths[i] = RectPath._of_ints(D, [(t, -t), (D + t, -t), (D + t, -D - t),
-                                           (2 * D + t, -D - t), (2 * D + t, -2 * D - t)])
-    table = _contact_table(VpgRepresentation(a_paths))
-    den, xs, ys = table.den, table.xs, table.ys
-    # path i - 1 holds clique path i; its horizontals are segments 0 and 2,
-    # its verticals segments 1 and 3
-    below, left = _exposures(table.hs, table.vs), _exposures(table.vs, table.hs)
+    shift = {i: (i - 1) * eps0 for i in range(1, n + 1)}
+    stairs = [[(t, -t), (D + t, -t), (D + t, -D - t), (2 * D + t, -D - t), (2 * D + t, -2 * D - t)]
+              for t in shift.values()]
+    # stair i - 1 is clique path i; its horizontals are segments 0 and 2, its
+    # verticals segments 1 and 3.  Exposure only compares coordinates, so it
+    # runs on the stairs' own ints.
+    hs, vs = _segment_rows(stairs)
+    below, left = _exposures(hs, vs), _exposures(vs, hs)
 
-    def check_inside(value, values, interval, what):
-        # value/D against the table's ints over den
-        lo, cap = (values[r] * D for r in interval)
-        if not (lo < value * den < cap):
-            lo, cap = (Fraction(values[r], den) for r in interval)
-            raise ConstructionError(
-                f"{what}: {Fraction(value, D)} outside computed exposed interval ({lo}, {cap})"
-            )
+    def check_inside(value, interval, what):
+        lo, cap = interval
+        if not (lo < value < cap):
+            raise ConstructionError(f"{what}: {Fraction(value, D)} outside computed exposed "
+                                    f"interval ({Fraction(lo, D)}, {Fraction(cap, D)})")
 
-    assignment: Dict = {i: a_paths[i] for i in range(1, n + 1)}
+    assignment: Dict = {i: RectPath._of_ints(D, c) for i, c in zip(shift, stairs)}
     for eps, subset in enumerate(subsets, start=1):
         i1, i2 = subset[0], subset[1]
         x_start = shift[i1] + eps
-        check_inside(x_start, xs, below[i1 - 1][0],
+        check_inside(x_start, below[i1 - 1][0],
                      f"start of {subset} on first segment of path {i1}")
         y_run1 = -D - shift[i2] + eps0 - eps
-        check_inside(y_run1, ys, left[i2 - 1][0],
+        check_inside(y_run1, left[i2 - 1][0],
                      f"first run of {subset} in exposed zone of path {i2}")
         corners: List[Tuple[int, int]] = [
             (x_start, -shift[i1] + eps),
@@ -266,7 +259,7 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
         for r in range(3, k + 1):
             ir = subset[r - 1]
             y_run = -2 * D - shift[ir] + eps0 - eps
-            check_inside(y_run, ys, left[ir - 1][1],
+            check_inside(y_run, left[ir - 1][1],
                          f"run {r} of {subset} in exposed zone of path {ir}")
             corners.append((cur_x, y_run))
             cur_x = 2 * D + shift[ir] + eps

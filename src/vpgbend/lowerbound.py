@@ -243,11 +243,18 @@ def find_far_kset(good_sets: Iterable[Iterable], n: int, k: int) -> Optional[Tup
     return None
 
 
+class _Candidates(list):
+    """The hit-sets of `certificate_candidates`, with a copy of the label ->
+    path map and the k that they were swept for."""
+
+
 def certificate_candidates(ra: VpgRepresentation, k: int) -> List[frozenset]:
     """Every nonempty probe hit-set of at most k paths, reusable across targets."""
     labels = ra.labels()
     *_, vertical, horizontal = _probe_sweep(ra, k)
-    return [frozenset(_members(labels, mask)) for mask in {**vertical, **horizontal}]
+    out = _Candidates(frozenset(_members(labels, mask)) for mask in {**vertical, **horizontal})
+    out.paths, out.k = dict(ra.assignment), k
+    return out
 
 
 def bend_lb_certificate(
@@ -262,8 +269,10 @@ def bend_lb_certificate(
     segments cover the target, each is a probe hit-set S of the target with
     |S| <= k, and `certificate_candidates(ra, k)` records every nonempty such
     S.  Returns None when c = 0 (no probe meets only target members:
-    unrealizable).  Pass `candidates` from `certificate_candidates(ra, k)` to
-    amortize the probe sweep over many targets of size k.
+    unrealizable).  Pass `candidates` from `certificate_candidates(ra, j)`
+    with j >= k to amortize the probe sweep over many targets; any other
+    list, which may miss some S and so overstate the bound, is a
+    `ParameterError`.
     """
     t = frozenset(_known_labels(ra, target))
     k = len(t)
@@ -271,6 +280,9 @@ def bend_lb_certificate(
         raise ParameterError("empty target set")
     if candidates is None:
         candidates = certificate_candidates(ra, k)
+    elif not (isinstance(candidates, _Candidates) and candidates.k >= k
+              and candidates.paths == ra.assignment):
+        raise ParameterError(f"candidates are not from certificate_candidates(ra, j) with j >= {k}")
     c = max((len(s) for s in candidates if s <= t), default=0)
     if c == 0:
         return None
@@ -337,12 +349,6 @@ def count_good_sets_vs_bound(ra: VpgRepresentation, k: int, t: int) -> Tuple[int
 # auxiliary graphs of proper representations of the 3-subset split graph
 
 
-def _segment_vertex(ranked, a: Label, idx: int) -> Tuple[str, Label, int]:
-    """The F_h/F_v vertex ("h" or "v", a, idx) of segment idx of clique path a."""
-    (_, ay), (_, by) = ranked[a][idx : idx + 2]
-    return ("h" if ay == by else "v", a, idx)
-
-
 def classify_sh_sv(rep: VpgRepresentation, clique_verts, indep_verts):
     """Partition-cover (S_H, S_V): b lands in S_H when it meets horizontal
     segments of at least two of its three clique neighbors, S_V symmetrically.
@@ -354,7 +360,7 @@ def classify_sh_sv(rep: VpgRepresentation, clique_verts, indep_verts):
     table, lines, s_h, s_v = _contact_table(rep), {}, [], []
     for b in indep_verts:
         hits = _hit_walk(table, b, clique_verts, lines)
-        met = {_segment_vertex(table.ranked, a, idx)[:2] for a, _, idx, _ in hits}
+        met = {vertex[:2] for _, _, vertex, _, _ in hits}
         nbrs = {a for _, a in met}
         if len(nbrs) < 3:
             raise DomainError(f"independent vertex {label_str(b)} meets {len(nbrs)} clique paths")
@@ -405,15 +411,14 @@ def build_auxiliary_fh_fv(rep: VpgRepresentation, clique_verts, indep_verts):
     if not report.ok:
         raise DomainError("representation is not proper: " + "; ".join(report.violations[:3]))
     table, lines = _contact_table(rep), {}
-    ranked = table.ranked
-    segments = [
-        _segment_vertex(ranked, a, idx) for a in clique_verts for idx in range(len(ranked[a]) - 1)
-    ]
+    ranked = table.ranked  # every clique segment's vertex, in index order
+    segments = [("h" if ay == by else "v", a, idx) for a in clique_verts
+                for idx, ((_, ay), (_, by)) in enumerate(zip(ranked[a], ranked[a][1:]))]
     f = {tag: Graph(s for s in segments if s[0] == tag) for tag in "hv"}
     for b in indep_verts:
         hits = _hit_walk(table, b, clique_verts, lines)
         lo, hi = leaf_trim_window([a for a, *_ in hits])
-        walk = [_segment_vertex(ranked, a, idx) for a, _, idx, _ in hits[lo : hi + 1]]
+        walk = [vertex for _, _, vertex, _, _ in hits[lo : hi + 1]]
         for tag, g in f.items():
             steps = [s for s in walk if s[0] == tag]
             for u, v in zip(steps, steps[1:]):

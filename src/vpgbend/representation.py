@@ -297,21 +297,23 @@ def _segment_lines(corners) -> Dict[Tuple[str, int], list]:
     return lines
 
 
-def _segment_at(lines, x0, y0, x1, y1) -> Tuple[int, int]:
-    """(index, offset): the first segment in `lines` that holds the box (x0, y0,
-    x1, y1), a corner being on two, and the rank distance of (x0, y0) from its first corner."""
+def _segment_at(lines, x0, y0, x1, y1) -> Tuple[int, int, str]:
+    """(index, offset, axis): the first segment in `lines` that holds the box (x0, y0, x1,
+    y1), a corner being on two, the rank distance of (x0, y0) from its first corner and its axis."""
     on = ((("h", y0), x0, x1, y0 == y1), (("v", x0), y0, y1, x0 == x1))
-    return min((idx, abs(u0 - a)) for line, u0, u1, flat in on if flat
+    return min((idx, abs(u0 - a), line[0]) for line, u0, u1, flat in on if flat
                for idx, lo, hi, a in lines.get(line, ()) if lo <= u0 and u1 <= hi)
 
 
 def _hit_walk(table: _ContactTable, b: Label, clique_verts: List[Label], lines=None):
     """`clique_hit_sequence` on a contact table, each point as its ranks.
 
-    A hit is ordered by the first segment of P(b) containing it and its
-    rank offset from that segment's first corner: P(b) is simple, so that
-    is the order of arc length, and only equal points tie.  Walks that share
-    `lines`, label -> `_segment_lines` of its path, index each path once.
+    A hit is (a, point, (axis, a, idx), overlap, b_idx), with the F_h/F_v
+    vertex of the segment of P(a) that holds it and the first segment b_idx
+    of P(b) holding it.  Hits are ordered by b_idx and the rank offset from its
+    first corner: P(b) is simple, so that is the order of arc length, and only
+    equal points tie.  Walks that share `lines`, label -> `_segment_lines` of
+    its path, index each path once.
     """
     lines = {} if lines is None else lines
     for label in {b, *clique_verts} - lines.keys():
@@ -328,10 +330,10 @@ def _hit_walk(table: _ContactTable, b: Label, clique_verts: List[Label], lines=N
         boxes = sorted(table.overlaps.get(pair, ())) + [(x, y, x, y) for x, y in points]
         for box in boxes:
             x, y = box[:2]
-            idx, _ = _segment_at(lines[a], *box)
-            hits.append((_segment_at(pb, x, y, x, y), a, (x, y), idx, (x, y) != box[2:]))
+            idx, _, axis = _segment_at(lines[a], *box)
+            hits.append((_segment_at(pb, x, y, x, y), a, (x, y), (axis, a, idx), (x, y) != box[2:]))
     hits.sort(key=lambda h: h[0])
-    return [h[1:] for h in hits]
+    return [(*h[1:], h[0][0]) for h in hits]
 
 
 def clique_hit_sequence(
@@ -349,7 +351,7 @@ def clique_hit_sequence(
     den, xs, ys = table.den, table.xs, table.ys
     return [
         (a, Point(Fraction(xs[x], den), Fraction(ys[y], den)), idx, overlap)
-        for a, (x, y), idx, overlap in _hit_walk(table, b, clique_verts)
+        for a, (x, y), (_, _, idx), overlap, _ in _hit_walk(table, b, clique_verts)
     ]
 
 
@@ -383,9 +385,9 @@ def trim_independent_path(
     corners between the segments that hold the two surviving hits.
     """
     b, *clique_verts = _known_labels(rep, [b, *clique_verts])
-    table, lines = _contact_table(rep), {}
-    hits = _hit_walk(table, b, clique_verts, lines)
-    overlapping = {a for a, _, _, overlap in hits if overlap}
+    table = _contact_table(rep)
+    hits = _hit_walk(table, b, clique_verts)
+    overlapping = {a for a, _, _, overlap, _ in hits if overlap}
     for a in clique_verts:
         if a in overlapping:
             raise DomainError(f"path of {label_str(b)} overlaps clique path {label_str(a)}")
@@ -398,7 +400,7 @@ def trim_independent_path(
     if start == end:
         raise DegenerateTrimError(
             f"trimmed hit sequence of {label_str(b)} starts and ends at one point")
-    first, last = (_segment_at(lines[b], *p, *p)[0] for p in (start, end))
+    first, last = hits[lo][-1], hits[hi][-1]
     # a start at the far end of its segment repeats the next corner, which is dropped
     corners = [start, *table.ranked[b][first + 1 : last + 1], end]
     return RectPath._of_ints(table.den, [(table.xs[x], table.ys[y]) for x, y in corners])

@@ -740,6 +740,21 @@ def test_repeated_set_label_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: repeated") and err.count("\n") == 1
 
 
+def test_many_set_labels_are_checked_in_one_pass(tmp_path, capsys):
+    # 60,000 distinct labels, all but two naming no path; a count per label
+    # would take about a minute
+    rfile = tmp_path / "r.txt"
+    rfile.write_text("1 : (0,0) (1,0)\n2 : (0,0) (0,1)\n")
+    target = ",".join(map(str, range(1, 60_001)))
+    for spec, error in ((target, "error: target labels not in representation: ['3', '4', "),
+                        (target + ",1", "error: repeated target labels: ['1']\n")):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "certificate", str(rfile), "--target", spec)
+        assert time.perf_counter() - start < 5
+        assert (rc, out) == (2, "")
+        assert err.startswith(error) and err.count("\n") == 1
+
+
 _TOKENS = [
     "a", "b", "1", "2", "2 1", ":", " : ", "<", " < ", ",", "(0,0)", "(1,0)", "(0,1)",
     "(1,1)", "(1/2,0)", "(1,2,3)", "(x,1)", "(1/0,0)", "(-1,0)", "a b", "1 2",

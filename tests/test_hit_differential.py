@@ -123,19 +123,18 @@ def test_walks_on_one_table_match_reference(clique_paths, indep_paths, variant, 
         clique.append(rnd.choice(clique))
     rnd.shuffle(clique)
     _assert_same(rep, clique, indep)
-    # the representation's table, shared by every walk
+    # the representation's table, shared by every walk; each hit's axis is
+    # the walk's own, and its walked segment the first of P(b) through it
     table = _contact_table(rep)
     den, xs, ys = table.den, table.xs, table.ys
+    axes = {"h": HORIZONTAL, "v": VERTICAL}
     for b in indep:
-        walk = [
-            (
-                a,
-                rep.path(a).segments()[idx].orientation,
-                idx,
-                Point(Fraction(xs[x], den), Fraction(ys[y], den)),
-            )
-            for a, (x, y), idx, _ in _hit_walk(table, b, clique)
-        ]
+        walk = []
+        for a, (x, y), (axis, owner, idx), _, b_idx in _hit_walk(table, b, clique):
+            pt = Point(Fraction(xs[x], den), Fraction(ys[y], den))
+            assert owner == a
+            assert b_idx == next(i for i, s in enumerate(rep.path(b).segments()) if s.contains(pt))
+            walk.append((a, axes[axis], idx, pt))
         assert walk == reference.hit_details(rep, b, clique)
 
 

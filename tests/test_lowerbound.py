@@ -253,6 +253,27 @@ def test_certificate_rejects_unknown_labels():
             bend_lb_certificate(ra, iter((98, 2, 99)), given)
 
 
+def test_certificate_refuses_candidates_of_a_smaller_k_or_other_paths(k3n_reps):
+    # on the clique paths of k3n(8), t's own path has 1 bend and its own
+    # sweep gives 0; the hit-sets of a k = 1 or k = 2 sweep would give 2 and 1
+    ra = k3n_reps[8].restricted(range(1, 9))
+    t = (1, 2, 3)
+    assert bend_lb_certificate(ra, t) == 0 < bend_count(k3n_reps[8].path(t))
+    refused = r"candidates are not from certificate_candidates\(ra, j\) with j >= 3$"
+    for k in (1, 2):
+        with pytest.raises(ParameterError, match=refused):
+            bend_lb_certificate(ra, t, certificate_candidates(ra, k))
+    wider = certificate_candidates(ra, 4)
+    for target in combinations(range(1, 9), 3):
+        assert bend_lb_certificate(ra, target, wider) == bend_lb_certificate(ra, target)
+    with pytest.raises(ParameterError, match=refused):
+        bend_lb_certificate(ra, t, list(certificate_candidates(ra, 3)))
+    # the same labels on the paths of another construction
+    other = construct_gtm_stairs(9, 4).restricted(range(1, 9))
+    with pytest.raises(ParameterError, match=refused):
+        bend_lb_certificate(ra, t, certificate_candidates(other, 3))
+
+
 def test_certificate_pairwise_stacked_layout():
     # probes meet at most two target members, so a path hitting all four
     # needs at least ceil(4/2) = 2 segments: certificate k/2 - 1 = 1
