@@ -127,6 +127,11 @@ def _parse_labels(spec: str) -> List[str]:
     return [tok for tok in spec.split(",") if tok]
 
 
+def _first_labels(labels: List[str]) -> str:
+    """The labels as a list, cut after the first 5 with their count."""
+    return str(labels) if len(labels) <= 5 else f"{labels[:5]} … ({len(labels)} in all)"
+
+
 def _parse_known_labels(spec: str, what: str, known, where: str) -> List[str]:
     """Labels of a comma-separated set option, each one in `known`, which
     the error calls `where`; a repeated label is an error."""
@@ -134,10 +139,10 @@ def _parse_known_labels(spec: str, what: str, known, where: str) -> List[str]:
     for tok in labels:
         (repeated if tok in seen else seen).add(tok)
     if repeated:
-        raise ValidationError(f"repeated {what} labels: {sorted(repeated)}")
+        raise ValidationError(f"repeated {what} labels: {_first_labels(sorted(repeated))}")
     missing = [t for t in labels if t not in known]
     if missing:
-        raise VpgError(f"{what} labels not in {where}: {missing}")
+        raise VpgError(f"{what} labels not in {where}: {_first_labels(missing)}")
     return labels
 
 

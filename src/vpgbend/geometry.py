@@ -195,13 +195,15 @@ def _crossing_contacts(hs, vs):
                 yield v, active[at:end]
 
 
+def _coordinate_text(v: int, den: int) -> str:
+    """`str(Fraction(v, den))`, formatted on ints."""
+    g = math.gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+
 def _corner_text(x: int, y: int, den: int) -> str:
     """`str(Point(Fraction(x, den), Fraction(y, den)))`, formatted on ints."""
-    out = []
-    for v in (x, y):
-        g = math.gcd(v, den)
-        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
-    return f"({out[0]},{out[1]})"
+    return f"({_coordinate_text(x, den)},{_coordinate_text(y, den)})"
 
 
 class RectPath:

@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import DomainError, ParameterError
 from .geometry import HORIZONTAL, VERTICAL, Point, Segment
 from .graphs import Graph, Label, label_str
+from .planarity import is_planar  # the F_h/F_v chain's test, named here too
 from .representation import (
     VpgRepresentation,
     _contact_table,
@@ -425,14 +426,3 @@ def build_auxiliary_fh_fv(rep: VpgRepresentation, clique_verts, indep_verts):
                 if u != v:
                     g.add_edge(u, v)
     return f["h"], f["v"], _contract_same_path_edges(f["h"]), _contract_same_path_edges(f["v"])
-
-
-def is_planar(g: Graph) -> bool:
-    """Planarity via the standard linear-time test."""
-    import networkx as nx  # here, so that a process that tests no planarity never imports it
-
-    ng = nx.Graph()
-    ng.add_nodes_from(g.vertices)
-    ng.add_edges_from(g.edges())
-    ok, _ = nx.check_planarity(ng, counterexample=False)
-    return ok

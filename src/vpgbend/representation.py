@@ -10,8 +10,8 @@ from itertools import chain, groupby
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import DegenerateTrimError, DomainError, ValidationError
-from .geometry import (Point, RectPath, _collinear_contacts, _corner_text, _crossing_contacts,
-                       _parse_ratio, _segment_rows, bend_count)
+from .geometry import (Point, RectPath, _collinear_contacts, _coordinate_text, _corner_text,
+                       _crossing_contacts, _parse_ratio, _segment_rows, bend_count)
 from .graphs import Graph, Label, _label_texts, label_str
 
 
@@ -423,7 +423,12 @@ def write_representation_text(rep: VpgRepresentation) -> str:
     lines = []
     for name, path in zip(names, rep.assignment.values()):
         den, *flat = path._scaled
-        pts = " ".join(_corner_text(x, y, den) for x, y in zip(flat[::2], flat[1::2]))
+        if den == 1:
+            words = list(map(str, flat))
+        else:  # each coordinate's text once: a path's corners share many
+            text = {}
+            words = [text[v] if v in text else text.setdefault(v, _coordinate_text(v, den)) for v in flat]
+        pts = " ".join([f"({x},{y})" for x, y in zip(words[::2], words[1::2])])
         lines.append(f"{name} : {pts}")
     return "\n".join(lines) + "\n"
 

@@ -742,17 +742,22 @@ def test_repeated_set_label_is_usage_error(tmp_path, capsys, argv):
 
 def test_many_set_labels_are_checked_in_one_pass(tmp_path, capsys):
     # 60,000 distinct labels, all but two naming no path; a count per label
-    # would take about a minute
+    # would take about a minute, and the error names the first 5 only
     rfile = tmp_path / "r.txt"
     rfile.write_text("1 : (0,0) (1,0)\n2 : (0,0) (0,1)\n")
     target = ",".join(map(str, range(1, 60_001)))
-    for spec, error in ((target, "error: target labels not in representation: ['3', '4', "),
-                        (target + ",1", "error: repeated target labels: ['1']\n")):
+    for spec, error in (
+        (target, "error: target labels not in representation: "
+                 "['3', '4', '5', '6', '7'] … (59998 in all)\n"),
+        (target + ",1", "error: repeated target labels: ['1']\n"),
+        (target + ",6,5,4,3,2,1", "error: repeated target labels: "
+                                  "['1', '2', '3', '4', '5'] … (6 in all)\n"),
+    ):
         start = time.perf_counter()
         rc, out, err = run(capsys, "certificate", str(rfile), "--target", spec)
         assert time.perf_counter() - start < 5
-        assert (rc, out) == (2, "")
-        assert err.startswith(error) and err.count("\n") == 1
+        assert (rc, out, err) == (2, "", error)
+        assert len(err.encode()) < 300
 
 
 _TOKENS = [
