@@ -71,7 +71,7 @@ def _coordinate(values: Sequence[int], den: int, events: Sequence[int], code: in
     return Fraction(3 * a + (code - events[at]) * (values[events[at + 1] // 3] - a), 3 * den)
 
 
-def _probe_sets_one_axis(width: int, hs, vs, k: int) -> Dict[int, tuple]:
+def _probe_sets_one_axis(width: int, hs, vs, k: int, held=(), missing: int = 0) -> Dict[int, tuple]:
     """Every nonempty hit-set of at most k paths of probes along the y axis.
 
     Over the segment rows of a rank table, whose x ranks run below `width`, a
@@ -94,6 +94,10 @@ def _probe_sets_one_axis(width: int, hs, vs, k: int) -> Dict[int, tuple]:
     that the start below it sees.  So does a start whose predecessor met the
     same intervals across it and began one row lower, on a row of no path
     beyond those and this start's first row.
+
+    Given `missing` > 0, the sweep returns once it has recorded that many
+    sets that are not keys of `held`; the default 0 never counts down to 0
+    again, so the four-argument call sweeps to the end.
     """
     opening, closing, on_line = {}, {}, {}
     for y, lo, hi, li in hs:
@@ -132,6 +136,9 @@ def _probe_sets_one_axis(width: int, hs, vs, k: int) -> Dict[int, tuple]:
                     continue
                 if hit and hit not in found:
                     found[hit] = (x, events, start, start + 1)
+                    missing -= hit not in held
+                    if not missing:
+                        return found
                 for yb, b in column[i:]:
                     if hit | b == hit:
                         continue
@@ -140,17 +147,35 @@ def _probe_sets_one_axis(width: int, hs, vs, k: int) -> Dict[int, tuple]:
                         break
                     if hit not in found:
                         found[hit] = (x, events, start, yb)
+                        missing -= hit not in held
+                        if not missing:
+                            return found
     return found
 
 
 def _probe_sweep(ra: VpgRepresentation, k: int):
-    """(den, xs, ys, vertical, horizontal): `_probe_sets_one_axis` on both axes."""
+    """(den, xs, ys, vertical, horizontal): `_probe_sets_one_axis` on both axes.
+
+    Each stops once the two axes hold all N nonempty sets of at most k of the
+    n paths, after which no probe can record a new key: the vertical sweep
+    after its N-th set, the horizontal one after the set that brings the
+    union to N, and the horizontal one does not run if the vertical one holds
+    all N.  So the vertical dict is whole, and the horizontal one is a prefix
+    of the full sweep's that lacks only sets the vertical one holds: good
+    sets, witnesses, candidates and their order are those of full sweeps.
+    """
     if k < 1:
         raise ParameterError("need k >= 1")
     table = _contact_table(ra)
     xs, ys, hs, vs = table.xs, table.ys, table.hs, table.vs
-    vertical = _probe_sets_one_axis(len(xs), hs, vs, k)
-    return table.den, xs, ys, vertical, _probe_sets_one_axis(len(ys), vs, hs, k)
+    # N = C(n, 1) + ... + C(n, min(k, n)), each binomial made from the one before
+    n = len(ra)
+    binomials = accumulate(range(1, min(k, n) + 1), lambda c, j: c * (n + 1 - j) // j, initial=1)
+    missing = sum(binomials) - 1
+    vertical = _probe_sets_one_axis(len(xs), hs, vs, k, (), missing)
+    missing -= len(vertical)
+    horizontal = _probe_sets_one_axis(len(ys), vs, hs, k, vertical, missing) if missing else {}
+    return table.den, xs, ys, vertical, horizontal
 
 
 def _members(labels: Sequence[Label], mask: int) -> List[Label]:

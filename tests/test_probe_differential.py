@@ -3,10 +3,14 @@
 the clique paths of the constructions.  The certificate candidates of k must
 be the reference's good j-sets for all j <= k.  The sweep's first probe of
 every hit-set, and the order it records them in, must be those of the
-reference sweep that starts a probe at every position.  The int-box witness
-re-check `probe_hit_set` is compared with the reference's on random probes."""
+reference sweep that starts a probe at every position.  `_probe_sweep`, which
+stops once the two axes hold every set of at most k paths, must keep every
+entry and the merged order of the two axes swept to the end.  The int-box
+witness re-check `probe_hit_set` is compared with the reference's on random
+probes."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +18,11 @@ from hypothesis import strategies as st
 
 import probe_reference as reference
 from rep_strategies import representation, representations, scales, shifts
+from vpgbend.constructors import construct_gtm_stairs
 from vpgbend.geometry import Point, Segment
 from vpgbend.lowerbound import (
     _probe_sets_one_axis,
+    _probe_sweep,
     certificate_candidates,
     enumerate_good_sets,
     induced_grid,
@@ -90,6 +96,48 @@ def test_first_probes_match_all_starts_sweep_on_k3n(k3n_reps, n):
 @pytest.mark.parametrize("nk", [(6, 3), (7, 4)])
 def test_first_probes_match_all_starts_sweep_on_staircases(gtm_reps, nk):
     _assert_same_first_probes(gtm_reps[nk].restricted(range(1, nk[0] + 1)))
+
+
+def _assert_sweep_matches_full_sweeps(ra):
+    """`_probe_sweep` against both axes swept to the end: the same vertical
+    dict, a prefix of the horizontal one, and the same merged key order."""
+    table = _contact_table(ra)
+    for k in range(1, 5):
+        full_v = _probe_sets_one_axis(len(table.xs), table.hs, table.vs, k)
+        full_h = _probe_sets_one_axis(len(table.ys), table.vs, table.hs, k)
+        *_, vertical, horizontal = _probe_sweep(ra, k)
+        assert list(vertical.items()) == list(full_v.items())
+        assert list(horizontal.items()) == list(full_h.items())[: len(horizontal)]
+        assert list({**vertical, **horizontal}) == list({**full_v, **full_h})
+
+
+@settings(max_examples=300, deadline=None)
+@given(representations)
+def test_probe_sweep_matches_full_sweeps(paths):
+    _assert_sweep_matches_full_sweeps(representation(paths))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_probe_sweep_matches_full_sweeps_on_k3n(k3n_reps, n):
+    _assert_sweep_matches_full_sweeps(k3n_reps[n].restricted(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("nk", [(5, 3), (6, 3), (7, 4), (8, 4)])
+def test_probe_sweep_matches_full_sweeps_on_staircases(nk):
+    _assert_sweep_matches_full_sweeps(construct_gtm_stairs(*nk).restricted(range(1, nk[0] + 1)))
+
+
+@pytest.mark.parametrize("n, count", [(8, 92), (10, 175)])
+def test_probe_sweep_stops_once_every_set_is_held(k3n_reps, n, count):
+    """Every set of at most 3 of k3n(n)'s clique paths is a hit-set, so the
+    horizontal sweep stops short of its end; at k = 2 the vertical sweep
+    holds them all and the horizontal one does not run."""
+    ra = k3n_reps[n].restricted(range(1, n + 1))
+    table = _contact_table(ra)
+    assert len(certificate_candidates(ra, 3)) == count == sum(comb(n, j) for j in (1, 2, 3))
+    horizontal = _probe_sweep(ra, 3)[-1]
+    assert len(horizontal) < len(_probe_sets_one_axis(len(table.ys), table.vs, table.hs, 3))
+    assert _probe_sweep(ra, 2)[-1] == {}
 
 
 # layouts whose rows the carried sweep updates in place: each is checked as
