@@ -103,9 +103,11 @@ def _grid_paths(
     w, h, max_segments = budget.grid_width, budget.grid_height, budget.max_bends + 1
     row = 2 * w - 1
     top = 2 * h - 2
-    # bits 0, row, ..., top·row; shifted right by (top − 2k)·row, the
-    # vertical run of k units up from bit 0
+    # runs[k]: the 2k + 1 bits of a segment k units long, from bit 0 up; a
+    # vertical run is a low slice of the column of bits 0, row, ..., top·row
     column = int("1" + ("0" * (row - 1) + "1") * top, 2)
+    horizontal_runs = [(2 << 2 * k) - 1 for k in range(w)]
+    vertical_runs = [column >> (top - 2 * k) * row for k in range(h)]
 
     def ends(first: Corner, x: int, y: int, horizontal: bool, last: bool) -> Iterator[int]:
         # the end coordinates to try for a segment from (x, y); on the last
@@ -128,19 +130,17 @@ def _grid_paths(
             cx, cy = corners[-1]
             start = 2 * cy * row + 2 * cx
             before = mask & ~(1 << start)  # the new segment may meet the path only at its start
-            at, stride = (cx, 1) if horizontal else (cy, row)
+            at, stride, runs = (cx, 1, horizontal_runs) if horizontal else (cy, row, vertical_runs)
             last = len(corners) == max_segments
             # what the path so far settles: whether it already meets `forbid`,
             # and which masks in `needs` the new segment must meet itself
             dead = mask & forbid
-            unmet = [need for need in needs if not mask & need]
+            unmet = [need for need in needs if not mask & need] if needs else ()
             for c in untried:
                 if c == at:
                     continue
                 d = c - at
-                # the segment's 2|d| + 1 bits, from its lower end up
-                run = (2 << 2 * abs(d)) - 1 if horizontal else column >> (top - 2 * abs(d)) * row
-                seg = run << (start if d > 0 else start + 2 * d * stride)
+                seg = runs[abs(d)] << (start if d > 0 else start + 2 * d * stride)
                 if seg & before:
                     continue
                 end = (c, cy) if horizontal else (cx, c)
@@ -287,15 +287,16 @@ class _LazySearch(_Search):
 
 
 def _columns(masks: Sequence[int], width: int) -> List[int]:
-    """For each bit b < width, the int whose bit i is bit b of masks[i]."""
-    columns = [0] * width
-    for i, mask in enumerate(masks):
-        index = 1 << i
-        while mask:
-            low = mask & -mask
-            columns[low.bit_length() - 1] |= index
-            mask ^= low
-    return columns
+    """For each bit b < width, the int whose bit i is bit b of masks[i]; every
+    mask is below 2**width.  The masks, last first, are written as width-digit
+    binary numerals into one string, so that column b is every width-th digit
+    from digit width − 1 − b on: one strided slice and one base-2 parse per
+    bit, both in C (a power-of-two base is exempt from int()'s digit limit)."""
+    if not masks:
+        return [0] * width
+    numeral = f"0{width}b"
+    digits = "".join([format(mask, numeral) for mask in reversed(masks)])
+    return [int(digits[width - 1 - b :: width], 2) for b in range(width)]
 
 
 def _gather(table: Sequence[int], mask: int) -> int:

@@ -12,21 +12,46 @@ search as they were before the enumerator took over the keep test and the
 node count: the enumerator yields every candidate, building each segment's
 bits with a sort and a division, and the search counts and tests each one.
 They pin the outcome, node count and witness of `vpgbend.oracle._LazySearch`.
+
+`columns` is the table search's bit transpose as a loop over every set bit of
+every mask, kept to test the bulk transpose `vpgbend.oracle._columns`
+against.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from vpgbend.geometry import Point, RectPath, Segment, path_intersections, segment_intersection
 from vpgbend.graphs import Graph
-from vpgbend.oracle import Corner, GridSearchBudget, _corner_bits, _Search
+from vpgbend.oracle import Corner, GridSearchBudget, _Search
 from vpgbend.representation import VpgRepresentation, is_proper, verify_realizes
 
 
 class _BudgetExhausted(Exception):
     pass
+
+
+def corner_bits(corners: Sequence[Corner], row: int) -> int:
+    """The lattice bits of a path's corners on a grid whose doubled rows are
+    `row` bits long."""
+    mask = 0
+    for x, y in corners:
+        mask |= 1 << 2 * (y * row + x)
+    return mask
+
+
+def columns(masks: Sequence[int], width: int) -> List[int]:
+    """For each bit b < width, the int whose bit i is bit b of masks[i]."""
+    out = [0] * width
+    for i, mask in enumerate(masks):
+        index = 1 << i
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= index
+            mask ^= low
+    return out
 
 
 def grid_paths(budget: GridSearchBudget) -> Iterator[RectPath]:
@@ -184,7 +209,7 @@ class LazySearch(_Search):
             if mask & forbid or not all(mask & other for other in neighbours):
                 continue
             if self.require_proper:
-                ends = _corner_bits(corners, self.row)
+                ends = corner_bits(corners, self.row)
                 if ends & union:
                     continue
                 down = (union | mask, ends_union | ends, met | mask & union)

@@ -11,7 +11,8 @@ from vpgbend import oracle, representation
 from vpgbend.errors import ParameterError
 from vpgbend.graphs import Graph
 from vpgbend.oracle import (
-    GridSearchBudget, _grid_paths, _LazySearch, _path_count, _search, _tables_fit, search_representation,
+    GridSearchBudget, _grid_paths, _LazySearch, _path_count, _search, _tables_fit, _TableSearch,
+    search_representation,
 )
 from vpgbend.representation import is_proper, max_bends, verify_realizes
 
@@ -121,6 +122,22 @@ def test_p4_proper_one_bend_found_on_5x5():
     assert _LazySearch(g, GridSearchBudget(5, 5, 1, 59_735), True).outcome() == ("budget", None)
 
 
+# the table search's first witness for three of the oracle benchmark's cases,
+# as the README gives it: node count and corners per vertex
+@pytest.mark.parametrize("g,grid,bends,proper,nodes,corners", [
+    (P4, 5, 1, True, 78, [(1, [(0, 2), (2, 2)]), (2, [(0, 0), (1, 0), (1, 3)]),
+                          (3, [(0, 1), (3, 1), (3, 4)]), (4, [(2, 3), (4, 3)])]),
+    (Graph(["a", "b"], [("a", "b")]), 4, 1, True, 4,
+     [("a", [(0, 0), (1, 0), (1, 2)]), ("b", [(0, 1), (2, 1)])]),
+    (Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)]), 3, 1, False, 10,
+     [(1, [(0, 0), (1, 0)]), (2, [(0, 0), (0, 1)]), (3, [(0, 1), (1, 1)]), (4, [(1, 0), (1, 1)])]),
+], ids=["P4-proper", "edge-proper", "C4"])
+def test_table_search_first_witness(g, grid, bends, proper, nodes, corners):
+    budget = GridSearchBudget(grid, grid, bends, 20_000)
+    assert _tables_fit(budget)
+    assert finished(_TableSearch(g, budget, proper)) == ("found", nodes, corners)
+
+
 def test_k52_proper_one_bend_runs_out_at_the_benchmark_limit():
     # the oracle benchmark's slowest search: every node of it is counted, the
     # one past the limit included
@@ -165,8 +182,12 @@ def test_filtered_candidates_are_the_unfiltered_ones_that_pass(case):
 def test_k3_has_no_proper_zero_bend_representation(side):
     # two of three segments are parallel, so they overlap or miss; on side
     # 6 = 3·(0+2) the exhausted grid certifies it (any representation
-    # rank-compresses onto it)
-    assert _search(complete(3), GridSearchBudget(side, side, 0, 20_000), True) == ("exhausted", None)
+    # rank-compresses onto it).  `_search` takes the table search on every
+    # side, in the node counts the README gives.
+    budget = GridSearchBudget(side, side, 0, 20_000)
+    assert _tables_fit(budget)
+    nodes = {3: 20, 4: 80, 5: 300, 6: 980}[side]
+    assert finished(_TableSearch(complete(3), budget, True)) == ("exhausted", nodes, None)
 
 
 def test_outcomes():

@@ -4,7 +4,9 @@ same first witness from the lazy search, which every grid here would
 otherwise send to the table search; the table search against the lazy
 one, which never reach opposite decisions; and the lazy search against its
 copy in the reference module from before the enumerator applied the keep test
-and the node count, with which it shares outcome, node count and witness.
+and the node count, with which it shares outcome, node count and witness; and
+the table search's bulk bit transpose against the reference's loop over every
+set bit.
 
 Without `require_proper` both searches prune only on adjacency, so they take
 the same node count up to the first witness.  With it the reference prunes
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 import oracle_reference as ref
 from rep_strategies import finished, searches
 from vpgbend.graphs import Graph
-from vpgbend.oracle import GridSearchBudget, _grid_paths, _LazySearch, _TableSearch
+from vpgbend.oracle import GridSearchBudget, _columns, _grid_paths, _LazySearch, _TableSearch
 from vpgbend.representation import is_proper, verify_realizes
 
 
@@ -161,3 +163,43 @@ def test_cold_and_warm_runs_match_the_unfiltered_copy(case):
 def test_lazy_search_matches_its_unfiltered_copy_on_benchmark_cases(g, grid, bends, limit, proper):
     budget = GridSearchBudget(grid, grid, bends, limit)
     assert finished(_LazySearch(g, budget, proper)) == finished(ref.LazySearch(g, budget, proper))
+
+
+# --- the table search's bit transpose against the loop over every set bit ---
+
+@st.composite
+def bit_rows(draw):
+    """(masks, width): up to 80 masks below 2**width, for widths 1 to 300,
+    each zero, all ones, with bit width − 1 set, or any."""
+    width = draw(st.integers(1, 300))
+    top = 1 << width - 1
+    mask = st.one_of(
+        st.just(0),
+        st.just(2 * top - 1),
+        st.integers(0, top - 1).map(lambda m: m | top),
+        st.integers(0, 2 * top - 1),
+    )
+    return draw(st.lists(mask, max_size=80)), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(bit_rows())
+@example(([], 1))  # a 1x1 grid has no candidates
+@example(([0] * 70, 3))
+@example(([1 << 299], 300))
+def test_bulk_transpose_matches_the_bit_loop(case):
+    masks, width = case
+    assert _columns(masks, width) == ref.columns(masks, width)
+
+
+@pytest.mark.parametrize("bends", range(3))
+def test_tables_match_the_bit_loop_on_small_grids(bends):
+    g = Graph([1, 2], [(1, 2)])
+    for w in range(1, 5):
+        for h in range(1, 5):
+            search = _TableSearch(g, GridSearchBudget(w, h, bends, 1), True)
+            size = (2 * w - 1) * (2 * h - 1)
+            ends = [ref.corner_bits(corners, 2 * w - 1) for corners, _ in search.paths]
+            assert search.through == ref.columns([mask for _, mask in search.paths], size)
+            assert search.ends == ends
+            assert search.cornered == ref.columns(ends, size)
