@@ -12,19 +12,20 @@ path is one int: a mask on the grid's doubled lattice, where corner (x, y) is
 bit 2y·(2w−1) + 2x and the odd bits between corners are unit edges.  Two paths
 meet iff their masks share a bit, and overlap iff they share an odd bit.  A
 proper representation is then one in which no two masks share an odd bit, no
-bit lies on three masks, and no shared bit is a corner of either path.
+bit lies on three masks, and no shared bit is a corner of either path.  The
+enumerator yields each path's corner mask, the bits of its corners, with it.
 
 Two searches share the node limit and the final re-check, and the grid size
 and bends alone choose between them:
 
 * on small grids, `_TableSearch` enumerates the candidates once and keeps,
   for each lattice bit, an int over candidate indices (the candidates through
-  the bit and, for a proper search, those with a corner on it).  Each
-  unplaced vertex's domain is one int, filtered by a few ANDs whenever a path
-  is placed; a branch dies as soon as some domain is empty, and the search
-  branches on the smallest domain (forward checking, Haralick & Elliott,
-  *Artificial Intelligence* 14, 1980).  A node is one candidate taken from a
-  domain.
+  the bit and, for a proper search, those with a corner on it, both tables
+  from one transpose).  Each unplaced vertex's domain is one int, filtered by
+  a few ANDs whenever a path is placed; a branch dies as soon as some domain
+  is empty, and the search branches on the smallest domain (forward checking,
+  Haralick & Elliott, *Artificial Intelligence* 14, 1980).  A node is one
+  candidate taken from a domain.
 * elsewhere, where those tables would be large, `_LazySearch` places the
   vertices in a fixed order (highest degree first) and enumerates the
   candidates lazily at every depth.  The enumerator itself counts each
@@ -92,14 +93,14 @@ def _grid_paths(
     forbid: int = 0,
     needs: Sequence[int] = (),
     take: Optional[Callable[[], None]] = None,
-) -> Iterator[Tuple[Tuple[Corner, ...], int]]:
+) -> Iterator[Tuple[Tuple[Corner, ...], int, int]]:
     """All simple rectilinear paths with corners on the grid, each geometric
     path exactly once (canonical corner order), in a fixed enumeration order,
-    as (corners, lattice mask), less those whose mask meets `forbid` or
-    misses some mask in `needs`.  `take`, if given, is called once per
-    enumerated path, kept or not, before the path is tested.  The
-    depth-first search keeps its own stack, so a path may have more segments
-    than Python's recursion limit."""
+    as (corners, lattice mask, corner mask), less those whose lattice mask
+    meets `forbid` or misses some mask in `needs`.  `take`, if given, is
+    called once per enumerated path, kept or not, before the path is tested.
+    The depth-first search keeps its own stack, so a path may have more
+    segments than Python's recursion limit."""
     w, h, max_segments = budget.grid_width, budget.grid_height, budget.max_bends + 1
     row = 2 * w - 1
     top = 2 * h - 2
@@ -122,11 +123,12 @@ def _grid_paths(
 
     for y, x, horizontal_first in product(range(h), range(w), (True, False)):
         corners = [(x, y)]
-        # one frame per segment being chosen: the path's mask before it, the
-        # segment's axis and the end coordinates not yet tried
-        stack = [(0, horizontal_first, ends((x, y), x, y, horizontal_first, max_segments == 1))]
+        # one frame per segment being chosen: the path's and its corners'
+        # masks before it, the segment's axis and the end coordinates not yet tried
+        stack = [(0, 1 << 2 * (y * row + x), horizontal_first,
+                  ends((x, y), x, y, horizontal_first, max_segments == 1))]
         while stack:
-            mask, horizontal, untried = stack[-1]
+            mask, corner_mask, horizontal, untried = stack[-1]
             cx, cy = corners[-1]
             start = 2 * cy * row + 2 * cx
             before = mask & ~(1 << start)  # the new segment may meet the path only at its start
@@ -140,7 +142,8 @@ def _grid_paths(
                 if c == at:
                     continue
                 d = c - at
-                seg = runs[abs(d)] << (start if d > 0 else start + 2 * d * stride)
+                tip = start + 2 * d * stride  # the bit of the segment's end
+                seg = runs[abs(d)] << (start if d > 0 else tip)
                 if seg & before:
                     continue
                 end = (c, cy) if horizontal else (cx, c)
@@ -152,10 +155,10 @@ def _grid_paths(
                             if not seg & need:
                                 break
                         else:
-                            yield (*corners, end), mask | seg
+                            yield (*corners, end), mask | seg, corner_mask | 1 << tip
                 if not last:
                     corners.append(end)
-                    stack.append((mask | seg, not horizontal,
+                    stack.append((mask | seg, corner_mask | 1 << tip, not horizontal,
                                   ends(corners[0], *end, not horizontal, len(corners) == max_segments)))
                     break
             else:
@@ -183,10 +186,6 @@ def _path_count(budget: GridSearchBudget) -> Optional[int]:
     if bends == 2:
         count += ells * (w + h - 2) // 2
     return count
-
-
-def _corner_bits(corners: Sequence[Corner], row: int) -> int:
-    return sum(1 << 2 * (y * row + x) for x, y in corners)
 
 
 class _Search:
@@ -268,9 +267,8 @@ class _LazySearch(_Search):
             self.take(self.path_count)
             return None
         start = self.nodes
-        for corners, mask in _grid_paths(self.budget, forbid, neighbours, self.take):
+        for corners, mask, ends in _grid_paths(self.budget, forbid, neighbours, self.take):
             if self.require_proper:
-                ends = _corner_bits(corners, self.row)
                 if ends & union:
                     continue
                 down = (union | mask, ends_union | ends, met | mask & union)
@@ -287,16 +285,16 @@ class _LazySearch(_Search):
 
 
 def _columns(masks: Sequence[int], width: int) -> List[int]:
-    """For each bit b < width, the int whose bit i is bit b of masks[i]; every
-    mask is below 2**width.  The masks, last first, are written as width-digit
-    binary numerals into one string, so that column b is every width-th digit
-    from digit width − 1 − b on: one strided slice and one base-2 parse per
-    bit, both in C (a power-of-two base is exempt from int()'s digit limit)."""
+    """For each bit b < width, the int whose bit i is bit b of masks[i] (each
+    below 2**width).  Mask i packed at bit i·step, step the width in whole
+    bytes, below a 1, the int reads in binary as "0b1" and the masks last first:
+    column b is every step-th digit from step + 2 − b on (base 2: no digit limit)."""
     if not masks:
         return [0] * width
-    numeral = f"0{width}b"
-    digits = "".join([format(mask, numeral) for mask in reversed(masks)])
-    return [int(digits[width - 1 - b :: width], 2) for b in range(width)]
+    step = -(-width // 8) * 8
+    packed = int.from_bytes(b"".join([mask.to_bytes(step // 8, "little") for mask in masks]), "little")
+    digits = bin(packed | 1 << step * len(masks))
+    return [int(digits[step + 2 - b :: step], 2) for b in range(width)]
 
 
 def _gather(table: Sequence[int], mask: int) -> int:
@@ -325,10 +323,11 @@ class _TableSearch(_Search):
         super().__init__(g, budget, require_proper)
         self.paths = list(_grid_paths(budget))
         size = self.row * (2 * budget.grid_height - 1)
-        self.through = _columns([mask for _, mask in self.paths], size)
-        if require_proper:
-            self.ends = [_corner_bits(corners, self.row) for corners, _ in self.paths]
-            self.cornered = _columns(self.ends, size)
+        if require_proper:  # one transpose, each corner mask above its lattice mask
+            both = _columns([mask | ends << size for _, mask, ends in self.paths], 2 * size)
+            self.through, self.cornered = both[:size], both[size:]
+        else:
+            self.through = _columns([mask for _, mask, _ in self.paths], size)
         self.chosen: List[int] = [0] * len(self.order)
 
     def start(self) -> Optional[VpgRepresentation]:
@@ -350,14 +349,14 @@ class _TableSearch(_Search):
             dom ^= low
             i = low.bit_length() - 1
             self.take()
-            mask = self.paths[i][1]
-            hit = _gather(self.through, mask & self.points)
-            meets = hit
+            _, mask, ends = self.paths[i]
+            points = mask & self.points
+            meets = hit = _gather(self.through, points)
             if self.require_proper:
                 # overlap m, pass through a corner of m or a point that m
-                # shares with a placed path, or have a corner on m
-                bad = (_gather(self.through, mask & ~self.points | self.ends[i] | mask & union)
-                       | _gather(self.cornered, mask))
+                # shares with a placed path, or have a corner on m's points
+                bad = (_gather(self.through, mask & ~self.points | ends | mask & union)
+                       | _gather(self.cornered, points))
                 meets &= ~bad
                 down_union = union | mask
             else:

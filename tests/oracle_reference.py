@@ -15,7 +15,8 @@ They pin the outcome, node count and witness of `vpgbend.oracle._LazySearch`.
 
 `columns` is the table search's bit transpose as a loop over every set bit of
 every mask, kept to test the bulk transpose `vpgbend.oracle._columns`
-against.
+against, and `corner_bits` builds a path's corner mask from its corners, to
+test the corner masks that `vpgbend.oracle._grid_paths` carries.
 """
 
 from __future__ import annotations

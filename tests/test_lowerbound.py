@@ -314,7 +314,7 @@ def test_certificate_sound_on_item2_counterexample():
 def _lattice_paths(side):
     """(bends, lattice mask) of every grid path with at most one bend on the
     side x side grid of the oracle."""
-    return [(len(c) - 2, mask) for c, mask in _grid_paths(GridSearchBudget(side, side, 1, 1))]
+    return [(len(c) - 2, mask) for c, mask, _ in _grid_paths(GridSearchBudget(side, side, 1, 1))]
 
 
 def _lattice_mask(path, side):

@@ -1,11 +1,12 @@
 import gc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_reference as ref
 from rep_strategies import finished, searches
 from vpgbend import oracle, representation
 from vpgbend.errors import ParameterError
@@ -165,7 +166,7 @@ def filters(draw):
 def test_filtered_candidates_are_the_unfiltered_ones_that_pass(case):
     budget, forbid, needs = case
     everything = list(_grid_paths(budget))
-    passing = [i for i, (_, mask) in enumerate(everything)
+    passing = [i for i, (_, mask, _) in enumerate(everything)
                if not mask & forbid and all(mask & need for need in needs)]
     taken = Counter()
 
@@ -173,9 +174,13 @@ def test_filtered_candidates_are_the_unfiltered_ones_that_pass(case):
         taken["nodes"] += 1
 
     kept = [(taken["nodes"], path) for path in _grid_paths(budget, forbid, needs, take)]
-    # each kept path comes right after its own `take`, in the unfiltered order
+    # each kept path comes right after its own `take`, in the unfiltered order,
+    # with the corners, lattice mask and corner mask it has unfiltered
     assert kept == [(i + 1, everything[i]) for i in passing]
     assert taken["nodes"] == len(everything)
+    row = 2 * budget.grid_width - 1
+    for _, (corners, mask, ends) in kept:
+        assert ends == ref.corner_bits(corners, row) and ends & mask == ends
 
 
 @pytest.mark.parametrize("side", range(3, 7))
@@ -262,6 +267,47 @@ def test_final_check_never_rejects(case):
 ], ids=["K3", "edge", "C4", "P4-proper", "K5^2-proper"])
 def test_final_check_never_rejects_on_benchmark_graphs(g, grid, bends, proper):
     _checked_search(g, GridSearchBudget(grid, grid, bends, 20_000), proper)
+
+
+def _graphs_with_an_odd_cycle(max_n):
+    """One graph per isomorphism class on 3 to max_n vertices, for every class
+    that is not bipartite."""
+    for n in range(3, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        seen = set()
+        for bits in range(1 << len(pairs)):
+            edges = [pair for i, pair in enumerate(pairs) if bits >> i & 1]
+            key = min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
+                      for p in permutations(range(n)))
+            if key in seen:
+                continue
+            seen.add(key)
+            # bipartite iff some 2-colouring, bit v the side of v, splits every edge
+            if not any(all((c >> u ^ c >> v) & 1 for u, v in edges) for c in range(1 << n)):
+                yield Graph(range(n), edges)
+
+
+def test_no_graph_with_an_odd_cycle_has_a_proper_zero_bend_witness():
+    # proper 0-bend paths meet only where a horizontal segment crosses a
+    # vertical one, so only a bipartite graph has such a representation.  An
+    # odd cycle needs two parallel segments that meet, end to end, and the
+    # proper tables rule that out (a candidate through m's corners, or with a
+    # corner on m), so the search never completes an assignment and the
+    # final checkers never run; with both corner checks gone they would run
+    graphs = list(_graphs_with_an_odd_cycle(5))
+    assert len(graphs) == 26  # 1 + 4 + 21 non-bipartite classes
+    outcomes = Counter()
+
+    def search(*args):
+        outcome, rep = _search(*args)
+        outcomes[outcome] += 1
+        return rep
+
+    for g in graphs:
+        for w in range(1, 6):
+            for h in range(1, 6):
+                _checked_search(g, GridSearchBudget(w, h, 0, 20_000), True, search)
+    assert set(outcomes) <= {"exhausted", "budget"}
 
 
 def test_proper_witness_is_checked_on_one_sweep(monkeypatch):

@@ -62,8 +62,16 @@ def test_candidates_match_reference_in_order():
                 budget = GridSearchBudget(w, h, bends, 1)
                 new = list(_grid_paths(budget))
                 old = [tuple((int(c.x), int(c.y)) for c in p.corners) for p in ref.grid_paths(budget)]
-                assert [corners for corners, _ in new] == old, (w, h, bends)
-                assert all(mask == lattice_mask(corners, w) for corners, mask in new), (w, h, bends)
+                assert [corners for corners, _, _ in new] == old, (w, h, bends)
+                assert all(mask == lattice_mask(corners, w) for corners, mask, _ in new), (w, h, bends)
+
+
+def test_carried_corner_masks_match_the_reference():
+    for w in range(1, 6):
+        for h in range(1, 6):
+            for bends in range(4):
+                for corners, _, ends in _grid_paths(GridSearchBudget(w, h, bends, 1)):
+                    assert ends == ref.corner_bits(corners, 2 * w - 1), (w, h, corners)
 
 
 @settings(max_examples=200, deadline=None)
@@ -192,14 +200,20 @@ def test_bulk_transpose_matches_the_bit_loop(case):
     assert _columns(masks, width) == ref.columns(masks, width)
 
 
+@pytest.mark.parametrize("proper", [False, True], ids=["plain", "proper"])
 @pytest.mark.parametrize("bends", range(3))
-def test_tables_match_the_bit_loop_on_small_grids(bends):
+def test_tables_match_the_bit_loop_on_small_grids(bends, proper):
+    # a proper search builds both tables in one transpose, a plain one only
+    # the path table
     g = Graph([1, 2], [(1, 2)])
     for w in range(1, 5):
         for h in range(1, 5):
-            search = _TableSearch(g, GridSearchBudget(w, h, bends, 1), True)
+            search = _TableSearch(g, GridSearchBudget(w, h, bends, 1), proper)
             size = (2 * w - 1) * (2 * h - 1)
-            ends = [ref.corner_bits(corners, 2 * w - 1) for corners, _ in search.paths]
-            assert search.through == ref.columns([mask for _, mask in search.paths], size)
-            assert search.ends == ends
-            assert search.cornered == ref.columns(ends, size)
+            ends = [ref.corner_bits(corners, 2 * w - 1) for corners, _, _ in search.paths]
+            assert search.through == ref.columns([mask for _, mask, _ in search.paths], size)
+            assert [carried for _, _, carried in search.paths] == ends
+            if proper:
+                assert search.cornered == ref.columns(ends, size)
+            else:
+                assert not hasattr(search, "cornered")
