@@ -179,7 +179,12 @@ def _probe_sweep(ra: VpgRepresentation, k: int):
 
 
 def _members(labels: Sequence[Label], mask: int) -> List[Label]:
-    return [label for i, label in enumerate(labels) if mask >> i & 1]
+    out = []
+    while mask:  # lowest set bit first
+        low = mask & -mask
+        out.append(labels[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def enumerate_good_sets(ra: VpgRepresentation, k: int) -> List[GoodKSet]:
@@ -270,8 +275,8 @@ def find_far_kset(good_sets: Iterable[Iterable], n: int, k: int) -> Optional[Tup
 
 
 class _Candidates(list):
-    """The hit-sets of `certificate_candidates`, with a copy of the label ->
-    path map and the k that they were swept for."""
+    """The hit-sets of `certificate_candidates`, with a frozenset of them, a
+    copy of the label -> path map and the k that they were swept for."""
 
 
 def certificate_candidates(ra: VpgRepresentation, k: int) -> List[frozenset]:
@@ -279,7 +284,7 @@ def certificate_candidates(ra: VpgRepresentation, k: int) -> List[frozenset]:
     labels = ra.labels()
     *_, vertical, horizontal = _probe_sweep(ra, k)
     out = _Candidates(frozenset(_members(labels, mask)) for mask in {**vertical, **horizontal})
-    out.paths, out.k = dict(ra.assignment), k
+    out.sets, out.paths, out.k = frozenset(out), dict(ra.assignment), k
     return out
 
 
@@ -309,7 +314,8 @@ def bend_lb_certificate(
     elif not (isinstance(candidates, _Candidates) and candidates.k >= k
               and candidates.paths == ra.assignment):
         raise ParameterError(f"candidates are not from certificate_candidates(ra, j) with j >= {k}")
-    c = max((len(s) for s in candidates if s <= t), default=0)
+    # a target that is a hit-set itself holds the largest S <= t, so c = k
+    c = k if t in candidates.sets else max((len(s) for s in candidates if s <= t), default=0)
     if c == 0:
         return None
     return -(-k // c) - 1

@@ -300,9 +300,14 @@ def _segment_lines(corners) -> Dict[Tuple[str, int], list]:
 def _segment_at(lines, x0, y0, x1, y1) -> Tuple[int, int, str]:
     """(index, offset, axis): the first segment in `lines` that holds the box (x0, y0, x1,
     y1), a corner being on two, the rank distance of (x0, y0) from its first corner and its axis."""
-    on = ((("h", y0), x0, x1, y0 == y1), (("v", x0), y0, y1, x0 == x1))
-    return min((idx, abs(u0 - a), line[0]) for line, u0, u1, flat in on if flat
-               for idx, lo, hi, a in lines.get(line, ()) if lo <= u0 and u1 <= hi)
+    found = None
+    for line, u0, u1, flat in ((("h", y0), x0, x1, y0 == y1), (("v", x0), y0, y1, x0 == x1)):
+        for idx, lo, hi, a in lines.get(line, ()) if flat else ():
+            if lo <= u0 and u1 <= hi:  # the line's first holder; at a corner, the lower index
+                if found is None or idx < found[0]:
+                    found = idx, abs(u0 - a), line[0]
+                break
+    return found
 
 
 def _hit_walk(table: _ContactTable, b: Label, clique_verts: List[Label], lines=None):

@@ -5,7 +5,8 @@ This is the straightforward form of `induced_grid`, `enumerate_good_sets` and
 rescans every segment of every path.  It is slow but shares no code with the
 rank-compressed sweep in `vpgbend.lowerbound`.  `probe_hit_set` is the
 witness re-check on `segment_intersection` that the int-box re-check in
-`vpgbend.lowerbound` replaced.
+`vpgbend.lowerbound` replaced.  `certificate` is `bend_lb_certificate`
+with c taken by a scan of this module's good j-sets, with no hit-set lookup.
 
 `all_starts_sweep` is the integer sweep over the rank table with a probe
 started at every position of each column, not only below the first event and
@@ -16,7 +17,7 @@ and the order it records them in, pin those of the sweep in
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from vpgbend.errors import DomainError, ParameterError
 from vpgbend.geometry import HORIZONTAL, VERTICAL, Point, Segment, segment_intersection
@@ -131,6 +132,15 @@ def enumerate_good_sets(ra: VpgRepresentation, k: int) -> List[GoodKSet]:
     for key, gs in _probe_sets_one_axis(ra, k, vertical=False).items():
         found.setdefault(key, gs)
     return [found[key] for key in sorted(found, key=lambda s: tuple(sorted(s, key=str)))]
+
+
+def certificate(good_sets: Iterable[GoodKSet], target: Iterable) -> Optional[int]:
+    """ceil(k/c) - 1 for the k-set target, with c the size of the largest of
+    `good_sets` inside it, or None when none is; `good_sets` holds the
+    `enumerate_good_sets` of every j <= k."""
+    t = frozenset(target)
+    c = max((len(gs.members) for gs in good_sets if t.issuperset(gs.members)), default=0)
+    return None if c == 0 else -(-len(t) // c) - 1
 
 
 def strip_small_sets(ra: VpgRepresentation, k: int) -> List[frozenset]:

@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -295,6 +296,21 @@ def test_certificate_sound_on_staircase_fixtures(gtm_reps):
             cert = bend_lb_certificate(ra, subset)
             assert cert is not None
             assert cert <= bend_count(rep.path(subset))
+
+
+def test_certificate_known_answers_on_clique_paths(gtm_reps, k3n_reps):
+    # gtm(7,4): the 21 targets that are hit-sets give 0 by the lookup; the
+    # 14 others take the scan: the largest hit-set inside each has 3 paths
+    ra = gtm_reps[7, 4].restricted(range(1, 8))
+    candidates = certificate_candidates(ra, 4)
+    certs = {t: bend_lb_certificate(ra, t, candidates) for t in combinations(range(1, 8), 4)}
+    assert Counter(certs.values()) == {0: 21, 1: 14}
+    assert certs[1, 2, 3, 4] == 0 and certs[1, 2, 4, 5] == 1
+    assert all((cert == 0) == (frozenset(t) in candidates) for t, cert in certs.items())
+    # k3n(10): every one of the 120 3-targets is a hit-set
+    ra = k3n_reps[10].restricted(range(1, 11))
+    candidates = certificate_candidates(ra, 3)
+    assert [bend_lb_certificate(ra, t, candidates) for t in combinations(range(1, 11), 3)] == [0] * 120
 
 
 COUNTEREXAMPLE_PATHS = [

@@ -1,15 +1,17 @@
 """The integer-rank probe sweep against the Fraction reference in
 `probe_reference`, on the random representations of `rep_strategies` and on
 the clique paths of the constructions.  The certificate candidates of k must
-be the reference's good j-sets for all j <= k.  The sweep's first probe of
-every hit-set, and the order it records them in, must be those of the
-reference sweep that starts a probe at every position.  `_probe_sweep`, which
+be the reference's good j-sets for all j <= k, and the certificate of every
+target of at most 4 labels must be the reference's scan of those sets.  The
+sweep's first probe of every hit-set, and the order it records them in, must
+be those of the reference sweep that starts a probe at every position.  `_probe_sweep`, which
 stops once the two axes hold every set of at most k paths, must keep every
 entry and the merged order of the two axes swept to the end.  The int-box
 witness re-check `probe_hit_set` is compared with the reference's on random
 probes."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -23,6 +25,7 @@ from vpgbend.geometry import Point, Segment
 from vpgbend.lowerbound import (
     _probe_sets_one_axis,
     _probe_sweep,
+    bend_lb_certificate,
     certificate_candidates,
     enumerate_good_sets,
     induced_grid,
@@ -34,18 +37,22 @@ from vpgbend.representation import _contact_table
 
 def _assert_same(ra):
     assert induced_grid(ra) == reference.induced_grid(ra)
-    at_most_k = set()  # the reference's good j-sets for j <= k
+    good = []  # the reference's good j-sets for j <= k
+    candidates = {k: certificate_candidates(ra, k) for k in range(1, 6)}
     for k in range(1, 5):
         sets = enumerate_good_sets(ra, k)
         expected = reference.enumerate_good_sets(ra, k)
         assert sets == expected
-        at_most_k |= {frozenset(gs.members) for gs in expected}
-        candidates = certificate_candidates(ra, k)
-        assert len(set(candidates)) == len(candidates)
-        assert set(candidates) == at_most_k
+        good += expected
+        assert len(set(candidates[k])) == len(candidates[k])
+        assert set(candidates[k]) == {frozenset(gs.members) for gs in good}
         for gs in sets:
             assert probe_hit_set(ra, gs.witness) == frozenset(gs.members)
         assert strip_small_sets(ra, k) == reference.strip_small_sets(ra, k)
+        # every k-label target, hit-set or not, swept for k, for k + 1 and anew
+        for t in combinations(ra.labels(), k):
+            given = (candidates[k], candidates[k + 1], None)
+            assert [bend_lb_certificate(ra, t, g) for g in given] == [reference.certificate(good, t)] * 3
 
 
 @settings(max_examples=300, deadline=None)
