@@ -371,17 +371,5 @@ def transversal_at(p: RectPath, q: RectPath, pt: Point) -> bool:
     """True iff the paths cross transversally at `pt`, a known isolated
     intersection point: interior to a horizontal segment of one and a
     vertical segment of the other, so no touch at a corner crosses."""
-
-    def interior_hits(path):
-        h = v = False
-        for s in path.segments():
-            if s.interior_contains(pt):
-                if s.orientation == HORIZONTAL:
-                    h = True
-                else:
-                    v = True
-        return h, v
-
-    ph, pv = interior_hits(p)
-    qh, qv = interior_hits(q)
-    return (ph and qv) or (pv and qh)
+    p_axes, q_axes = ({s.orientation for s in path.segments() if s.interior_contains(pt)} for path in (p, q))
+    return any(a != b for a in p_axes for b in q_axes)

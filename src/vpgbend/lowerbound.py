@@ -71,8 +71,9 @@ def _coordinate(values: Sequence[int], den: int, events: Sequence[int], code: in
     return Fraction(3 * a + (code - events[at]) * (values[events[at + 1] // 3] - a), 3 * den)
 
 
-def _probe_sets_one_axis(width: int, hs, vs, k: int, held=(), missing: int = 0) -> Dict[int, tuple]:
-    """Every nonempty hit-set of at most k paths of probes along the y axis.
+def _probe_sets_one_axis(width: int, hs, vs, k: int, found=None, total: int = 0) -> Dict[int, tuple]:
+    """Adds to `found` every nonempty hit-set of at most k paths of probes
+    along the y axis that it lacks, and returns it.
 
     Over the segment rows of a rank table, whose x ranks run below `width`, a
     probe at x meets the horizontals spanning x in points and the verticals
@@ -95,9 +96,8 @@ def _probe_sets_one_axis(width: int, hs, vs, k: int, held=(), missing: int = 0) 
     same intervals across it and began one row lower, on a row of no path
     beyond those and this start's first row.
 
-    Given `missing` > 0, the sweep returns once it has recorded that many
-    sets that are not keys of `held`; the default 0 never counts down to 0
-    again, so the four-argument call sweeps to the end.
+    The sweep returns once `found` holds `total` sets; the default 0 is never
+    reached, so the four-argument call sweeps to the end.
     """
     opening, closing, on_line = {}, {}, {}
     for y, lo, hi, li in hs:
@@ -105,7 +105,7 @@ def _probe_sets_one_axis(width: int, hs, vs, k: int, held=(), missing: int = 0) 
         closing.setdefault(hi, []).append((3 * y, 1 << li))
     for x, lo, hi, li in vs:
         on_line.setdefault(x, []).append((3 * lo, 3 * hi, 1 << li))
-    found, rows = {}, {}  # rows: y code -> the paths of the horizontals across the current x
+    found, rows = {} if found is None else found, {}  # rows: y code -> the paths across x
     for r in range(width):
         # line r has the horizontals opening at r, the cell right of it not those closing at r
         for x, moves, intervals in ((3 * r, opening, on_line.get(r)), (3 * r + 1, closing, None)):
@@ -136,8 +136,7 @@ def _probe_sets_one_axis(width: int, hs, vs, k: int, held=(), missing: int = 0) 
                     continue
                 if hit and hit not in found:
                     found[hit] = (x, events, start, start + 1)
-                    missing -= hit not in held
-                    if not missing:
+                    if len(found) == total:
                         return found
                 for yb, b in column[i:]:
                     if hit | b == hit:
@@ -147,35 +146,30 @@ def _probe_sets_one_axis(width: int, hs, vs, k: int, held=(), missing: int = 0) 
                         break
                     if hit not in found:
                         found[hit] = (x, events, start, yb)
-                        missing -= hit not in held
-                        if not missing:
+                        if len(found) == total:
                             return found
     return found
 
 
 def _probe_sweep(ra: VpgRepresentation, k: int):
-    """(den, xs, ys, vertical, horizontal): `_probe_sets_one_axis` on both axes.
+    """(den, xs, ys, found, nv): both axes of `_probe_sets_one_axis` in one
+    dict, whose first nv entries are the vertical sweep's.
 
-    Each stops once the two axes hold all N nonempty sets of at most k of the
-    n paths, after which no probe can record a new key: the vertical sweep
-    after its N-th set, the horizontal one after the set that brings the
-    union to N, and the horizontal one does not run if the vertical one holds
-    all N.  So the vertical dict is whole, and the horizontal one is a prefix
-    of the full sweep's that lacks only sets the vertical one holds: good
-    sets, witnesses, candidates and their order are those of full sweeps.
+    Each sweep stops once the dict holds all N nonempty sets of at most k of
+    the n paths, as no probe can then add one; the horizontal one runs only
+    if the vertical one leaves some out, and skips the sets it holds: the
+    dict is the full vertical sweep's, then the full horizontal one's others.
     """
     if k < 1:
         raise ParameterError("need k >= 1")
     table = _contact_table(ra)
     xs, ys, hs, vs = table.xs, table.ys, table.hs, table.vs
-    # N = C(n, 1) + ... + C(n, min(k, n)), each binomial made from the one before
-    n = len(ra)
-    binomials = accumulate(range(1, min(k, n) + 1), lambda c, j: c * (n + 1 - j) // j, initial=1)
-    missing = sum(binomials) - 1
-    vertical = _probe_sets_one_axis(len(xs), hs, vs, k, (), missing)
-    missing -= len(vertical)
-    horizontal = _probe_sets_one_axis(len(ys), vs, hs, k, vertical, missing) if missing else {}
-    return table.den, xs, ys, vertical, horizontal
+    total = sum(math.comb(len(ra), j) for j in range(1, min(k, len(ra)) + 1))
+    found = _probe_sets_one_axis(len(xs), hs, vs, k, {}, total)
+    nv = len(found)
+    if nv < total:
+        _probe_sets_one_axis(len(ys), vs, hs, k, found, total)
+    return table.den, xs, ys, found, nv
 
 
 def _members(labels: Sequence[Label], mask: int) -> List[Label]:
@@ -194,17 +188,18 @@ def enumerate_good_sets(ra: VpgRepresentation, k: int) -> List[GoodKSet]:
     reported once (vertical witness preferred).
     """
     labels = ra.labels()
-    den, xs, ys, vertical, horizontal = _probe_sweep(ra, k)
+    den, xs, ys, found, nv = _probe_sweep(ra, k)
     sets = []
-    for orientation, found, us, ws in ((VERTICAL, vertical, xs, ys), (HORIZONTAL, horizontal, ys, xs)):
-        for mask, (x, events, ya, yb) in found.items():
-            if mask.bit_count() != k or (found is horizontal and mask in vertical):
-                continue
-            u = _coordinate(us, den, range(0, 3 * len(us), 3), x)
-            ends = (_coordinate(ws, den, events, ya), _coordinate(ws, den, events, yb))
-            witness = Segment(*(Point(u, c) if found is vertical else Point(c, u) for c in ends))
-            members = tuple(sorted(_members(labels, mask), key=str))
-            sets.append(GoodKSet(members, orientation, witness))
+    for i, (mask, (x, events, ya, yb)) in enumerate(found.items()):
+        if mask.bit_count() != k:
+            continue
+        vertical = i < nv
+        us, ws = (xs, ys) if vertical else (ys, xs)
+        u = _coordinate(us, den, range(0, 3 * len(us), 3), x)
+        ends = (_coordinate(ws, den, events, ya), _coordinate(ws, den, events, yb))
+        witness = Segment(*(Point(u, c) if vertical else Point(c, u) for c in ends))
+        members = tuple(sorted(_members(labels, mask), key=str))
+        sets.append(GoodKSet(members, VERTICAL if vertical else HORIZONTAL, witness))
     # type name first: labels of two types (ints and tuples) are never compared
     return sorted(sets, key=lambda gs: [(type(label).__name__, label) for label in gs.members])
 
@@ -282,8 +277,7 @@ class _Candidates(list):
 def certificate_candidates(ra: VpgRepresentation, k: int) -> List[frozenset]:
     """Every nonempty probe hit-set of at most k paths, reusable across targets."""
     labels = ra.labels()
-    *_, vertical, horizontal = _probe_sweep(ra, k)
-    out = _Candidates(frozenset(_members(labels, mask)) for mask in {**vertical, **horizontal})
+    out = _Candidates(frozenset(_members(labels, mask)) for mask in _probe_sweep(ra, k)[3])
     out.sets, out.paths, out.k = frozenset(out), dict(ra.assignment), k
     return out
 
@@ -373,7 +367,7 @@ def _good_set_bound(ra: VpgRepresentation, t: int) -> int:
 def count_good_sets_vs_bound(ra: VpgRepresentation, k: int, t: int) -> Tuple[int, int, bool]:
     """(number of good k-sets, 8 n^2 (t+1)^2, count <= bound)."""
     bound = _good_set_bound(ra, t)
-    count = sum(mask.bit_count() == k for mask in set().union(*_probe_sweep(ra, k)[3:]))
+    count = sum(mask.bit_count() == k for mask in _probe_sweep(ra, k)[3])
     return count, bound, count <= bound
 
 

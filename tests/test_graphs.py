@@ -59,6 +59,13 @@ def test_graph_is_unhashable():
     assert Graph(["a", "b"], [("a", "b")]) == Graph(["b", "a"], [("b", "a")])
 
 
+def test_graph_is_never_equal_to_another_type():
+    # __eq__ leaves the comparison to the other operand, which finds no match
+    g = Graph(["a", "b"], [("a", "b")])
+    assert g.__eq__({"a", "b"}) is NotImplemented
+    assert g != {"a", "b"} and not g == g.edges()
+
+
 def test_graph_equal_under_another_vertex_order():
     g = build_hnk_member(5, 2, all_qedges(5, 2)[::3])
     vertices = list(g.vertices)

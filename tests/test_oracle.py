@@ -123,6 +123,14 @@ def test_p4_proper_one_bend_found_on_5x5():
     assert _LazySearch(g, GridSearchBudget(5, 5, 1, 59_735), True).outcome() == ("budget", None)
 
 
+def test_verified_returns_none_when_the_checkers_reject_the_paths():
+    # an edge's two paths placed apart do not realize it; crossing, they do
+    search = _LazySearch(Graph(["a", "b"], [("a", "b")]), GridSearchBudget(4, 4, 0, 100), False)
+    assert search.verified([((0, 0), (1, 0)), ((0, 2), (1, 2))]) is None
+    rep = search.verified([((0, 1), (2, 1)), ((1, 0), (1, 2))])
+    assert rep is not None and verify_realizes(rep, search.g).ok
+
+
 # the table search's first witness for three of the oracle benchmark's cases,
 # as the README gives it: node count and corners per vertex
 @pytest.mark.parametrize("g,grid,bends,proper,nodes,corners", [

@@ -5,8 +5,9 @@ be the reference's good j-sets for all j <= k, and the certificate of every
 target of at most 4 labels must be the reference's scan of those sets.  The
 sweep's first probe of every hit-set, and the order it records them in, must
 be those of the reference sweep that starts a probe at every position.  `_probe_sweep`, which
-stops once the two axes hold every set of at most k paths, must keep every
-entry and the merged order of the two axes swept to the end.  The int-box
+stops once its one record holds every set of at most k paths, must record
+the vertical axis swept to the end, then the other sets of the horizontal
+one in its order, each with its first probe.  The int-box
 witness re-check `probe_hit_set` is compared with the reference's on random
 probes."""
 
@@ -27,12 +28,13 @@ from vpgbend.lowerbound import (
     _probe_sweep,
     bend_lb_certificate,
     certificate_candidates,
+    count_good_sets_vs_bound,
     enumerate_good_sets,
     induced_grid,
     probe_hit_set,
     strip_small_sets,
 )
-from vpgbend.representation import _contact_table
+from vpgbend.representation import _contact_table, max_bends
 
 
 def _assert_same(ra):
@@ -106,16 +108,17 @@ def test_first_probes_match_all_starts_sweep_on_staircases(gtm_reps, nk):
 
 
 def _assert_sweep_matches_full_sweeps(ra):
-    """`_probe_sweep` against both axes swept to the end: the same vertical
-    dict, a prefix of the horizontal one, and the same merged key order."""
+    """`_probe_sweep` against both axes swept to the end: the whole vertical
+    dict, then the horizontal one's other sets, with their first probes."""
     table = _contact_table(ra)
     for k in range(1, 5):
         full_v = _probe_sets_one_axis(len(table.xs), table.hs, table.vs, k)
         full_h = _probe_sets_one_axis(len(table.ys), table.vs, table.hs, k)
-        *_, vertical, horizontal = _probe_sweep(ra, k)
-        assert list(vertical.items()) == list(full_v.items())
-        assert list(horizontal.items()) == list(full_h.items())[: len(horizontal)]
-        assert list({**vertical, **horizontal}) == list({**full_v, **full_h})
+        *_, found, nv = _probe_sweep(ra, k)
+        assert nv == len(full_v)
+        assert list(found.items()) == list(
+            {**full_v, **{m: p for m, p in full_h.items() if m not in full_v}}.items()
+        )
 
 
 @settings(max_examples=300, deadline=None)
@@ -137,14 +140,30 @@ def test_probe_sweep_matches_full_sweeps_on_staircases(nk):
 @pytest.mark.parametrize("n, count", [(8, 92), (10, 175)])
 def test_probe_sweep_stops_once_every_set_is_held(k3n_reps, n, count):
     """Every set of at most 3 of k3n(n)'s clique paths is a hit-set, so the
-    horizontal sweep stops short of its end; at k = 2 the vertical sweep
-    holds them all and the horizontal one does not run."""
+    record holds all of them; a sweep given a total returns the first that
+    many sets of its full sweep, and at k = 2 the vertical sweep holds them
+    all, so the horizontal one does not run."""
     ra = k3n_reps[n].restricted(range(1, n + 1))
     table = _contact_table(ra)
-    assert len(certificate_candidates(ra, 3)) == count == sum(comb(n, j) for j in (1, 2, 3))
-    horizontal = _probe_sweep(ra, 3)[-1]
-    assert len(horizontal) < len(_probe_sets_one_axis(len(table.ys), table.vs, table.hs, 3))
-    assert _probe_sweep(ra, 2)[-1] == {}
+    assert len(_probe_sweep(ra, 3)[3]) == count == sum(comb(n, j) for j in (1, 2, 3))
+    assert len(certificate_candidates(ra, 3)) == count
+    for args in ((len(table.xs), table.hs, table.vs, 3), (len(table.ys), table.vs, table.hs, 3)):
+        full = list(_probe_sets_one_axis(*args).items())
+        for t in range(1, len(full)):
+            assert list(_probe_sets_one_axis(*args, {}, t).items()) == full[:t]
+    *_, found, nv = _probe_sweep(ra, 2)
+    assert nv == len(found) == sum(comb(n, j) for j in (1, 2))
+
+
+def test_k_far_above_n_counts_only_sets_of_at_most_n_paths(k3n_reps):
+    """A k far above the n paths: no good k-set, and the candidates of every
+    set of at most n paths, in the order of k = n.  The number of sets that
+    stops the sweep is summed up to min(k, n) only, so it takes no time."""
+    ra = k3n_reps[8].restricted(range(1, 9))
+    k = 10**12
+    assert enumerate_good_sets(ra, k) == []
+    assert count_good_sets_vs_bound(ra, k, max_bends(ra))[0] == 0
+    assert list(certificate_candidates(ra, k)) == list(certificate_candidates(ra, 8))
 
 
 # layouts whose rows the carried sweep updates in place: each is checked as
