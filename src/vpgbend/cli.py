@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence
 
-from . import constructors, lowerbound, oracle, posets
 from .errors import ValidationError, VpgError
 from .geometry import Segment
 from .graphs import SplitPartition, _ascii_count, label_str, read_graph_text, write_graph_text
@@ -38,6 +37,10 @@ PROBE_STROKE = Fraction(4)
 # the most edges the graph of a `graph` or `construct` request may have, and
 # the most elements and relations a `posets` request may build
 _EDGE_CAP = 1 << 20
+
+# the most bits k·bit_length(n) of a `counting` request: C(n,k) < n^k and
+# k! < n^k, so no number the checks build has many more bits than this
+_COUNTING_BITS = 1 << 20
 
 
 def _decimal(value: Fraction) -> str:
@@ -147,7 +150,8 @@ def _parse_known_labels(spec: str, what: str, known, where: str) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers; each imports the modules that only it uses, so a
+# command loads no analysis, search or construction it does not run
 
 
 def _check_size(n: int, k: int, complete: bool = False) -> None:
@@ -173,7 +177,17 @@ def _check_poset_size(r: int, s: int, n: int) -> None:
                        "elements and relations")
 
 
+def _check_counting_size(n: int, k: int) -> None:
+    """Refuse a `counting` request whose factorials and binomials would have
+    more than _COUNTING_BITS bits; the validator checks n > k >= 1."""
+    if n > k >= 1 and k * n.bit_length() > _COUNTING_BITS:
+        raise VpgError(f"k*bit_length(n) = {k * n.bit_length()} is above {_COUNTING_BITS}, "
+                       "so C(n,k) would be too large")
+
+
 def _cmd_construct(args) -> int:
+    from . import constructors
+
     if args.family == "split-upper":
         g = read_graph_text(_read(args.graph))
         clique = _parse_known_labels(args.clique, "clique", g, "graph")
@@ -217,6 +231,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_goodsets(args) -> int:
+    from . import lowerbound
+
     rep = read_representation_text(_read(args.rep))
     sets = lowerbound.enumerate_good_sets(rep, args.k)
     # the --t check can be a usage error, so it runs before anything is printed
@@ -234,6 +250,8 @@ def _cmd_goodsets(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
+    from . import lowerbound
+
     rep = read_representation_text(_read(args.rep))
     target = _parse_known_labels(args.target, "target", rep.assignment, "representation")
     cert = lowerbound.bend_lb_certificate(rep, target)
@@ -245,6 +263,8 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_posets(args) -> int:
+    from . import posets
+
     if args.action == "build":
         _check_poset_size(args.r, args.s, args.n)
         p = posets.build_p_rsn(args.r, args.s, args.n)
@@ -277,6 +297,9 @@ def _cmd_posets(args) -> int:
 
 
 def _cmd_counting(args) -> int:
+    from . import lowerbound
+
+    _check_counting_size(args.n, args.k)
     report = lowerbound.validate_counting(args.n, args.k, args.t)
     for line in report.lines():
         print(line)
@@ -284,6 +307,8 @@ def _cmd_counting(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     g = read_graph_text(_read(args.graph))
     dims = [_ascii_count(d) for d in args.grid.lower().split("x")]
     if len(dims) != 2 or None in dims:
@@ -310,6 +335,8 @@ def _cmd_render(args) -> int:
               if args.dashed else [])
     probes: List[Segment] = []
     if args.annotate_goodsets is not None:
+        from . import lowerbound
+
         probes = [g.witness for g in lowerbound.enumerate_good_sets(rep, args.annotate_goodsets)]
     svg = render_svg(rep, dashed_labels=dashed, probes=probes)
     _emit(svg, args.output)

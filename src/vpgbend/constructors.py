@@ -21,11 +21,10 @@ all of its epsilon offsets, so identical inputs give bit-identical output;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, Record, _set
 from .geometry import RectPath, _segment_rows
 from .graphs import Graph, SplitPartition, check_split_partition, ksubsets
 from .representation import VpgRepresentation
@@ -85,13 +84,15 @@ def construct_split_upper(g: Graph, part: SplitPartition) -> VpgRepresentation:
 # Hamiltonian decompositions
 
 
-@dataclass(frozen=True)
-class HamiltonianDecomposition:
+class HamiltonianDecomposition(Record):
     """2s edge-disjoint Hamiltonian cycles covering the complete graph on
     4s+1 vertices (labels 1..4s+1)."""
 
-    vertex_count: int
-    cycles: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("vertex_count", "cycles")
+
+    def __init__(self, vertex_count: int, cycles: Tuple[Tuple[int, ...], ...]):
+        _set(self, "vertex_count", vertex_count)
+        _set(self, "cycles", cycles)
 
 
 def _is_prime(n: int) -> bool:
@@ -272,8 +273,7 @@ def construct_gtm_stairs(n: int, k: int) -> VpgRepresentation:
 # proper representation of the 3-subset split graph
 
 
-@dataclass(frozen=True)
-class SquareRegionLayout:
+class SquareRegionLayout(Record):
     """One (n+2) x (n+2) square region: vertical grid lines labeled by one
     visit sequence, horizontal lines by another.
 
@@ -281,16 +281,18 @@ class SquareRegionLayout:
     verticals and the topmost/bottommost horizontals carry equal labels.
     """
 
-    index: int
-    origin: Tuple[Fraction, Fraction]
-    vertical_labels: Tuple[int, ...]
-    horizontal_labels: Tuple[int, ...]
+    __slots__ = ("index", "origin", "vertical_labels", "horizontal_labels")
 
-    def __post_init__(self):
-        if self.vertical_labels[0] != self.vertical_labels[-1]:
+    def __init__(self, index: int, origin: Tuple[Fraction, Fraction],
+                 vertical_labels: Tuple[int, ...], horizontal_labels: Tuple[int, ...]):
+        if vertical_labels[0] != vertical_labels[-1]:
             raise ConstructionError("leftmost/rightmost vertical labels differ")
-        if self.horizontal_labels[0] != self.horizontal_labels[-1]:
+        if horizontal_labels[0] != horizontal_labels[-1]:
             raise ConstructionError("topmost/bottommost horizontal labels differ")
+        _set(self, "index", index)
+        _set(self, "origin", origin)
+        _set(self, "vertical_labels", vertical_labels)
+        _set(self, "horizontal_labels", horizontal_labels)
 
     def column(self, label: int) -> int:
         """1-based position of the label's vertical line (first occurrence)."""

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .errors import GeometryError
+from .errors import GeometryError, Record, _set
 
 Coord = Union[int, str, Fraction]
 
@@ -55,14 +55,20 @@ def rational(value: Coord) -> Fraction:
     raise GeometryError(f"not an exact coordinate: {value!r}{note}")
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    x: Fraction
-    y: Fraction
+@total_ordering
+class Point(Record):
+    """Exact point, ordered by (x, y)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", rational(self.x))
-        object.__setattr__(self, "y", rational(self.y))
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: Coord, y: Coord):
+        _set(self, "x", rational(x))
+        _set(self, "y", rational(y))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) < (other.x, other.y)
 
     def translated(self, dx: Coord, dy: Coord) -> "Point":
         return Point(self.x + rational(dx), self.y + rational(dy))
@@ -71,22 +77,20 @@ class Point:
         return f"({self.x},{self.y})"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """Closed axis-parallel segment; endpoints stored in increasing order."""
 
-    a: Point
-    b: Point
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        a, b = self.a, self.b
+    def __init__(self, a: Point, b: Point):
         if a == b:
             raise GeometryError("zero-length segment")
         if a.x != b.x and a.y != b.y:
             raise GeometryError(f"segment {a}-{b} is not axis-parallel")
         if (b.x, b.y) < (a.x, a.y):
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+            a, b = b, a
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     @property
     def orientation(self) -> str:
@@ -329,16 +333,18 @@ def bend_count(p: RectPath) -> int:
     return len(p._scaled) // 2 - 2
 
 
-@dataclass(frozen=True)
-class PathIntersections:
+class PathIntersections(Record):
     """Decomposition of the intersection of two paths.
 
     `points` are the isolated intersection points (sorted); `overlaps` are the
     maximal collinear shared sub-segments of positive length.
     """
 
-    points: Tuple[Point, ...]
-    overlaps: Tuple[Segment, ...]
+    __slots__ = ("points", "overlaps")
+
+    def __init__(self, points: Tuple[Point, ...], overlaps: Tuple[Segment, ...]):
+        _set(self, "points", points)
+        _set(self, "overlaps", overlaps)
 
     def __bool__(self):
         return bool(self.points or self.overlaps)

@@ -8,11 +8,10 @@ all derived output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, GraphError, ParameterError
+from .errors import DomainError, GraphError, ParameterError, Record, _set
 
 Label = Hashable
 
@@ -98,10 +97,12 @@ class Graph:
         return not any(self.has_edge(u, v) for u, v in combinations(vs, 2))
 
 
-@dataclass(frozen=True)
-class SplitPartition:
-    clique: Tuple[Label, ...]
-    independent: Tuple[Label, ...]
+class SplitPartition(Record):
+    __slots__ = ("clique", "independent")
+
+    def __init__(self, clique: Tuple[Label, ...], independent: Tuple[Label, ...]):
+        _set(self, "clique", clique)
+        _set(self, "independent", independent)
 
 
 def check_split_partition(g: Graph, part: SplitPartition) -> None:

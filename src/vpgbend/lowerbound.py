@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, repeat
 from operator import xor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, Record, _set
 from .geometry import HORIZONTAL, VERTICAL, Point, Segment
 from .graphs import Graph, Label, label_str
 from .planarity import is_planar  # the F_h/F_v chain's test, named here too
@@ -33,14 +32,16 @@ from .representation import (
 )
 
 
-@dataclass(frozen=True)
-class InducedGrid:
+class InducedGrid(Record):
     """Lines extending every segment of the clique paths plus the endpoint
     lines: each corner is a path end or joins a horizontal and a vertical
     segment, so these are exactly the distinct corner coordinates."""
 
-    x_lines: Tuple[Fraction, ...]
-    y_lines: Tuple[Fraction, ...]
+    __slots__ = ("x_lines", "y_lines")
+
+    def __init__(self, x_lines: Tuple[Fraction, ...], y_lines: Tuple[Fraction, ...]):
+        _set(self, "x_lines", x_lines)
+        _set(self, "y_lines", y_lines)
 
 
 def induced_grid(ra: VpgRepresentation) -> InducedGrid:
@@ -50,11 +51,13 @@ def induced_grid(ra: VpgRepresentation) -> InducedGrid:
     return InducedGrid(*(tuple(Fraction(v, table.den) for v in vs) for vs in (table.xs, table.ys)))
 
 
-@dataclass(frozen=True)
-class GoodKSet:
-    members: Tuple[Label, ...]
-    orientation: str
-    witness: Segment
+class GoodKSet(Record):
+    __slots__ = ("members", "orientation", "witness")
+
+    def __init__(self, members: Tuple[Label, ...], orientation: str, witness: Segment):
+        _set(self, "members", members)
+        _set(self, "orientation", orientation)
+        _set(self, "witness", witness)
 
 
 def _coordinate(values: Sequence[int], den: int, events: Sequence[int], code: int) -> Fraction:
@@ -315,14 +318,22 @@ def bend_lb_certificate(
     return -(-k // c) - 1
 
 
-@dataclass(frozen=True)
-class CountingReport:
-    """Exact big-integer checks of the counting chain."""
+class CountingReport(Record):
+    """Exact big-integer checks of the counting chain:
+    - observation_bound: 8 n^2 (t+1)^2 <= 2 n^2 k^2;
+    - factorial_split: k! < ceil(k/2)! floor(k/2)! (k-5)!, None for k < 5;
+    - simplified_growth: 2 n^2 k^2 k! < n(n-1)(n-2);
+    - claim_chain: 2 n^2 k^2 (k-3) C(k,ceil k/2) C(n-k,k-3) < C(n,k), None for k < 3.
+    """
 
-    observation_bound: bool          # 8 n^2 (t+1)^2 <= 2 n^2 k^2
-    factorial_split: Optional[bool]  # k! < ceil(k/2)! floor(k/2)! (k-5)!
-    simplified_growth: bool          # 2 n^2 k^2 k! < n(n-1)(n-2)
-    claim_chain: Optional[bool]      # 2 n^2 k^2 (k-3) C(k,ceil k/2) C(n-k,k-3) < C(n,k)
+    __slots__ = ("observation_bound", "factorial_split", "simplified_growth", "claim_chain")
+
+    def __init__(self, observation_bound: bool, factorial_split: Optional[bool],
+                 simplified_growth: bool, claim_chain: Optional[bool]):
+        _set(self, "observation_bound", observation_bound)
+        _set(self, "factorial_split", factorial_split)
+        _set(self, "simplified_growth", simplified_growth)
+        _set(self, "claim_chain", claim_chain)
 
     def all_defined_true(self) -> bool:
         return all(v for v in (self.observation_bound, self.factorial_split,

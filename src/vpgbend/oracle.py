@@ -43,11 +43,10 @@ and bends alone choose between them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ParameterError
+from .errors import ParameterError, Record, _set
 from .geometry import RectPath
 from .graphs import Graph
 from .representation import VpgRepresentation, is_proper, verify_realizes
@@ -69,23 +68,22 @@ class _BudgetExhausted(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class GridSearchBudget:
-    grid_width: int
-    grid_height: int
-    max_bends: int
-    node_limit: int
+class GridSearchBudget(Record):
+    __slots__ = ("grid_width", "grid_height", "max_bends", "node_limit")
 
-    def __post_init__(self):
-        if self.grid_width < 1 or self.grid_height < 1 or self.node_limit < 1:
+    def __init__(self, grid_width: int, grid_height: int, max_bends: int, node_limit: int):
+        if grid_width < 1 or grid_height < 1 or node_limit < 1:
             raise ParameterError("grid dimensions and node limit must be positive")
-        if self.grid_width * self.grid_height > _GRID_LIMIT:
+        if grid_width * grid_height > _GRID_LIMIT:
             raise ParameterError(
-                f"grid {self.grid_width}x{self.grid_height} has more than "
-                f"{_GRID_LIMIT} lattice points"
+                f"grid {grid_width}x{grid_height} has more than {_GRID_LIMIT} lattice points"
             )
-        if self.max_bends < 0:
+        if max_bends < 0:
             raise ParameterError("max_bends must be nonnegative")
+        _set(self, "grid_width", grid_width)
+        _set(self, "grid_height", grid_height)
+        _set(self, "max_bends", max_bends)
+        _set(self, "node_limit", node_limit)
 
 
 def _grid_paths(

@@ -9,44 +9,43 @@ explicit stack; extensions reversing every critical pair form a realizer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from .errors import DomainError, ParameterError, ValidationError
+from .errors import DomainError, ParameterError, Record, ValidationError, _set
 from .graphs import Graph, _label_texts, ksubsets
 
 Element = Hashable
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(Record):
     """Ground set plus strict order relation (set of (lo, hi) pairs)."""
 
-    ground: Tuple[Element, ...]
-    less: frozenset
+    __slots__ = ("ground", "less")
 
-    def __post_init__(self):
-        idx = {x: i for i, x in enumerate(self.ground)}
-        if len(idx) != len(self.ground):
+    def __init__(self, ground: Tuple[Element, ...], less: frozenset):
+        idx = {x: i for i, x in enumerate(ground)}
+        if len(idx) != len(ground):
             raise ValidationError("duplicate ground elements")
         # pairs in ground-index order, so the same poset always fails on the
         # same pair (unknown elements last, by repr)
         n = len(idx)
-        pairs = sorted(self.less, key=lambda pair: (idx.get(pair[0], n), idx.get(pair[1], n), repr(pair)))
+        pairs = sorted(less, key=lambda pair: (idx.get(pair[0], n), idx.get(pair[1], n), repr(pair)))
         for x, y in pairs:
             if x not in idx or y not in idx:
                 raise ValidationError(f"relation uses unknown element in ({x!r},{y!r})")
             if x == y:
                 raise ValidationError(f"reflexive pair ({x!r},{x!r})")
-            if (y, x) in self.less:
+            if (y, x) in less:
                 raise ValidationError(f"antisymmetry violated on ({x!r},{y!r})")
-        _, up, _ = _masks(self.ground, self.less)
+        _, up, _ = _masks(ground, less)
         for x, y in pairs:
             missing = up[idx[y]] & ~up[idx[x]]  # y < w but not x < w
             if missing:
-                w = self.ground[(missing & -missing).bit_length() - 1]
+                w = ground[(missing & -missing).bit_length() - 1]
                 raise ValidationError(f"transitivity violated: {x!r}<{y!r}<{w!r}")
+        _set(self, "ground", ground)
+        _set(self, "less", less)
 
     def is_less(self, x: Element, y: Element) -> bool:
         return (x, y) in self.less
@@ -107,13 +106,13 @@ def make_poset(ground: Iterable[Element], relations: Iterable[Tuple[Element, Ele
     return Poset(ground=ground, less=less)
 
 
-@dataclass(frozen=True)
-class LinearOrder:
-    sequence: Tuple[Element, ...]
+class LinearOrder(Record):
+    __slots__ = ("sequence",)
 
-    def __post_init__(self):
-        if len(set(self.sequence)) != len(self.sequence):
+    def __init__(self, sequence: Tuple[Element, ...]):
+        if len(set(sequence)) != len(sequence):
             raise ValidationError("linear order repeats an element")
+        _set(self, "sequence", sequence)
 
     def position(self) -> Dict[Element, int]:
         return {x: i for i, x in enumerate(self.sequence)}
@@ -125,13 +124,13 @@ class LinearOrder:
         return all(pos[x] < pos[y] for x, y in p.less)
 
 
-@dataclass(frozen=True)
-class Realizer:
-    orders: Tuple[LinearOrder, ...]
+class Realizer(Record):
+    __slots__ = ("orders",)
 
-    def __post_init__(self):
-        if not self.orders:
+    def __init__(self, orders: Tuple[LinearOrder, ...]):
+        if not orders:
             raise ValidationError("a realizer needs at least one linear order")
+        _set(self, "orders", orders)
 
 
 def is_realizer(p: Poset, r: Realizer) -> bool:

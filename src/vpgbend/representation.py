@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .errors import DegenerateTrimError, DomainError, ValidationError
+from .errors import DegenerateTrimError, DomainError, Record, ValidationError, _set
 from .geometry import (Point, RectPath, _collinear_contacts, _coordinate_text, _corner_text,
                        _crossing_contacts, _parse_ratio, _segment_rows, bend_count)
 from .graphs import Graph, Label, _label_texts, label_str
@@ -170,11 +169,14 @@ def intersection_graph(rep: VpgRepresentation) -> Graph:
     return g
 
 
-@dataclass(frozen=True)
-class RealizationReport:
-    ok: bool
-    missing_edges: Tuple[Tuple[str, str], ...]
-    spurious_edges: Tuple[Tuple[str, str], ...]
+class RealizationReport(Record):
+    __slots__ = ("ok", "missing_edges", "spurious_edges")
+
+    def __init__(self, ok: bool, missing_edges: Tuple[Tuple[str, str], ...],
+                 spurious_edges: Tuple[Tuple[str, str], ...]):
+        _set(self, "ok", ok)
+        _set(self, "missing_edges", missing_edges)
+        _set(self, "spurious_edges", spurious_edges)
 
     def __bool__(self):
         return self.ok
@@ -214,10 +216,12 @@ def verify_realizes(rep: VpgRepresentation, g: Graph) -> RealizationReport:
     return RealizationReport(not missing and not spurious, missing, spurious)
 
 
-@dataclass(frozen=True)
-class PropernessReport:
-    ok: bool
-    violations: Tuple[str, ...]
+class PropernessReport(Record):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: Tuple[str, ...]):
+        _set(self, "ok", ok)
+        _set(self, "violations", violations)
 
     def __bool__(self):
         return self.ok

@@ -32,7 +32,7 @@ def make_poset(ground: Iterable[Element], relations: Iterable[Tuple[Element, Ele
 
 
 def validate(ground, less) -> None:
-    """The checks `Poset.__post_init__` makes, with the pairwise transitivity
+    """The checks `Poset.__init__` makes, with the pairwise transitivity
     test, visiting the pairs in ground-index order as it does."""
     gset = set(ground)
     if len(gset) != len(ground):

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -103,7 +104,7 @@ def test_oversized_graph_or_construct_is_usage_error(tmp_path, capsys, monkeypat
     for name in ("build_split_knk", "build_hnk_member"):
         monkeypatch.setattr(f"vpgbend.graphs.{name}", None)
     for name in ("construct_k3n_proper", "construct_gtm_stairs"):
-        monkeypatch.setattr(cli.constructors, name, None)
+        monkeypatch.setattr(f"vpgbend.constructors.{name}", None)
     out_file = tmp_path / "out.txt"
     rc, out, err = run(capsys, *argv, "-o", str(out_file))
     assert (rc, out) == (2, "")
@@ -278,7 +279,7 @@ def test_posets_dim_without_a_whole_poset_is_usage_error(capsys, given):
 def test_oversized_poset_is_usage_error(tmp_path, capsys, monkeypatch, action, r, s, n):
     # refused from the sizes alone: neither the builder nor any binomial of
     # an n above the cap runs
-    monkeypatch.setattr(cli.posets, "build_p_rsn", None)
+    monkeypatch.setattr("vpgbend.posets.build_p_rsn", None)
     if n > 1 << 20:
         monkeypatch.setattr(cli.math, "comb", None)
     out_file = tmp_path / "p.txt"
@@ -523,6 +524,31 @@ def test_counting_subcommand(capsys):
     rc, out, _ = run(capsys, "counting", "--n", "100", "--k", "16", "--t", "0")
     assert rc == 1  # growth check fails at this small n
     assert "(b) " in out and "true" in out
+
+
+@pytest.mark.parametrize("n, k", [(10_000_000, 1_000_000), (2**8191 + 1, 129), (65537, 61681)],
+                         ids=["1e7-1e6", "8192bits-129", "17bits-61681"])
+def test_oversized_counting_is_usage_error(capsys, monkeypatch, n, k):
+    # refused from k * bit_length(n) alone: no factorial or binomial runs
+    for name in ("factorial", "comb"):
+        monkeypatch.setattr(f"math.{name}", None)
+    rc, out, err = run(capsys, "counting", "--n", str(n), "--k", str(k), "--t", "0")
+    assert (rc, out) == (2, "")
+    assert err == f"error: k*bit_length(n) = {k * n.bit_length()} is above 1048576, so C(n,k) would be too large\n"
+
+
+@pytest.mark.parametrize("n, k", [
+    (2 * 16 * 16 * math.factorial(16) + 3, 16),  # the paper's full scale
+    (1000, 16),
+    (2**8191 + 1, 128),  # k * bit_length(n) = 2^20, the largest accepted
+    (5, 10**9),  # n <= k is the validator's error, as without the cap
+], ids=["full-scale", "readme", "8192bits-128", "n-below-k"])
+def test_counting_cap_accepts_the_paper_scale_and_the_cap_itself(capsys, n, k):
+    rc, out, err = run(capsys, "counting", "--n", str(n), "--k", str(k), "--t", "0")
+    if n > k:
+        assert rc in (0, 1) and err == "" and len(out.splitlines()) == 4
+    else:
+        assert (rc, out, err) == (2, "", f"error: need n > k >= 1 and t >= 0, got n={n}, k={k}, t=0\n")
 
 
 def test_oracle_subcommand(tmp_path, capsys):
